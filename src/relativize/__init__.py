@@ -47,6 +47,7 @@ from .formula import (
     negate,
     partition,
     true_count,
+    truth_table,
 )
 from .harness import (
     ExperimentConfig,
@@ -108,5 +109,5 @@ __all__ = [
     "partition_code", "run_report", "run_suite", "save_corpus", "save_oracle",
     "set_sum_direct", "set_sum_naive", "solve_conp_with_C_bar",
     "solve_lambda_with_oracle", "solve_with_A", "solve_with_B", "solve_with_C",
-    "tagged_view", "tower", "true_count", "unpair",
+    "tagged_view", "tower", "true_count", "truth_table", "unpair",
 ]

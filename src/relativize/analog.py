@@ -21,6 +21,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .encoding import pair
 from .errors import DimensionError
@@ -120,6 +121,11 @@ class SetSumProblem:
         if len(a) != self.k:
             raise DimensionError(f"subset flags have length {len(a)}, instance has r={self.k}")
         return all(a) and sum(self.instance.values) == self.instance.target
+
+    @cached_property
+    def truth_table(self) -> int:
+        """One bit at most: the full subset (index 2^r - 1), set iff the sum hits the target."""
+        return 1 << ((1 << self.k) - 1) if set_sum_direct(self.instance) else 0
 
     def canonical_key(self) -> str:
         return json.dumps(["setsum", list(self.instance.values), self.instance.target],

@@ -6,6 +6,13 @@ assignment with index e in [0, 2^k) is the k-bit little-endian reading of e
 (bit j of e gives the value of literal j). Oracle builders and the solvers
 that run against them must agree on "the next unexamined assignment", so the
 order is fixed here and nowhere else.
+
+The same order indexes a problem's truth table: one 2^k-bit integer whose bit
+e is set iff assignment e is accepted. Every exhaustive question (is there a
+witness, which is the first, how many are there, which true-count blocks hold
+one) is read from that integer with bit operations instead of a 2^k loop; the
+per-assignment `evaluate` stays as the independent reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from functools import cache, cached_property
 from string import ascii_lowercase
 from typing import Iterator
 
@@ -43,6 +51,57 @@ def default_literals(k: int) -> tuple[str, ...]:
     if k <= 26:
         return tuple(ascii_lowercase[:k])
     return tuple(f"x{j}" for j in range(k))
+
+
+@cache
+def literal_masks(k: int) -> tuple[tuple[int, int], ...]:
+    """Per-literal truth tables over the 2^k canonical assignments.
+
+    Entry j is (negative, positive): bit e of the positive mask is set iff
+    literal j is true in assignment e, i.e. 2^j zeros then 2^j ones, repeated.
+    Built by one multiplication per literal, never by a 2^k loop.
+    """
+    width = 1 << k
+    full = (1 << width) - 1
+    masks = []
+    for j in range(k):
+        run = 1 << j
+        period = (1 << (2 * run)) - 1
+        positive = (((1 << run) - 1) << run) * (full // period)
+        masks.append((full ^ positive, positive))
+    return tuple(masks)
+
+
+@cache
+def block_masks(k: int) -> tuple[int, ...]:
+    """Popcount-block masks: bit e of entry t is set iff assignment e has
+    exactly t true literals, for t = 0..k.
+
+    Built by the recurrence P_k[t] = P_{k-1}[t] | P_{k-1}[t-1] << 2^(k-1):
+    the upper half of the space is the lower half with literal k-1 set.
+    """
+    if k == 0:
+        return (1,)
+    prev = block_masks(k - 1) + (0,)
+    shift = 1 << (k - 1)
+    return tuple(prev[t] | (prev[t - 1] << shift if t else 0) for t in range(k + 1))
+
+
+def first_accepted(table: int) -> int:
+    """Index of the lowest set bit of a truth table: its first accepted
+    assignment in canonical order. The table must be nonzero."""
+    return (table & -table).bit_length() - 1
+
+
+def truth_table(p, cap: int | None = None) -> int:
+    """The problem's truth table, after checking k against the enumeration cap.
+
+    Every problem family exposes `truth_table`, cached on the instance: bit e
+    is set iff assignment e (canonical order) is accepted. Reads go through
+    here so the cap fires before any exponential work.
+    """
+    check_enumerable(p.k, cap)
+    return p.truth_table
 
 
 @dataclass(frozen=True)
@@ -86,6 +145,19 @@ class Formula:
     def accepts(self, a: Assignment) -> bool:
         """True iff the formula evaluates true under the assignment."""
         return evaluate(self, a)
+
+    @cached_property
+    def truth_table(self) -> int:
+        """AND over clauses of the OR of literal masks; bit e is set iff
+        assignment e satisfies the formula. Computed once per instance."""
+        masks = literal_masks(self.k)
+        table = (1 << (1 << self.k)) - 1
+        for clause in self.clauses:
+            satisfied = 0
+            for i, pol in clause:
+                satisfied |= masks[i][pol]
+            table &= satisfied
+        return table
 
     def canonical_key(self) -> str:
         """Deterministic structural serialization: sorted clauses, then literal names.
@@ -153,20 +225,16 @@ class SatVerdict:
 def brute_force_sat(f, cap: int | None = None) -> SatVerdict:
     """Exhaustive satisfiability check: first witness in canonical order, exact model count.
 
-    Always examines all 2^k assignments; this is the independent oracle every
-    experiment is verified against. Works for any problem exposing `k` and
-    `accepts`.
+    Decides over all 2^k assignments at once by reading the problem's truth
+    table: satisfiable iff the table is nonzero, the model count is its
+    popcount, the witness its lowest set bit. `assignments_examined` is the
+    size of the space the verdict covers (2^k), a property of the model, not
+    of a loop. Works for any problem exposing `k` and `truth_table`; tests
+    check it against a per-assignment `evaluate` loop.
     """
-    witness: Assignment | None = None
-    count = 0
-    examined = 0
-    for a in enumerate_assignments(f, cap):
-        examined += 1
-        if f.accepts(a):
-            count += 1
-            if witness is None:
-                witness = a
-    return SatVerdict(count > 0, witness, count, examined)
+    table = truth_table(f, cap)
+    witness = assignment_from_index(first_accepted(table), f.k) if table else None
+    return SatVerdict(table != 0, witness, table.bit_count(), 1 << f.k)
 
 
 def negate(f: Formula, new_id: int | None = None, clause_cap: int = DEFAULT_NEGATION_CLAUSE_CAP) -> Formula:

@@ -22,6 +22,7 @@ from .machine import (
     DEFAULT_BUDGET,
     Budget,
     RunResult,
+    atomic_open,
     clamped_budget,
     nd_solve,
     run_report,
@@ -49,6 +50,10 @@ from .oracles import (
 )
 
 DEFAULT_ORACLE_KINDS = ("A", "B", "C", "C_bar", "D", "E", "F")
+
+# Keys a config file may hold; anything else is a typo, not a default.
+CONFIG_KEYS = ("seed", "k_range", "formulas_per_k", "clause_density", "budget", "oracles",
+               "out_dir")
 
 # What each construction is expected to demonstrate; the suite turns every
 # line into checked table rows.
@@ -85,24 +90,39 @@ class ExperimentConfig:
         lo, hi = self.k_range
         if not 1 <= lo <= hi:
             raise ConfigurationError(f"bad k_range {self.k_range}")
-        unknown = [kind for kind in self.oracle_kinds if kind not in KINDS]
+        if "D_bar" in self.oracle_kinds:
+            raise ConfigurationError(
+                "oracle kind 'D_bar' is not run on its own: D's run covers D_bar; list 'D'"
+            )
+        unknown = [kind for kind in self.oracle_kinds if kind not in DEFAULT_ORACLE_KINDS]
         if unknown:
             raise ConfigurationError(f"unknown oracle kinds {unknown}")
 
 
 def config_from_json(path) -> ExperimentConfig:
+    """Read a config file; keys are those of CONFIG_KEYS, each optional."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    budget = doc.get("budget", [DEFAULT_BUDGET.coefficient, DEFAULT_BUDGET.exponent])
-    return ExperimentConfig(
-        seed=doc.get("seed", 42),
-        k_range=tuple(doc.get("k_range", (6, 12))),
-        formulas_per_k=doc.get("formulas_per_k", 10),
-        clause_density=doc.get("clause_density", 3.0),
-        budget=Budget(budget[0], budget[1]),
-        oracle_kinds=tuple(doc.get("oracles", DEFAULT_ORACLE_KINDS)),
-        out_dir=doc.get("out_dir", "results"),
-    )
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path}: a config file holds one JSON object")
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigurationError(
+            f"{path}: unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}"
+        )
+    try:
+        budget = doc.get("budget", [DEFAULT_BUDGET.coefficient, DEFAULT_BUDGET.exponent])
+        return ExperimentConfig(
+            seed=doc.get("seed", 42),
+            k_range=tuple(doc.get("k_range", (6, 12))),
+            formulas_per_k=doc.get("formulas_per_k", 10),
+            clause_density=doc.get("clause_density", 3.0),
+            budget=Budget(budget[0], budget[1]),
+            oracle_kinds=tuple(doc.get("oracles", DEFAULT_ORACLE_KINDS)),
+            out_dir=doc.get("out_dir", "results"),
+        )
+    except (TypeError, IndexError) as exc:
+        raise ConfigurationError(f"{path}: malformed config ({exc})") from exc
 
 
 # ---------------------------------------------------------------- corpora
@@ -197,23 +217,44 @@ def save_corpus(corpus: Corpus, path) -> None:
         }
         for f in corpus.formulas
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
-def load_corpus(path, budget: Budget = DEFAULT_BUDGET) -> Corpus:
-    """Read a corpus file; budgets are re-derived from the preferred budget,
-    clamped per formula."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    formulas = tuple(
-        Formula(
+CORPUS_ENTRY_KEYS = ("id", "literals", "clauses")
+
+
+def _formula_from_entry(entry, where: str) -> Formula:
+    if not isinstance(entry, dict):
+        raise ConfigurationError(
+            f"{where}: expected an object with keys {list(CORPUS_ENTRY_KEYS)}"
+        )
+    missing = [key for key in CORPUS_ENTRY_KEYS if key not in entry]
+    if missing:
+        raise ConfigurationError(f"{where}: missing keys {missing}")
+    for key in ("literals", "clauses"):
+        if not isinstance(entry[key], list):
+            raise ConfigurationError(f"{where}: {key!r} must be a list")
+    try:
+        return Formula(
             entry["id"],
             tuple(entry["literals"]),
             tuple(tuple((i, p) for i, p in clause) for clause in entry["clauses"]),
         )
-        for entry in doc
+    except TypeError as exc:
+        raise ConfigurationError(f"{where}: malformed formula ({exc})") from exc
+
+
+def load_corpus(path, budget: Budget = DEFAULT_BUDGET) -> Corpus:
+    """Read a corpus file; budgets are re-derived from the preferred budget,
+    clamped per formula. A malformed file raises ConfigurationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, list):
+        raise ConfigurationError(f"{path}: a corpus file holds a JSON array of formulas")
+    formulas = tuple(
+        _formula_from_entry(entry, f"{path}: corpus entry {n}") for n, entry in enumerate(doc)
     )
     budgets = {f.id: clamped_budget(f.k, budget) for f in formulas}
     return Corpus(formulas, budgets)
@@ -507,7 +548,7 @@ class SuiteRunner:
             "conclusions": self._conclusions(),
             "failures": self.failures,
         }
-        with open(out / "summary.json", "w", encoding="utf-8") as fh:
+        with atomic_open(out / "summary.json") as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)
             fh.write("\n")
 

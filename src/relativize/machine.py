@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 from .encoding import input_code, partition_code
 from .errors import ConfigurationError
-from .formula import assignment_from_index, check_enumerable, enumerate_assignments
+from .formula import assignment_from_index, check_enumerable, first_accepted, truth_table
 
 
 @dataclass(frozen=True)
@@ -131,24 +133,18 @@ def _require_covered(f, oracle):
         )
 
 
-def nd_solve(f, budget: Budget | None = None, ground_truth: bool | None = None,
-             cap: int | None = None) -> RunResult:
+def nd_solve(f, ground_truth: bool | None = None, cap: int | None = None) -> RunResult:
     """Simulated nondeterministic run.
 
     All branches run at once in the model, so the reported cost is one step and
-    the oracle is never consulted; `simulated_work` records what the exhaustive
-    simulation actually did. The budget is accepted for signature parity but a
-    single nondeterministic step never exhausts it.
+    the oracle is never consulted; `simulated_work` is what a sequential
+    simulation in canonical order would examine: up to and including the
+    first accepting assignment, or all 2^k when there is none.
     """
-    examined = 0
-    found = False
-    for a in enumerate_assignments(f, cap):
-        examined += 1
-        if f.accepts(a):
-            found = True
-            break
-    return _result("ND", f, found, steps=1, transcript=[],
-                   ground_truth=ground_truth, simulated_work=examined)
+    table = truth_table(f, cap)
+    work = first_accepted(table) + 1 if table else 1 << f.k
+    return _result("ND", f, table != 0, steps=1, transcript=[],
+                   ground_truth=ground_truth, simulated_work=work)
 
 
 def solve_with_A(f, oracle, ground_truth: bool | None = None,
@@ -180,24 +176,23 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
     queries the code of the next unexamined assignment and returns the oracle's
     answer as the verdict. That final answer is exactly where a dysfunctional
     oracle set misleads the machine, so the verdict may be wrong by design and
-    `correct` records it.
+    `correct` records it. Whether the examined prefix holds a witness, and
+    where, is read from the truth table's lowest set bit.
     """
     _require_covered(f, oracle)
-    k = check_enumerable(f.k, cap)
-    total = 1 << k
+    table = truth_table(f, cap)
+    k = f.k
     limit = search_limit(budget, k)
-    examined = 0
-    for e in range(limit):
-        examined += 1
-        if f.accepts(assignment_from_index(e, k)):
-            return _result(_label(oracle), f, True, steps=examined,
-                           transcript=[], ground_truth=ground_truth)
-    if limit >= total:
-        return _result(_label(oracle), f, False, steps=examined,
+    first = first_accepted(table) if table else limit
+    if first < limit:
+        return _result(_label(oracle), f, True, steps=first + 1,
+                       transcript=[], ground_truth=ground_truth)
+    if limit >= 1 << k:
+        return _result(_label(oracle), f, False, steps=limit,
                        transcript=[], ground_truth=ground_truth)
     chan = OracleChannel(oracle)
     answer = chan.query(input_code(f.id, assignment_from_index(limit, k)).code)
-    return _result(_label(oracle), f, answer, steps=examined,
+    return _result(_label(oracle), f, answer, steps=limit,
                    transcript=chan.transcript, ground_truth=ground_truth)
 
 
@@ -314,15 +309,31 @@ def run_result_to_json(r: RunResult) -> dict:
     }
 
 
+@contextmanager
+def atomic_open(path, newline: str | None = None):
+    """Open `path` for writing UTF-8 text through a sibling `.tmp` file that
+    replaces it only once the block completes, so a reader never sees a
+    partial file; on failure the temp file is removed and `path` untouched."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_results_jsonl(results: list[RunResult], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for r in results:
             fh.write(json.dumps(run_result_to_json(r), separators=(",", ":")) + "\n")
 
 
 def write_results_csv(results: list[RunResult], path) -> None:
     """The per-run table backing an AggregateReport."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["oracle", "formula_id", "k", "verdict", "steps", "queries", "correct"])
         for r in results:

@@ -19,13 +19,25 @@ import hashlib
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 
 from .encoding import decode_input_code, input_code, pair, partition_code
 from .errors import ConfigurationError, OracleFileError
-from .formula import assignment_from_index, enumerate_assignments, true_count
-from .machine import Budget, search_limit, solve_with_A, solve_with_B, solve_with_C
+from .formula import (
+    assignment_from_index,
+    block_masks,
+    enumerate_assignments,
+    first_accepted,
+    truth_table,
+)
+from .machine import (
+    Budget,
+    atomic_open,
+    search_limit,
+    solve_with_A,
+    solve_with_B,
+    solve_with_C,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -97,8 +109,15 @@ class Corpus:
     order, with a step budget per problem.
 
     Ids must be dense 1..n in order: constructions and file formats both key
-    on them. Any problem family exposing id, k, accepts and canonical_key
-    works, not just CNF formulas.
+    on them. Any problem family exposing id, k, accepts, canonical_key and
+    truth_table works, not just CNF formulas.
+
+    The constructions read every exhaustive answer (has a witness, first
+    witness, accepting blocks, complement pairs) from each problem's truth
+    table, a 2^k-bit integer built once per problem instance, on first use.
+    What stays exponential is exponential by design: C's 2^k-query scan, the
+    C_bar side's all-input-codes membership, and D's even-stage walk over
+    every input code of the stage problem.
     """
 
     formulas: tuple
@@ -138,10 +157,6 @@ class Corpus:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _has_accepting(f, cap=None) -> bool:
-    return any(f.accepts(a) for a in enumerate_assignments(f, cap))
-
-
 def _finish(kind, members, prov, corpus) -> OracleSet:
     return OracleSet(kind, frozenset(members), dict(prov), corpus.ids(), corpus.digest())
 
@@ -150,16 +165,13 @@ def kappa_ids(corpus: Corpus, cap=None) -> frozenset[int]:
     """Ids of problems whose pointwise complement is also in the corpus.
 
     Two problems are complements when they share an input length and disagree
-    on every assignment; detection compares whole truth tables, folded into
-    2^k-bit integers so the scan stays linear in the corpus.
+    on every assignment; detection compares whole truth tables, so the scan
+    stays linear in the corpus.
     """
     tables: dict[tuple[int, int], list[int]] = {}
     masks: dict[int, tuple[int, int]] = {}
     for f in corpus.formulas:
-        table = 0
-        for e, a in enumerate(enumerate_assignments(f, cap)):
-            if f.accepts(a):
-                table |= 1 << e
+        table = truth_table(f, cap)
         tables.setdefault((f.k, table), []).append(f.id)
         masks[f.id] = (f.k, table)
     kappa = set()
@@ -174,23 +186,27 @@ def build_A(corpus: Corpus, cap=None) -> OracleSet:
     """Functional construction: one code per (problem, true-count block) that
     contains at least one accepting assignment.
 
-    Walks every assignment of every problem in canonical order and records the
-    block code of each accepting one. The resulting set is exactly the
-    accepting-block characterization, so it can be re-derived per block by
-    independent brute force; unsatisfiable problems contribute nothing.
+    A block t holds an accepting assignment iff the problem's truth table
+    meets the popcount mask for t; blocks are recorded in the order of their
+    first accepting assignment, as a canonical-order walk would meet them. The
+    resulting set is exactly the accepting-block characterization, so it can
+    be re-derived per block by independent brute force; unsatisfiable problems
+    contribute nothing.
     """
     members: set[int] = set()
     prov: Provenance = {}
     for f in corpus.formulas:
-        for e, a in enumerate(enumerate_assignments(f, cap)):
-            if f.accepts(a):
-                pc = partition_code(f, true_count(a))
-                if pc.code not in members:
-                    members.add(pc.code)
-                    prov[pc.code] = (
-                        f.id,
-                        f"step 3: block t={pc.true_count} first accepted at assignment {e}",
-                    )
+        table = truth_table(f, cap)
+        firsts = sorted(
+            (first_accepted(table & mask), t)
+            for t, mask in enumerate(block_masks(f.k))
+            if table & mask
+        )
+        for e, t in firsts:
+            pc = partition_code(f, t)
+            if pc.code not in members:
+                members.add(pc.code)
+                prov[pc.code] = (f.id, f"step 3: block t={t} first accepted at assignment {e}")
     return _finish("A", members, prov, corpus)
 
 
@@ -226,12 +242,12 @@ def build_C(corpus: Corpus, cap=None) -> OracleSet:
     members: set[int] = set()
     prov: Provenance = {}
     for f in corpus.formulas:
-        for e, a in enumerate(enumerate_assignments(f, cap)):
-            if f.accepts(a):
-                code = input_code(f.id, a).code
-                members.add(code)
-                prov[code] = (f.id, f"step 2: first accepting assignment (index {e})")
-                break
+        table = truth_table(f, cap)
+        if table:
+            e = first_accepted(table)
+            code = input_code(f.id, assignment_from_index(e, f.k)).code
+            members.add(code)
+            prov[code] = (f.id, f"step 2: first accepting assignment (index {e})")
     return _finish("C", members, prov, corpus)
 
 
@@ -241,7 +257,7 @@ def build_C_bar(corpus: Corpus, cap=None) -> OracleSet:
     members: set[int] = set()
     prov: Provenance = {}
     for f in corpus.formulas:
-        if not _has_accepting(f, cap):
+        if not truth_table(f, cap):
             for a in enumerate_assignments(f, cap):
                 code = input_code(f.id, a).code
                 members.add(code)
@@ -289,7 +305,7 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
                 )
             half = f.k // 2
             g = _first_with_k(corpus, half)
-            if g is None or _has_accepting(g, cap):
+            if g is None or truth_table(g, cap):
                 continue
             for a in enumerate_assignments(f, cap):
                 code = input_code(f.id, a).code
@@ -424,7 +440,7 @@ def build_F(corpus: Corpus, cap=None) -> OracleSet:
         for code, (fid, note) in direct.provenance.items()
     }
     for f in corpus.formulas:
-        if not _has_accepting(f, cap):
+        if not truth_table(f, cap):
             sentinel = input_code(f.id, assignment_from_index(0, f.k)).code
             code = pair(1, sentinel)
             members.add(code)
@@ -443,11 +459,9 @@ def save_oracle(oracle: OracleSet, path) -> None:
             str(code): [fid, note] for code, (fid, note) in sorted(oracle.provenance.items())
         },
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from relativize import (
     Budget,
     ExperimentConfig,
@@ -11,6 +13,7 @@ from relativize import (
     save_corpus,
 )
 from relativize.harness import config_from_json, main
+from relativize.machine import atomic_open
 
 SMALL = ExperimentConfig(seed=7, k_range=(6, 8), formulas_per_k=3, out_dir="unused")
 
@@ -88,6 +91,24 @@ class TestCorpusFiles:
         assert config.seed == 3 and config.k_range == (6, 7)
         assert config.budget == Budget(1, 2)
         assert config.oracle_kinds == ("A", "B")
+
+    def test_writes_leave_no_temp_files(self, tmp_path):
+        save_corpus(gen_corpus(SMALL), tmp_path / "corpus.json")
+        config = ExperimentConfig(seed=7, k_range=(6, 6), formulas_per_k=1,
+                                  out_dir=str(tmp_path / "out"))
+        assert run_suite(config) == 0
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == [
+            "corpus.json", "runs.csv", "runs.jsonl", "summary.json"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 class TestSuite:
@@ -182,6 +203,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "question battery" in out
         assert csv_path.is_file()
+
+    def _suite_exit(self, tmp_path, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "out")}),
+                               encoding="utf-8")
+        return main(["suite", "--config", str(config_path)])
+
+    def test_suite_rejects_d_bar(self, tmp_path, capsys):
+        assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1,
+                                           "oracles": ["D_bar"]}) == 2
+        assert "D's run covers D_bar" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_suite_rejects_unknown_config_key(self, tmp_path, capsys):
+        assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1,
+                                           "oracle": ["A"]}) == 2
+        assert "unknown config keys ['oracle']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"id": 1, "literals": ["a"]}, "missing keys ['clauses']"),
+        ({"literals": ["a"], "clauses": [[[0, True]]]}, "missing keys ['id']"),
+        ([1, ["a"], [[[0, True]]]], "expected an object"),
+        ({"id": 1, "literals": "a", "clauses": [[[0, True]]]}, "'literals' must be a list"),
+        ({"id": 1, "literals": ["a"], "clauses": [[0, True]]}, "malformed formula"),
+    ])
+    def test_malformed_corpus_entry(self, tmp_path, capsys, entry, message):
+        corpus_path = tmp_path / "corpus.json"
+        corpus_path.write_text(json.dumps([entry]), encoding="utf-8")
+        assert main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
+                     "--out", str(tmp_path / "a.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "corpus entry 0" in err and message in err
+        assert not (tmp_path / "a.json").exists()
 
     def test_bad_oracle_file_is_reported(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"
