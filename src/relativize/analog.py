@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .encoding import pair
-from .errors import DimensionError
+from .errors import ConfigurationError, DimensionError
 from .formula import Assignment, check_enumerable
 from .machine import (
     Budget,
     OracleChannel,
     RunResult,
+    atomic_open,
     clamped_budget,
     nd_solve,
     solve_conp_with_C_bar,
@@ -92,18 +93,21 @@ def set_sum_naive(inst: SetSumInstance, cap: int | None = None) -> tuple[bool, i
     """Decide the instance by the assumed only-known method.
 
     Sums every subset in canonical bitmask order but accepts only if the full
-    subset hits the target; always examines all 2^r subsets.
+    subset (the last mask) hits the target; always examines all 2^r subsets.
+    The masks are walked as a binary counter with one running subtotal: going
+    from mask - 1 to mask sets bit j, the lowest bit of mask, and clears the
+    j bits below it, so the subtotal moves by values[j] minus the sum of
+    values[:j]. Each subset gets its own subtotal in O(1) time and memory.
     """
     r = check_enumerable(inst.r, cap)
-    full = (1 << r) - 1
-    verdict = False
-    examined = 0
-    for mask in range(1 << r):
-        examined += 1
-        subtotal = sum(v for j, v in enumerate(inst.values) if (mask >> j) & 1)
-        if mask == full and subtotal == inst.target:
-            verdict = True
-    return verdict, examined
+    step, below = [], 0
+    for v in inst.values:
+        step.append(v - below)
+        below += v
+    subtotal = 0  # the empty subset, mask 0
+    for mask in range(1, 1 << r):
+        subtotal += step[(mask & -mask).bit_length() - 1]
+    return subtotal == inst.target, 1 << r
 
 
 @dataclass(frozen=True)
@@ -172,16 +176,34 @@ def gen_instances(seed: int, count: int, r_min: int = 3, r_max: int = 10) -> lis
     return out
 
 
+def _instance_from_entry(entry, where: str) -> SetSumInstance:
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{where}: expected an object with keys 'S' and 'M'")
+    missing = [key for key in ("S", "M") if key not in entry]
+    if missing:
+        raise ConfigurationError(f"{where}: missing keys {missing}")
+    if not isinstance(entry["S"], list):
+        raise ConfigurationError(f"{where}: 'S' must be a list")
+    try:
+        return SetSumInstance(entry["S"], entry["M"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}: malformed instance ({exc})") from exc
+
+
 def load_instances(path) -> list[SetSumInstance]:
-    """Instance list from JSON: [{"S": [ints], "M": int}, ...]."""
+    """Instance list from JSON: [{"S": [ints], "M": int}, ...]. A malformed
+    file raises ConfigurationError naming the entry's position."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return [SetSumInstance(entry["S"], entry["M"]) for entry in doc]
+    if not isinstance(doc, list):
+        raise ConfigurationError(f"{path}: an instance file holds a JSON array of instances")
+    return [_instance_from_entry(entry, f"{path}: instance entry {n}")
+            for n, entry in enumerate(doc)]
 
 
 def save_instances(instances: list[SetSumInstance], path) -> None:
     doc = [{"S": list(inst.values), "M": inst.target} for inst in instances]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -406,7 +428,7 @@ def lambda_report(instances: list[SetSumInstance], cap: int | None = None) -> La
 
 
 def write_lambda_csv(report: LambdaReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["question", "oracle_kind", "demonstrated", "evidence"])
         for row in report.rows:

@@ -7,17 +7,36 @@ one membership set; there are no overflow semantics anywhere.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isqrt
 
 from .formula import Assignment, assignment_index
 
 # Pairing a pair of serialization-sized naturals squares their magnitude, so
-# codes routinely run to tens of thousands of decimal digits. The interpreter's
-# int/str conversion guard is sized for untrusted input, not for that; lift it
-# high enough that code files and transcripts always render.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+# codes routinely run to thousands of decimal digits, past the interpreter's
+# default int/str conversion guard (4,300 digits, sized for untrusted input).
+CODE_DIGITS = 2_000_000
+
+
+@contextmanager
+def code_digit_limit():
+    """Let int/str conversions inside the block handle codes of up to
+    CODE_DIGITS digits, then restore the process-wide limit as it was.
+
+    Only the paths that turn codes into text or back (reports, oracle files,
+    CLI output) enter it, so importing the package changes nothing.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the guard
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    if old:  # 0 means no limit at all
+        sys.set_int_max_str_digits(max(old, CODE_DIGITS))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 # Structural numbers are plain naturals; nothing about them needs wrapping.
 GodelNumber = int
@@ -41,9 +60,14 @@ def godel_number(p) -> GodelNumber:
 
     Problems with equal canonical form share a number; distinct forms can not
     collide because the serialization is injective, never empty, and never
-    starts with a NUL byte.
+    starts with a NUL byte. Computed once per problem instance and cached on
+    it, like the truth table: block codes ask for it once per block.
     """
-    return int.from_bytes(p.canonical_key().encode("utf-8"), "big")
+    cache = vars(p)
+    g = cache.get("_godel_number")
+    if g is None:
+        g = cache["_godel_number"] = int.from_bytes(p.canonical_key().encode("utf-8"), "big")
+    return g
 
 
 @dataclass(frozen=True)
@@ -70,7 +94,7 @@ def decode_partition_code(code: int) -> tuple[int, GodelNumber]:
 
 @dataclass(frozen=True)
 class InputCode:
-    """Reversible code of (machine index, one assignment, padding length).
+    """Decoded input code: (machine index, one assignment, padding length).
 
     `bits` is the assignment as a 0/1 string, position j = literal j.
     """
@@ -88,11 +112,34 @@ class InputCode:
         return tuple(ch == "1" for ch in self.bits)
 
 
-def input_code(i: int, a: Assignment, n: int = 0) -> InputCode:
-    """Encode the triple (i, a, n).
+def input_code_at(i: int, e: int, k: int, n: int = 0) -> int:
+    """Input code of (i, assignment number e of k literals, n).
 
-    The assignment is framed with a leading 1 bit so its length survives the
-    round trip; the frame and padding are paired, then paired with i.
+    The assignment index is framed with a leading 1 bit at position k so its
+    length survives the round trip; the frame and padding are paired, then
+    paired with i. This is the encoding itself: solvers and constructions
+    compute every code from the assignment index, never from a bool tuple.
+    """
+    return pair(i, pair((1 << k) | e, n))
+
+
+def input_codes(i: int, k: int, stop: int | None = None, n: int = 0):
+    """Lazily, input_code_at(i, e, k, n) for e = 0, 1, ..., stop - 1 in
+    canonical order, never past the 2^k assignments there are (all of them
+    when stop is None).
+
+    A scan that stops at its first yes computes only the codes it asks about.
+    """
+    frame = 1 << k
+    for framed in range(frame, frame + (frame if stop is None else min(stop, frame))):
+        yield pair(i, pair(framed, n))
+
+
+def input_code(i: int, a: Assignment, n: int = 0) -> InputCode:
+    """Encode the triple (i, a, n) from an assignment tuple.
+
+    The assignment-level reference: input_code_at and input_codes, which the
+    solvers and constructions use, are tested against it.
     """
     framed = (1 << len(a)) | assignment_index(a)
     code = pair(i, pair(framed, n))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analog import lambda_report, load_instances, render_lambda_table, write_lambda_csv
+from .encoding import code_digit_limit
 from .errors import CapacityError, ConfigurationError, OracleFileError
 from .formula import Formula, brute_force_sat, default_literals
 from .machine import (
@@ -51,9 +52,29 @@ from .oracles import (
 
 DEFAULT_ORACLE_KINDS = ("A", "B", "C", "C_bar", "D", "E", "F")
 
-# Keys a config file may hold; anything else is a typo, not a default.
-CONFIG_KEYS = ("seed", "k_range", "formulas_per_k", "clause_density", "budget", "oracles",
-               "out_dir")
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value)
+
+
+# Keys a config file may hold (anything else is a typo, not a default), each
+# with its default, the test its value must pass, and what that test demands.
+CONFIG_KEYS = {
+    "seed": (42, _is_int, "an integer"),
+    "k_range": ([6, 12], _is_int_pair, "a list of two integers"),
+    "formulas_per_k": (10, _is_int, "an integer"),
+    "clause_density": (3.0, lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "budget": ([DEFAULT_BUDGET.coefficient, DEFAULT_BUDGET.exponent], _is_int_pair,
+               "a list of two integers"),
+    "oracles": (list(DEFAULT_ORACLE_KINDS),
+                lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
+                "a list of strings"),
+    "out_dir": ("results", lambda v: isinstance(v, str), "a string"),
+}
 
 # What each construction is expected to demonstrate; the suite turns every
 # line into checked table rows.
@@ -100,7 +121,8 @@ class ExperimentConfig:
 
 
 def config_from_json(path) -> ExperimentConfig:
-    """Read a config file; keys are those of CONFIG_KEYS, each optional."""
+    """Read a config file; keys are those of CONFIG_KEYS, each optional, and
+    a value of the wrong type is rejected, never coerced."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -110,19 +132,20 @@ def config_from_json(path) -> ExperimentConfig:
         raise ConfigurationError(
             f"{path}: unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}"
         )
-    try:
-        budget = doc.get("budget", [DEFAULT_BUDGET.coefficient, DEFAULT_BUDGET.exponent])
-        return ExperimentConfig(
-            seed=doc.get("seed", 42),
-            k_range=tuple(doc.get("k_range", (6, 12))),
-            formulas_per_k=doc.get("formulas_per_k", 10),
-            clause_density=doc.get("clause_density", 3.0),
-            budget=Budget(budget[0], budget[1]),
-            oracle_kinds=tuple(doc.get("oracles", DEFAULT_ORACLE_KINDS)),
-            out_dir=doc.get("out_dir", "results"),
-        )
-    except (TypeError, IndexError) as exc:
-        raise ConfigurationError(f"{path}: malformed config ({exc})") from exc
+    values = {}
+    for key, (default, valid, what) in CONFIG_KEYS.items():
+        values[key] = doc.get(key, default)
+        if not valid(values[key]):
+            raise ConfigurationError(f"{path}: {key!r} must be {what}, got {values[key]!r}")
+    return ExperimentConfig(
+        seed=values["seed"],
+        k_range=tuple(values["k_range"]),
+        formulas_per_k=values["formulas_per_k"],
+        clause_density=values["clause_density"],
+        budget=Budget(*values["budget"]),
+        oracle_kinds=tuple(values["oracles"]),
+        out_dir=values["out_dir"],
+    )
 
 
 # ---------------------------------------------------------------- corpora
@@ -614,8 +637,9 @@ def _cmd_solve(args) -> int:
         ]
     from .machine import run_result_to_json
 
-    for r in runs:
-        print(json.dumps(run_result_to_json(r)))
+    with code_digit_limit():
+        for r in runs:
+            print(json.dumps(run_result_to_json(r)))
     return 0
 
 

@@ -19,9 +19,9 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
-from .encoding import input_code, partition_code
+from .encoding import code_digit_limit, input_code_at, input_codes, partition_code
 from .errors import ConfigurationError
-from .formula import assignment_from_index, check_enumerable, first_accepted, truth_table
+from .formula import check_enumerable, first_accepted, truth_table
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,17 @@ class OracleChannel:
         self.transcript.append((code, answer))
         return answer
 
+    def scan(self, codes) -> bool:
+        """Query each code in turn, stopping at the first yes; True iff one
+        came. The transcript is the one per-code `query` calls would leave."""
+        oracle, record = self._oracle, self.transcript.append
+        for code in codes:
+            if code in oracle:
+                record((code, True))
+                return True
+            record((code, False))
+        return False
+
     @property
     def queries(self) -> int:
         return len(self.transcript)
@@ -191,7 +202,7 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
         return _result(_label(oracle), f, False, steps=limit,
                        transcript=[], ground_truth=ground_truth)
     chan = OracleChannel(oracle)
-    answer = chan.query(input_code(f.id, assignment_from_index(limit, k)).code)
+    answer = chan.query(input_code_at(f.id, limit, k))
     return _result(_label(oracle), f, answer, steps=limit,
                    transcript=chan.transcript, ground_truth=ground_truth)
 
@@ -202,19 +213,16 @@ def solve_with_C(f, oracle, ground_truth: bool | None = None,
     order, accepting on the first yes.
 
     Worst case 2^k queries; that exponential scan is the whole point of the
-    construction it pairs with. `max_queries` limits the scan for budgeted
-    staging; None scans the full space.
+    construction it pairs with. Each code is computed from its assignment
+    index, lazily, so a scan that accepts early computes no code it does not
+    ask about; steps equal the queries asked. `max_queries` limits the scan
+    for budgeted staging; None scans the full space.
     """
     _require_covered(f, oracle)
     k = check_enumerable(f.k, cap)
-    total = 1 << k
-    limit = total if max_queries is None else min(max_queries, total)
     chan = OracleChannel(oracle)
-    for e in range(limit):
-        if chan.query(input_code(f.id, assignment_from_index(e, k)).code):
-            return _result(_label(oracle), f, True, steps=e + 1,
-                           transcript=chan.transcript, ground_truth=ground_truth)
-    return _result(_label(oracle), f, False, steps=limit,
+    accepted = chan.scan(input_codes(f.id, k, max_queries))
+    return _result(_label(oracle), f, accepted, steps=chan.queries,
                    transcript=chan.transcript, ground_truth=ground_truth)
 
 
@@ -229,7 +237,7 @@ def solve_conp_with_C_bar(f, oracle, ground_truth: bool | None = None) -> RunRes
     """
     _require_covered(f, oracle)
     chan = OracleChannel(oracle)
-    answer = chan.query(input_code(f.id, assignment_from_index(0, f.k)).code)
+    answer = chan.query(input_code_at(f.id, 0, f.k))
     return _result(_label(oracle), f, answer, steps=1,
                    transcript=chan.transcript, ground_truth=ground_truth)
 
@@ -326,7 +334,7 @@ def atomic_open(path, newline: str | None = None):
 
 
 def write_results_jsonl(results: list[RunResult], path) -> None:
-    with atomic_open(path) as fh:
+    with code_digit_limit(), atomic_open(path) as fh:
         for r in results:
             fh.write(json.dumps(run_result_to_json(r), separators=(",", ":")) + "\n")
 

@@ -21,15 +21,16 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .encoding import decode_input_code, input_code, pair, partition_code
-from .errors import ConfigurationError, OracleFileError
-from .formula import (
-    assignment_from_index,
-    block_masks,
-    enumerate_assignments,
-    first_accepted,
-    truth_table,
+from .encoding import (
+    code_digit_limit,
+    decode_input_code,
+    input_code_at,
+    input_codes,
+    pair,
+    partition_code,
 )
+from .errors import ConfigurationError, OracleFileError
+from .formula import block_masks, check_enumerable, first_accepted, truth_table
 from .machine import (
     Budget,
     atomic_open,
@@ -117,7 +118,9 @@ class Corpus:
     table, a 2^k-bit integer built once per problem instance, on first use.
     What stays exponential is exponential by design: C's 2^k-query scan, the
     C_bar side's all-input-codes membership, and D's even-stage walk over
-    every input code of the stage problem.
+    every input code of the stage problem. Those input codes are computed
+    straight from assignment indices (`input_code_at`, `input_codes`), never
+    through assignment tuples.
     """
 
     formulas: tuple
@@ -219,50 +222,45 @@ def build_B(corpus: Corpus, cap=None) -> OracleSet:
     Acceptance at a stage adds nothing, and a search that covered the whole
     space leaves nothing unexamined to add.
     """
-    members: set[int] = set()
     prov: Provenance = {}
     for f in corpus.formulas:
         budget = corpus.budget_for(f.id)
-        staged = solve_with_B(f, _StageView("B", frozenset(members)), budget, cap=cap)
+        staged = solve_with_B(f, _StageView("B", frozenset(prov)), budget, cap=cap)
         if not staged.accepted:
             limit = search_limit(budget, f.k)
             if limit < (1 << f.k):
-                code = input_code(f.id, assignment_from_index(limit, f.k)).code
-                members.add(code)
-                prov[code] = (
+                prov[input_code_at(f.id, limit, f.k)] = (
                     f.id,
                     f"step 2: next unexamined assignment (index {limit}) after staged reject",
                 )
-    return _finish("B", members, prov, corpus)
+    return _finish("B", prov, prov, corpus)
 
 
 def build_C(corpus: Corpus, cap=None) -> OracleSet:
     """Witness construction: exactly one accepting input code per satisfiable
     problem, the first in canonical order; rejected problems contribute nothing."""
-    members: set[int] = set()
     prov: Provenance = {}
     for f in corpus.formulas:
         table = truth_table(f, cap)
         if table:
             e = first_accepted(table)
-            code = input_code(f.id, assignment_from_index(e, f.k)).code
-            members.add(code)
+            code = input_code_at(f.id, e, f.k)
             prov[code] = (f.id, f"step 2: first accepting assignment (index {e})")
-    return _finish("C", members, prov, corpus)
+    return _finish("C", prov, prov, corpus)
 
 
 def build_C_bar(corpus: Corpus, cap=None) -> OracleSet:
     """Complement-side construction: every input code of every problem the
-    nondeterministic machine rejects (no accepting assignment at all)."""
-    members: set[int] = set()
+    nondeterministic machine rejects (no accepting assignment at all).
+
+    Reading the truth table checks the enumeration cap before the 2^k codes
+    are computed."""
     prov: Provenance = {}
     for f in corpus.formulas:
         if not truth_table(f, cap):
-            for a in enumerate_assignments(f, cap):
-                code = input_code(f.id, a).code
-                members.add(code)
-                prov[code] = (f.id, "step 2: all input codes of a rejected problem")
-    return _finish("C_bar", members, prov, corpus)
+            note = (f.id, "step 2: all input codes of a rejected problem")
+            prov.update(dict.fromkeys(input_codes(f.id, f.k), note))
+    return _finish("C_bar", prov, prov, corpus)
 
 
 def _first_with_k(corpus: Corpus, k: int):
@@ -291,11 +289,9 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
     the assignments actually evaluate to, so both sides end up misleading.
 
     Even stages need an even literal count; anything else is a corpus shape
-    error.
+    error. Each side's members are the keys of its provenance map.
     """
-    d_members: set[int] = set()
     d_prov: Provenance = {}
-    dbar_members: set[int] = set()
     dbar_prov: Provenance = {}
     for n, f in enumerate(corpus.formulas, start=1):
         if n % 2 == 0:
@@ -307,18 +303,14 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
             g = _first_with_k(corpus, half)
             if g is None or truth_table(g, cap):
                 continue
-            for a in enumerate_assignments(f, cap):
-                code = input_code(f.id, a).code
-                if code in dbar_members:
-                    continue
-                d_members.add(code)
-                d_prov[code] = (
-                    f.id,
-                    f"step 5: half-prefix is an assignment of rejected problem {g.id}",
-                )
+            check_enumerable(f.k, cap)
+            note = (f.id, f"step 5: half-prefix is an assignment of rejected problem {g.id}")
+            for code in input_codes(f.id, f.k):
+                if code not in dbar_prov:
+                    d_prov[code] = note
         else:
             lengths_ok = all(
-                decode_input_code(code).k < n for code in dbar_members
+                decode_input_code(code).k < n for code in dbar_prov
             )
             budget = corpus.budget_for(f.id)
             p = budget.steps(f.k)
@@ -328,24 +320,21 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
                 )
                 continue
             staged = solve_with_C(
-                f, _StageView("D", frozenset(d_members)), cap=cap, max_queries=p
+                f, _StageView("D", frozenset(d_prov)), cap=cap, max_queries=p
             )
             for code, _answer in staged.transcript:
-                if code not in dbar_members:
-                    dbar_members.add(code)
+                if code not in dbar_prov:
                     dbar_prov[code] = (f.id, "step 8: queried by the staged budgeted scanner")
             if not staged.accepted:
                 limit = min(p, 1 << f.k)
                 if limit < (1 << f.k):
-                    code = input_code(f.id, assignment_from_index(limit, f.k)).code
-                    d_members.add(code)
-                    d_prov[code] = (
+                    d_prov[input_code_at(f.id, limit, f.k)] = (
                         f.id,
                         f"step 8: next unqueried assignment (index {limit}) after staged reject",
                     )
     return (
-        _finish("D", d_members, d_prov, corpus),
-        _finish("D_bar", dbar_members, dbar_prov, corpus),
+        _finish("D", d_prov, d_prov, corpus),
+        _finish("D_bar", dbar_prov, dbar_prov, corpus),
     )
 
 
@@ -441,24 +430,25 @@ def build_F(corpus: Corpus, cap=None) -> OracleSet:
     }
     for f in corpus.formulas:
         if not truth_table(f, cap):
-            sentinel = input_code(f.id, assignment_from_index(0, f.k)).code
-            code = pair(1, sentinel)
+            code = pair(1, input_code_at(f.id, 0, f.k))
             members.add(code)
             prov[code] = (f.id, "co side: sentinel for a problem with no accepting assignment")
     return _finish("F", members, prov, corpus)
 
 
 def save_oracle(oracle: OracleSet, path) -> None:
-    """Write an oracle set as JSON, atomically (temp file, then rename)."""
-    doc = {
-        "kind": oracle.kind,
-        "members": [str(code) for code in sorted(oracle.members)],
-        "corpus_hash": oracle.corpus_hash,
-        "corpus_ids": sorted(oracle.corpus_ids),
-        "provenance": {
-            str(code): [fid, note] for code, (fid, note) in sorted(oracle.provenance.items())
-        },
-    }
+    """Write an oracle set as JSON, atomically (temp file, then rename).
+    Codes are written as decimal strings."""
+    with code_digit_limit():
+        doc = {
+            "kind": oracle.kind,
+            "members": [str(code) for code in sorted(oracle.members)],
+            "corpus_hash": oracle.corpus_hash,
+            "corpus_ids": sorted(oracle.corpus_ids),
+            "provenance": {
+                str(code): [fid, note] for code, (fid, note) in sorted(oracle.provenance.items())
+            },
+        }
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -470,19 +460,21 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
 
     With a corpus given, a hash mismatch is rejected as well.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise OracleFileError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        kind = doc["kind"]
-        members = frozenset(int(code) for code in doc["members"])
-        corpus_hash = doc["corpus_hash"]
-        corpus_ids = frozenset(int(i) for i in doc["corpus_ids"])
-        prov = {int(code): (int(fid), str(note)) for code, (fid, note) in doc["provenance"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise OracleFileError(f"{path}: malformed oracle document ({exc})") from exc
+    with code_digit_limit():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise OracleFileError(f"{path}: not valid JSON ({exc})") from exc
+        try:
+            kind = doc["kind"]
+            members = frozenset(int(code) for code in doc["members"])
+            corpus_hash = doc["corpus_hash"]
+            corpus_ids = frozenset(int(i) for i in doc["corpus_ids"])
+            prov = {int(code): (int(fid), str(note))
+                    for code, (fid, note) in doc["provenance"].items()}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise OracleFileError(f"{path}: malformed oracle document ({exc})") from exc
     if kind not in KINDS:
         raise OracleFileError(f"{path}: unknown oracle kind {kind!r}")
     if corpus is not None and corpus.digest() != corpus_hash:

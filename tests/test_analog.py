@@ -164,3 +164,25 @@ class TestSerialization:
         assert text.splitlines()[0] == "question,oracle_kind,demonstrated,evidence"
         table = render_lambda_table(report)
         assert "work separation" in table and "resolution:" in table
+
+    def test_failed_writes_keep_the_old_files(self, tmp_path, monkeypatch):
+        import relativize.analog as analog
+
+        report = lambda_report(gen_instances(seed=2, count=4, r_min=3, r_max=4))
+        inst_path, csv_path = tmp_path / "instances.json", tmp_path / "lambda.csv"
+        for path in (inst_path, csv_path):
+            path.write_text("old\n", encoding="utf-8")
+
+        def interrupted(fh, *args, **kwargs):
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(analog.json, "dump", lambda doc, fh, **kw: interrupted(fh))
+        monkeypatch.setattr(analog.csv, "writer", interrupted)
+        with pytest.raises(RuntimeError):
+            save_instances(gen_instances(seed=2, count=4), inst_path)
+        with pytest.raises(RuntimeError):
+            write_lambda_csv(report, csv_path)
+        for path in (inst_path, csv_path):
+            assert path.read_text(encoding="utf-8") == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["instances.json", "lambda.csv"]

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relativize
 from relativize import (
     Formula,
     assignment_from_index,
@@ -141,3 +146,14 @@ class TestInputCode:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             decode_input_code(pair(3, pair(0, 5)))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int/str digit limit")
+def test_import_leaves_the_digit_limit_alone():
+    src = str(Path(relativize.__file__).resolve().parents[1])
+    script = ("import sys; before = sys.get_int_max_str_digits(); import relativize; "
+              "print(before, sys.get_int_max_str_digits())")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert out[0] == out[1]

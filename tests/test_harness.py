@@ -222,6 +222,40 @@ class TestCli:
         assert "unknown config keys ['oracle']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"seed": "42"}, "'seed' must be an integer"),
+        ({"oracles": "A"}, "'oracles' must be a list of strings"),
+        ({"clause_density": "3.0"}, "'clause_density' must be a number"),
+        ({"formulas_per_k": 1.5}, "'formulas_per_k' must be an integer"),
+        ({"k_range": ["6", 6]}, "'k_range' must be a list of two integers"),
+        ({"out_dir": 5}, "'out_dir' must be a string"),
+    ])
+    def test_suite_rejects_config_value_of_wrong_type(self, tmp_path, capsys, bad, message):
+        config_path = tmp_path / "config.json"
+        doc = {"k_range": [6, 6], "formulas_per_k": 1, "out_dir": str(tmp_path / "out"), **bad}
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["suite", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ([{"M": 3}], "instance entry 0: missing keys ['S']"),
+        ([{"S": [1], "M": 1}, {"S": [2]}], "instance entry 1: missing keys ['M']"),
+        ([{"S": 4, "M": 4}], "instance entry 0: 'S' must be a list"),
+        ([{"S": [], "M": 0}], "instance entry 0: malformed instance"),
+        ([[1, 2]], "instance entry 0: expected an object"),
+        ({"S": [1], "M": 1}, "a JSON array of instances"),
+    ])
+    def test_malformed_instance_file(self, tmp_path, capsys, doc, message):
+        inst_path = tmp_path / "instances.json"
+        inst_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["lambda", "--instances", str(inst_path),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("entry, message", [
         ({"id": 1, "literals": ["a"]}, "missing keys ['clauses']"),
         ({"literals": ["a"], "clauses": [[[0, True]]]}, "missing keys ['id']"),

@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import sys
 
 import pytest
 
@@ -7,6 +9,7 @@ from relativize import (
     Budget,
     ConfigurationError,
     Corpus,
+    ExperimentConfig,
     Formula,
     OracleFileError,
     brute_force_sat,
@@ -21,6 +24,7 @@ from relativize import (
     decode_input_code,
     default_literals,
     evaluate,
+    gen_corpus,
     godel_number,
     input_code,
     kappa_ids,
@@ -315,6 +319,19 @@ class TestDeterminismAndFiles:
         for oracle, name in ((d, "d.json"), (dbar, "dbar.json")):
             save_oracle(oracle, tmp_path / name)
             assert load_oracle(tmp_path / name, corpus) == oracle
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="interpreter has no int/str digit limit")
+    def test_codes_past_the_default_digit_limit_round_trip(self, tmp_path):
+        # F's tagged block codes of a k=12 random formula run past the
+        # interpreter's default 4,300-digit int/str limit
+        corpus = gen_corpus(ExperimentConfig(k_range=(12, 12), formulas_per_k=1))
+        oracle = build_F(corpus)
+        assert max(code.bit_length() for code in oracle.members) * math.log10(2) > 4300
+        limit = sys.get_int_max_str_digits()
+        save_oracle(oracle, tmp_path / "f.json")
+        assert load_oracle(tmp_path / "f.json", corpus) == oracle
+        assert sys.get_int_max_str_digits() == limit
 
     def test_empty_set_round_trips(self, tmp_path):
         oracle = build_A(Corpus((), {}))

@@ -1,11 +1,14 @@
-"""Differential tests: every truth-table read against a per-assignment reference.
+"""Differential tests: every truth-table read and every index-native input
+code against a per-assignment reference.
 
 The references below walk the 2^k assignments one by one through `accepts`
 (which is `evaluate` for formulas), building each assignment here rather than
-taking it from the package, and reproduce the loop versions of the
-constructions and solvers field for field, provenance text and insertion
-order included.
+taking it from the package and encoding it with the tuple-level `input_code`,
+and reproduce the loop versions of the constructions and solvers field for
+field, transcripts, provenance text and insertion order included.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +29,13 @@ from relativize import (
     build_C,
     build_C_bar,
     build_F,
+    build_D,
     clamped_budget,
+    craft_d_corpus,
+    decode_input_code,
     default_literals,
     evaluate,
+    godel_number,
     input_code,
     kappa_ids,
     nd_solve,
@@ -36,9 +43,12 @@ from relativize import (
     pair,
     partition,
     partition_code,
+    set_sum_naive,
     solve_with_B,
+    solve_with_C,
     truth_table,
 )
+from relativize.encoding import input_code_at, input_codes
 from relativize.formula import block_masks, literal_masks
 from relativize.machine import RunResult, search_limit
 from relativize.oracles import OracleSet
@@ -150,12 +160,81 @@ def ref_solve_with_B(p, oracle, budget, ground_truth=None):
     return result(answer, limit, [(code, answer)])
 
 
+def ref_solve_with_C(p, oracle, ground_truth=None, max_queries=None):
+    total = 1 << p.k
+    limit = total if max_queries is None else min(max_queries, total)
+    transcript = []
+
+    def result(accepted, steps):
+        correct = None if ground_truth is None else accepted == ground_truth
+        return RunResult(getattr(oracle, "kind", "oracle"), p.id, p.k, accepted, steps,
+                         len(transcript), tuple(transcript), ground_truth, correct)
+
+    for e in range(limit):
+        code = input_code(p.id, assignment(e, p.k)).code
+        answer = code in oracle
+        transcript.append((code, answer))
+        if answer:
+            return result(True, e + 1)
+    return result(False, limit)
+
+
+def ref_build_D(corpus):
+    """The per-assignment loop version of build_D, staged scans included."""
+    d_members, d_prov, dbar_members, dbar_prov = set(), {}, set(), {}
+    for n, f in enumerate(corpus, start=1):
+        if n % 2 == 0:
+            g = next((h for h in corpus if h.k == f.k // 2), None)
+            if g is None or accepting(g):
+                continue
+            for e in range(1 << f.k):
+                code = input_code(f.id, assignment(e, f.k)).code
+                if code in dbar_members:
+                    continue
+                d_members.add(code)
+                d_prov[code] = (
+                    f.id, f"step 5: half-prefix is an assignment of rejected problem {g.id}")
+        else:
+            lengths_ok = all(decode_input_code(code).k < n for code in dbar_members)
+            p = corpus.budget_for(f.id).steps(f.k)
+            if not (lengths_ok and p * p < (1 << (f.k - 1))):
+                continue
+            staged = ref_solve_with_C(f, frozenset(d_members), max_queries=p)
+            for code, _answer in staged.transcript:
+                if code not in dbar_members:
+                    dbar_members.add(code)
+                    dbar_prov[code] = (f.id, "step 8: queried by the staged budgeted scanner")
+            if not staged.accepted:
+                limit = min(p, 1 << f.k)
+                if limit < (1 << f.k):
+                    code = input_code(f.id, assignment(limit, f.k)).code
+                    d_members.add(code)
+                    d_prov[code] = (
+                        f.id,
+                        f"step 8: next unqueried assignment (index {limit}) after staged reject")
+    return (ref_finish("D", d_members, d_prov, corpus),
+            ref_finish("D_bar", dbar_members, dbar_prov, corpus))
+
+
+def ref_set_sum_naive(inst):
+    """The per-subset sum loop."""
+    full = (1 << inst.r) - 1
+    verdict, examined = False, 0
+    for mask in range(1 << inst.r):
+        examined += 1
+        subtotal = sum(v for j, v in enumerate(inst.values) if (mask >> j) & 1)
+        if mask == full and subtotal == inst.target:
+            verdict = True
+    return verdict, examined
+
+
 # ---------------------------------------------------------------- strategies
 
 
-def formulas(fid=1, k_max=10):
-    """Formulas with k 1..k_max, up to 6 clauses of width up to 3; some carry a
-    contradiction so unsatisfiable ones are common at every k."""
+def formulas(fid=1, k_max=10, ks=None):
+    """Formulas with k 1..k_max (or k drawn from `ks`), up to 6 clauses of
+    width up to 3; some carry a contradiction so unsatisfiable ones are common
+    at every k."""
     def build(k):
         literal = st.tuples(st.integers(0, k - 1), st.booleans())
         clause = st.lists(literal, min_size=1, max_size=3, unique=True).map(tuple)
@@ -163,17 +242,18 @@ def formulas(fid=1, k_max=10):
         contradiction = (((0, True),), ((0, False),))
         return st.tuples(clauses, st.booleans()).map(
             lambda cb: Formula(fid, default_literals(k), cb[0] + (contradiction if cb[1] else ())))
-    return st.integers(1, k_max).flatmap(build)
+    return (st.integers(1, k_max) if ks is None else ks).flatmap(build)
 
 
-def set_sum_problems(pid=1):
-    values = st.lists(st.integers(-20, 20), min_size=1, max_size=10).map(tuple)
-    return st.tuples(values, st.booleans()).map(
+def set_sum_problems(pid=1, ks=None):
+    sizes = st.integers(1, 10) if ks is None else ks
+    values = sizes.flatmap(lambda r: st.lists(st.integers(-20, 20), min_size=r, max_size=r))
+    return st.tuples(values.map(tuple), st.booleans()).map(
         lambda vh: SetSumProblem(pid, SetSumInstance(vh[0], sum(vh[0]) + (0 if vh[1] else 1))))
 
 
-def problems(pid=1):
-    return st.one_of(formulas(pid), set_sum_problems(pid))
+def problems(pid=1, ks=None):
+    return st.one_of(formulas(pid, ks=ks), set_sum_problems(pid, ks))
 
 
 budgets = st.builds(Budget, st.integers(0, 3), st.integers(0, 3))
@@ -184,6 +264,19 @@ def corpora(draw, max_size=4):
     size = draw(st.integers(0, max_size))
     members = tuple(draw(problems(pid)) for pid in range(1, size + 1))
     return Corpus(members, {p.id: clamped_budget(p.k) for p in members})
+
+
+@st.composite
+def d_corpora(draw, max_size=5):
+    """Corpora build_D accepts: even positions hold problems with even k, so
+    the prefix rule has half-length problems to resolve to; budgets are drawn
+    small enough that the odd-stage gate often fires."""
+    size = draw(st.integers(0, max_size))
+    members = tuple(
+        draw(problems(pid, st.sampled_from((2, 4, 6, 8)) if pid % 2 == 0 else st.integers(1, 9)))
+        for pid in range(1, size + 1)
+    )
+    return Corpus(members, {p.id: draw(budgets) for p in members})
 
 
 # ---------------------------------------------------------------- the table
@@ -263,6 +356,23 @@ class TestCap:
         with pytest.raises(CapacityError):
             brute_force_sat(p, cap=7)
 
+    def test_every_input_code_scan_checks_the_cap(self):
+        f = Formula(1, default_literals(6), (((0, True), (0, False)),))
+        with pytest.raises(CapacityError):
+            solve_with_C(f, frozenset(), cap=5)
+        with pytest.raises(CapacityError):
+            solve_with_C(f, frozenset(), cap=5, max_queries=1)
+        with pytest.raises(CapacityError):
+            build_C_bar(Corpus((f,), {1: clamped_budget(6)}), cap=5)
+        # D's even stage scans the k=6 problem after reading only its k=3
+        # half-length problem's table, so it checks the cap on its own
+        half = Formula(1, default_literals(3), (((0, True),), ((0, False),)))
+        even = Formula(2, default_literals(6), (((0, True),),))
+        corpus = Corpus((half, even), {1: clamped_budget(3), 2: clamped_budget(6)})
+        build_D(corpus, cap=6)
+        with pytest.raises(CapacityError):
+            build_D(corpus, cap=5)
+
 
 # ---------------------------------------------------------------- the readers
 
@@ -314,3 +424,62 @@ class TestReaders:
         f = Formula(1, default_literals(10), (((2, True), (7, False)), ((9, True),)))
         corpus = Corpus((f, negate(f, new_id=2)), {1: clamped_budget(10), 2: clamped_budget(10)})
         assert kappa_ids(corpus) == ref_kappa_ids(corpus) == frozenset({1, 2})
+
+
+# ---------------------------------------------------------------- input codes
+
+
+class TestInputCodes:
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(0, (1 << k) - 1))), st.integers(0, 500), st.integers(0, 50))
+    @settings(max_examples=300, deadline=None)
+    def test_index_code_is_the_tuple_code(self, ke, i, n):
+        k, e = ke
+        assert input_code_at(i, e, k, n) == input_code(i, assignment(e, k), n).code
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_lazy_codes_in_canonical_order(self, k):
+        codes = [input_code(7, assignment(e, k), 2).code for e in range(1 << k)]
+        assert list(input_codes(7, k, n=2)) == codes
+        assert list(input_codes(7, k, stop=3, n=2)) == codes[:3]
+        assert list(input_codes(7, k, stop=0)) == []
+
+    @given(problems(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_solve_with_C(self, p, data):
+        # an oracle holding a few of the problem's codes, so scans stop anywhere
+        hits = data.draw(st.lists(st.integers(0, (1 << p.k) - 1), max_size=3))
+        oracle = frozenset(input_code(p.id, assignment(e, p.k)).code for e in hits)
+        truth = bool(accepting(p))
+        for max_queries in (None, data.draw(st.integers(0, (1 << p.k) + 2))):
+            assert solve_with_C(p, oracle, ground_truth=truth, max_queries=max_queries) == (
+                ref_solve_with_C(p, oracle, ground_truth=truth, max_queries=max_queries))
+
+    @given(d_corpora())
+    @settings(max_examples=120, deadline=None)
+    def test_build_D(self, corpus):
+        for got, want in zip(build_D(corpus), ref_build_D(corpus)):
+            assert got == want
+            assert list(got.provenance.items()) == list(want.provenance.items())
+
+    def test_build_D_crafted(self):
+        corpus = craft_d_corpus()
+        got, want = build_D(corpus), ref_build_D(corpus)
+        assert got == want and all(len(s) for s in got)
+        for g, w in zip(got, want):
+            assert list(g.provenance.items()) == list(w.provenance.items())
+
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=10), st.integers(-3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_set_sum_naive(self, values, miss):
+        inst = SetSumInstance(tuple(values), sum(values) + miss)
+        assert set_sum_naive(inst) == ref_set_sum_naive(inst)
+
+    @given(problems())
+    @settings(max_examples=60, deadline=None)
+    def test_godel_number_is_cached_per_instance(self, p):
+        fresh = int.from_bytes(p.canonical_key().encode("utf-8"), "big")
+        assert godel_number(p) == fresh
+        assert godel_number(p) == fresh
+        twin = dataclasses.replace(p)  # a fresh instance, nothing cached on it
+        assert twin == p and godel_number(twin) == fresh
