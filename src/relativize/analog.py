@@ -67,15 +67,17 @@ class SetSumInstance:
     """One set-sum question: do the values sum to the target?
 
     Values and target are exact integers; equality of approximate sums would
-    not be decidable.
+    not be decidable. Anything else, bools included, is refused, not coerced.
     """
 
     values: tuple[int, ...]
     target: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        object.__setattr__(self, "target", int(self.target))
+        object.__setattr__(self, "values", tuple(self.values))
+        bad = [v for v in (*self.values, self.target) if type(v) is not int]
+        if bad:
+            raise TypeError(f"set-sum values and target must be integers, got {bad[0]!r}")
         if len(self.values) < 1:
             raise ValueError("a set-sum instance needs at least one value")
 

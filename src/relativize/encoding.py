@@ -9,6 +9,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 
 from .formula import Assignment, assignment_index
@@ -80,11 +81,20 @@ class PartitionCode:
 
 
 def partition_code(f, t: int) -> PartitionCode:
-    """Pair the true-count t with the problem's structural number."""
+    """Pair the true-count t with the problem's structural number.
+
+    The k+1 block codes are cached on the instance on first use; only
+    pair(0, g) is a big multiply, as pair(t, g) = pair(t-1, g) + g + t.
+    """
     if not 0 <= t <= f.k:
         raise ValueError(f"true-count {t} out of range [0, {f.k}]")
     g = godel_number(f)
-    return PartitionCode(t, g, pair(t, g))
+    cache = vars(f)
+    codes = cache.get("_block_codes")
+    if codes is None:
+        codes = cache["_block_codes"] = tuple(
+            accumulate(range(g + 1, g + f.k + 1), initial=pair(0, g)))
+    return PartitionCode(t, g, codes[t])
 
 
 def decode_partition_code(code: int) -> tuple[int, GodelNumber]:

@@ -163,10 +163,15 @@ class Formula:
         """Deterministic structural serialization: sorted clauses, then literal names.
 
         Formulas differing only in clause order share a key; any structural
-        difference (including literal names) changes it.
+        difference (including literal names) changes it. Cached on the instance.
         """
-        clauses = sorted(tuple(sorted(clause)) for clause in self.clauses)
-        return json.dumps([clauses, list(self.literals)], separators=(",", ":"))
+        cache = vars(self)
+        key = cache.get("_canonical_key")
+        if key is None:
+            clauses = sorted(tuple(sorted(clause)) for clause in self.clauses)
+            key = cache["_canonical_key"] = json.dumps(
+                [clauses, list(self.literals)], separators=(",", ":"))
+        return key
 
 
 def evaluate(f: Formula, a: Assignment) -> bool:

@@ -301,8 +301,8 @@ def run_report(results: list[RunResult]) -> AggregateReport:
     )
 
 
-def run_result_to_json(r: RunResult) -> dict:
-    """JSON-safe view of a run; codes become decimal strings."""
+def run_result_to_json(r: RunResult, text=str) -> dict:
+    """JSON-safe view of a run; `text` turns codes into decimal strings."""
     return {
         "oracle": r.oracle,
         "formula_id": r.formula_id,
@@ -310,7 +310,7 @@ def run_result_to_json(r: RunResult) -> dict:
         "verdict": r.verdict,
         "steps": r.steps,
         "queries": r.queries,
-        "transcript": [[str(code), answer] for code, answer in r.transcript],
+        "transcript": [[text(code), answer] for code, answer in r.transcript],
         "ground_truth": r.ground_truth,
         "correct": r.correct,
         "simulated_work": r.simulated_work,
@@ -333,10 +333,28 @@ def atomic_open(path, newline: str | None = None):
         raise
 
 
+# Input codes stay far below this width and convert cheaply; block codes run
+# to thousands of bits.
+_MEMO_BITS = 1024
+
+
 def write_results_jsonl(results: list[RunResult], path) -> None:
+    """One JSON line per run, written atomically. Each distinct code wider
+    than _MEMO_BITS (block codes: A and F[np] query the same ones) is turned
+    into decimal once per call."""
+    memo: dict[int, str] = {}
+
+    def text(code: int) -> str:
+        if code.bit_length() <= _MEMO_BITS:
+            return str(code)
+        s = memo.get(code)
+        if s is None:
+            s = memo[code] = str(code)
+        return s
+
     with code_digit_limit(), atomic_open(path) as fh:
         for r in results:
-            fh.write(json.dumps(run_result_to_json(r), separators=(",", ":")) + "\n")
+            fh.write(json.dumps(run_result_to_json(r, text), separators=(",", ":")) + "\n")
 
 
 def write_results_csv(results: list[RunResult], path) -> None:

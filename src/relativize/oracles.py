@@ -142,6 +142,10 @@ class Corpus:
         return iter(self.formulas)
 
     def by_id(self, fid: int):
+        """The problem with id fid; an id outside 1..n is a ConfigurationError."""
+        if not 1 <= fid <= len(self.formulas):
+            raise ConfigurationError(
+                f"no problem {fid} in the corpus (ids run 1..{len(self.formulas)})")
         return self.formulas[fid - 1]
 
     def budget_for(self, fid: int) -> Budget:
@@ -420,20 +424,19 @@ def build_F(corpus: Corpus, cap=None) -> OracleSet:
     per problem with no accepting assignment (its first canonical input code)
     is tagged 1 for the one-query complement solver. Both sides answer
     correctly in polynomial queries, which is the behavioral outcome the
-    construction exists for.
+    construction exists for. Each A member is tagged once; the members are
+    the provenance keys.
     """
     direct = build_A(corpus, cap)
-    members = {pair(0, code) for code in direct.members}
     prov: Provenance = {
         pair(0, code): (fid, f"np side, {note}")
         for code, (fid, note) in direct.provenance.items()
     }
     for f in corpus.formulas:
         if not truth_table(f, cap):
-            code = pair(1, input_code_at(f.id, 0, f.k))
-            members.add(code)
-            prov[code] = (f.id, "co side: sentinel for a problem with no accepting assignment")
-    return _finish("F", members, prov, corpus)
+            prov[pair(1, input_code_at(f.id, 0, f.k))] = (
+                f.id, "co side: sentinel for a problem with no accepting assignment")
+    return _finish("F", prov, prov, corpus)
 
 
 def save_oracle(oracle: OracleSet, path) -> None:

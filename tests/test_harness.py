@@ -256,6 +256,39 @@ class TestCli:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ([{"S": [1.5, 2.9], "M": 3}], "instance entry 0: malformed instance"),
+        ([{"S": ["3"], "M": 3}], "instance entry 0: malformed instance"),
+        ([{"S": [1], "M": 1}, {"S": [1, 2], "M": 3.0}], "instance entry 1: malformed instance"),
+        ([{"S": [True, 1], "M": 2}], "instance entry 0: malformed instance"),
+    ])
+    def test_instance_values_must_be_integers(self, tmp_path, capsys, doc, message):
+        inst_path = tmp_path / "instances.json"
+        inst_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["lambda", "--instances", str(inst_path),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert "must be integers" in captured.err
+        assert captured.out == "" and not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("fid", ["0", "99", "-1"])
+    def test_solve_rejects_formula_id_outside_corpus(self, tmp_path, capsys, fid):
+        corpus_path = tmp_path / "corpus.json"
+        oracle_path = tmp_path / "a.json"
+        main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
+              "--per-k", "5", "--out", str(corpus_path)])
+        main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
+              "--out", str(oracle_path)])
+        capsys.readouterr()
+        assert main(["solve", "--oracle", str(oracle_path), "--formula", fid,
+                     "--corpus", str(corpus_path)]) == 2
+        n = len(json.loads(corpus_path.read_text(encoding="utf-8")))
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert f"no problem {fid} in the corpus (ids run 1..{n})" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("entry, message", [
         ({"id": 1, "literals": ["a"]}, "missing keys ['clauses']"),
         ({"literals": ["a"], "clauses": [[[0, True]]]}, "missing keys ['id']"),

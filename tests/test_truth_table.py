@@ -1,5 +1,7 @@
 """Differential tests: every truth-table read and every index-native input
-code against a per-assignment reference.
+code against a per-assignment reference, and every cached code (block codes,
+canonical keys, F's tagged members, the report writer's decimal memo)
+against a fresh computation.
 
 The references below walk the 2^k assignments one by one through `accepts`
 (which is `evaluate` for formulas), building each assignment here rather than
@@ -9,6 +11,8 @@ field, transcripts, provenance text and insertion order included.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from relativize import (
     Budget,
     CapacityError,
     Corpus,
+    ExperimentConfig,
     Formula,
     SatVerdict,
     SetSumInstance,
@@ -35,6 +40,7 @@ from relativize import (
     decode_input_code,
     default_literals,
     evaluate,
+    gen_corpus,
     godel_number,
     input_code,
     kappa_ids,
@@ -43,14 +49,18 @@ from relativize import (
     pair,
     partition,
     partition_code,
+    save_oracle,
     set_sum_naive,
+    solve_conp_with_C_bar,
+    solve_with_A,
     solve_with_B,
     solve_with_C,
+    tagged_view,
     truth_table,
 )
-from relativize.encoding import input_code_at, input_codes
+from relativize.encoding import PartitionCode, code_digit_limit, input_code_at, input_codes
 from relativize.formula import block_masks, literal_masks
-from relativize.machine import RunResult, search_limit
+from relativize.machine import RunResult, search_limit, write_results_jsonl
 from relativize.oracles import OracleSet
 
 # ---------------------------------------------------------------- references
@@ -483,3 +493,155 @@ class TestInputCodes:
         assert godel_number(p) == fresh
         twin = dataclasses.replace(p)  # a fresh instance, nothing cached on it
         assert twin == p and godel_number(twin) == fresh
+
+
+# ---------------------------------------------------------------- cached codes
+
+
+def old_build_F(corpus):
+    """build_F as it was before members became the provenance keys: the A
+    members and their provenance each tagged by their own comprehension."""
+    direct = build_A(corpus)
+    members = {pair(0, code) for code in direct.members}
+    prov = {pair(0, code): (fid, f"np side, {note}")
+            for code, (fid, note) in direct.provenance.items()}
+    for f in corpus:
+        if not truth_table(f):
+            code = pair(1, input_code_at(f.id, 0, f.k))
+            members.add(code)
+            prov[code] = (f.id, "co side: sentinel for a problem with no accepting assignment")
+    return ref_finish("F", members, prov, corpus)
+
+
+def ref_write_results_jsonl(results, path):
+    """The plain writer: every code through str, one conversion per occurrence."""
+    with code_digit_limit(), open(path, "w", encoding="utf-8") as fh:
+        for r in results:
+            doc = {
+                "oracle": r.oracle, "formula_id": r.formula_id, "k": r.k,
+                "verdict": r.verdict, "steps": r.steps, "queries": r.queries,
+                "transcript": [[str(code), answer] for code, answer in r.transcript],
+                "ground_truth": r.ground_truth, "correct": r.correct,
+                "simulated_work": r.simulated_work,
+            }
+            fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
+
+
+def fresh_canonical_key(f):
+    clauses = sorted(tuple(sorted(clause)) for clause in f.clauses)
+    return json.dumps([clauses, list(f.literals)], separators=(",", ":"))
+
+
+def ref_digest(corpus):
+    keys = [fresh_canonical_key(f) if isinstance(f, Formula) else f.canonical_key()
+            for f in corpus]
+    doc = [[f.id, key, corpus.budget_for(f.id).coefficient, corpus.budget_for(f.id).exponent]
+           for f, key in zip(corpus, keys)]
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
+# Codes on both sides of the width at which write_results_jsonl starts to
+# memoize, plus block-code-sized ones; drawn with repeats across runs.
+code_pool = st.one_of(
+    st.integers(0, 1 << 64),
+    st.integers(-3, 3).map(lambda d: (1 << 1024) + d),
+    st.integers(1 << 4000, 1 << 20000),
+    problems(ks=st.integers(1, 12)).map(lambda p: partition_code(p, p.k).code),
+)
+
+
+@st.composite
+def run_results(draw):
+    pool = draw(st.lists(code_pool, min_size=1, max_size=6))
+    out = []
+    for fid in range(1, draw(st.integers(0, 5)) + 1):
+        transcript = tuple((draw(st.sampled_from(pool)), draw(st.booleans()))
+                           for _ in range(draw(st.integers(0, 8))))
+        truth = draw(st.sampled_from((None, True, False)))
+        accepted = draw(st.booleans())
+        out.append(RunResult(
+            oracle=draw(st.sampled_from(("A", "F[np]", "C"))), formula_id=fid, k=3,
+            accepted=accepted, steps=len(transcript), queries=len(transcript),
+            transcript=transcript, ground_truth=truth,
+            correct=None if truth is None else accepted == truth,
+            simulated_work=draw(st.none() | st.integers(0, 8))))
+    return out
+
+
+class TestCachedCodes:
+    @given(problems(ks=st.integers(1, 12)))
+    @settings(max_examples=150, deadline=None)
+    def test_block_codes_are_the_pairings(self, p):
+        g = godel_number(p)
+        for t in range(p.k + 1):
+            assert partition_code(p, t) == PartitionCode(t, g, pair(t, g))
+        assert vars(p)["_block_codes"] == tuple(pair(t, g) for t in range(p.k + 1))
+
+    @given(problems(ks=st.integers(1, 12)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_twin_computes_its_own_block_codes(self, p, data):
+        t = data.draw(st.integers(0, p.k))
+        code = partition_code(p, t).code
+        twin = dataclasses.replace(p)  # a fresh instance, nothing cached on it
+        assert "_block_codes" not in vars(twin)
+        assert partition_code(twin, t).code == code
+        assert vars(twin)["_block_codes"] == vars(p)["_block_codes"]
+        assert vars(twin)["_block_codes"] is not vars(p)["_block_codes"]
+
+    def test_block_code_range_still_checked(self):
+        f = Formula(1, ("a", "b"), ())
+        for t in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                partition_code(f, t)
+
+    @given(corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_build_F_matches_the_old_comprehension(self, corpus):
+        got, want = build_F(corpus), old_build_F(corpus)
+        assert got == want
+        assert list(got.provenance.items()) == list(want.provenance.items())
+        assert got.members == frozenset(got.provenance)
+
+    def test_build_F_oracle_file_unchanged(self, tmp_path):
+        corpus = gen_corpus(ExperimentConfig(seed=5, k_range=(10, 12), formulas_per_k=2))
+        save_oracle(build_F(corpus), tmp_path / "got.json")
+        save_oracle(old_build_F(corpus), tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @given(run_results())
+    @settings(max_examples=80, deadline=None)
+    def test_write_results_jsonl_matches_plain_str(self, tmp_path_factory, results):
+        out = tmp_path_factory.mktemp("jsonl")
+        write_results_jsonl(results, out / "got.jsonl")
+        ref_write_results_jsonl(results, out / "want.jsonl")
+        assert (out / "got.jsonl").read_bytes() == (out / "want.jsonl").read_bytes()
+
+    def test_write_results_jsonl_on_suite_runs(self, tmp_path):
+        corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(11, 12), formulas_per_k=2))
+        a, f = build_A(corpus), build_F(corpus)
+        results = []
+        for p in corpus:
+            results.append(solve_with_A(p, a))
+            results.append(solve_with_A(p, tagged_view(f, 0)))
+            results.append(solve_conp_with_C_bar(p, tagged_view(f, 1)))
+        codes = [code for r in results for code, _ in r.transcript]
+        assert len(set(codes)) < len(codes) and min(codes).bit_length() < 1024 < max(
+            codes).bit_length()
+        write_results_jsonl(results, tmp_path / "got.jsonl")
+        ref_write_results_jsonl(results, tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    @given(formulas())
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_key_is_cached_per_instance(self, f):
+        key = fresh_canonical_key(f)
+        assert f.canonical_key() == key
+        assert f.canonical_key() is f.canonical_key()
+        twin = dataclasses.replace(f)
+        assert "_canonical_key" not in vars(twin) and twin.canonical_key() == key
+
+    @given(corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_corpus_digest_unchanged(self, corpus):
+        assert corpus.digest() == ref_digest(corpus)
+        assert corpus.digest() == ref_digest(corpus)
