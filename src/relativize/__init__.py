@@ -78,6 +78,7 @@ from .oracles import (
     Corpus,
     OracleSet,
     TaggedOracleView,
+    TwoSidedSet,
     build_A,
     build_B,
     build_C,
@@ -97,7 +98,7 @@ __all__ = [
     "ConfigurationError", "Corpus", "DEFAULT_BUDGET", "DimensionError",
     "ExperimentConfig", "Formula", "InputCode", "LambdaReport", "OracleChannel",
     "OracleFileError", "OracleSet", "PartitionCode", "RunResult", "SatVerdict",
-    "SetSumInstance", "SetSumProblem", "TaggedOracleView",
+    "SetSumInstance", "SetSumProblem", "TaggedOracleView", "TwoSidedSet",
     "assignment_from_index", "assignment_index", "brute_force_sat", "build_A",
     "build_B", "build_C", "build_C_bar", "build_D", "build_E", "build_F",
     "build_lambda_oracle", "clamped_budget", "conjoin", "craft_all_true",

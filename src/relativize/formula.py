@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from string import ascii_lowercase
 from typing import Iterator
 
-from .errors import CapacityError, DimensionError
+from .errors import CapacityError, ConfigurationError, DimensionError
 
 Assignment = tuple[bool, ...]
 Clause = tuple[tuple[int, bool], ...]
@@ -35,8 +35,19 @@ DEFAULT_NEGATION_CLAUSE_CAP = 100_000
 
 
 def enumeration_cap() -> int:
-    """Active cap on literal counts for exhaustive work (RELATIVIZE_CAP overrides)."""
-    return int(os.environ.get("RELATIVIZE_CAP", DEFAULT_ENUMERATION_CAP))
+    """Active cap on literal counts for exhaustive work (RELATIVIZE_CAP overrides).
+
+    A RELATIVIZE_CAP that is not a non-negative integer is a ConfigurationError."""
+    raw = os.environ.get("RELATIVIZE_CAP")
+    if raw is None:
+        return DEFAULT_ENUMERATION_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ConfigurationError(f"RELATIVIZE_CAP must be a non-negative integer, got {raw!r}")
+    return cap
 
 
 def check_enumerable(k: int, cap: int | None = None) -> int:

@@ -248,7 +248,14 @@ def save_corpus(corpus: Corpus, path) -> None:
 CORPUS_ENTRY_KEYS = ("id", "literals", "clauses")
 
 
+def _is_literal(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2 and _is_int(value[0])
+            and isinstance(value[1], bool))
+
+
 def _formula_from_entry(entry, where: str) -> Formula:
+    """One corpus entry as a Formula, read strictly: `Formula` coerces its
+    fields, so a value of the wrong JSON type is refused here first."""
     if not isinstance(entry, dict):
         raise ConfigurationError(
             f"{where}: expected an object with keys {list(CORPUS_ENTRY_KEYS)}"
@@ -259,13 +266,23 @@ def _formula_from_entry(entry, where: str) -> Formula:
     for key in ("literals", "clauses"):
         if not isinstance(entry[key], list):
             raise ConfigurationError(f"{where}: {key!r} must be a list")
+    if not _is_int(entry["id"]):
+        raise ConfigurationError(f"{where}: 'id' must be an integer")
+    if not all(isinstance(name, str) for name in entry["literals"]):
+        raise ConfigurationError(f"{where}: 'literals' must be a list of strings")
+    for clause in entry["clauses"]:
+        if not (isinstance(clause, list) and all(_is_literal(lit) for lit in clause)):
+            raise ConfigurationError(
+                f"{where}: malformed formula (clause {clause!r} is not a list of "
+                "[index, polarity] pairs with an integer index and a boolean polarity)"
+            )
     try:
         return Formula(
             entry["id"],
             tuple(entry["literals"]),
             tuple(tuple((i, p) for i, p in clause) for clause in entry["clauses"]),
         )
-    except TypeError as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"{where}: malformed formula ({exc})") from exc
 
 

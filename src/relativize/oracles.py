@@ -10,7 +10,11 @@ verdict.
 Two encodings appear as members: block codes (true-count paired with the
 problem's structural number) for A, E, and F's direct side; input codes
 (problem id, assignment, padding) for B, C, C_bar, D, D_bar, and F's
-complement side. F tags its two sides by pairing each code with 0 or 1.
+complement side. A built F is held as those two untagged sides, and each side
+is queried as is. Tagging each code by pairing it with 0 or 1 only turns F
+into one set of naturals, the set an oracle file holds; that tagged union is
+computed when something reads it, and a loaded F, which has only the union,
+pairs per query instead.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import hashlib
 import json
 import logging
 import math
+from collections.abc import Container
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .encoding import (
     code_digit_limit,
@@ -89,19 +95,75 @@ class TaggedOracleView:
         return self.base.corpus_ids
 
 
-def tagged_view(oracle: OracleSet, tag: int) -> TaggedOracleView:
-    return TaggedOracleView(oracle, tag)
-
-
 @dataclass(frozen=True)
 class _StageView:
-    """Members placed so far, dressed up as an oracle for staged machines."""
+    """Members placed so far, dressed up as an oracle for staged machines;
+    also one untagged side of a built F, which carries its corpus ids."""
 
     kind: str
-    members: frozenset[int]
+    members: Container[int]
+    corpus_ids: frozenset[int] | None = None
 
     def __contains__(self, code: int) -> bool:
         return code in self.members
+
+
+@dataclass(frozen=True, eq=False)
+class TwoSidedSet:
+    """F as its two untagged sides, each mapping a code to its provenance:
+    `np` holds A's block codes, `co` the sentinel input codes.
+
+    Length and side queries (`tagged_view`) need no tagged code. `union`, the
+    OracleSet of pair(0, c) for the np side then pair(1, c) for the co side,
+    is computed on first use and kept on the instance; `members`,
+    `provenance`, membership of a tagged code, equality and `save_oracle`
+    read it.
+    """
+
+    np: Provenance
+    co: Provenance
+    corpus_ids: frozenset[int]
+    corpus_hash: str
+    kind = "F"
+
+    @cached_property
+    def union(self) -> OracleSet:
+        prov = {pair(tag, code): note
+                for tag, side in enumerate((self.np, self.co)) for code, note in side.items()}
+        return OracleSet(self.kind, frozenset(prov), prov, self.corpus_ids, self.corpus_hash)
+
+    @property
+    def members(self) -> frozenset[int]:
+        return self.union.members
+
+    @property
+    def provenance(self) -> Provenance:
+        return self.union.provenance
+
+    def __contains__(self, code: int) -> bool:
+        return code in self.union
+
+    def __len__(self) -> int:
+        return len(self.np) + len(self.co)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (OracleSet, TwoSidedSet)):
+            return self.union == getattr(other, "union", other)
+        return NotImplemented
+
+
+def tagged_view(oracle: OracleSet | TwoSidedSet, tag: int) -> TaggedOracleView | _StageView:
+    """One side of F as an oracle, labelled F[np] (tag 0) or F[co] (tag 1).
+
+    A built F answers from the untagged side itself. An F read from a file
+    holds only the tagged union, so its view pairs each query with the tag:
+    decoding every member on load would cost more than the few queries a
+    `solve` asks.
+    """
+    if isinstance(oracle, TwoSidedSet):
+        side = {0: oracle.np, 1: oracle.co}.get(tag, {})
+        return _StageView(f"F[{'np' if tag == 0 else 'co'}]", side, oracle.corpus_ids)
+    return TaggedOracleView(oracle, tag)
 
 
 @dataclass(frozen=True)
@@ -417,29 +479,27 @@ def build_E(corpus: Corpus, base: OracleSet, stage_cap: int = 3, cap=None) -> Or
     return _finish("E", members, prov, corpus)
 
 
-def build_F(corpus: Corpus, cap=None) -> OracleSet:
-    """Two-sided functional set.
+def build_F(corpus: Corpus, cap=None) -> TwoSidedSet:
+    """Two-sided functional set, built as its two untagged sides.
 
-    The accepting-block codes are tagged 0 for the direct solver; one sentinel
-    per problem with no accepting assignment (its first canonical input code)
-    is tagged 1 for the one-query complement solver. Both sides answer
-    correctly in polynomial queries, which is the behavioral outcome the
-    construction exists for. Each A member is tagged once; the members are
-    the provenance keys.
+    The np side holds the accepting-block codes, for the direct solver; the co
+    side holds one sentinel per problem with no accepting assignment (its
+    first canonical input code), for the one-query complement solver. Both
+    sides answer correctly in polynomial queries, which is the behavioral
+    outcome the construction exists for. No code is tagged here: the tagged
+    union is paired on first use (see TwoSidedSet).
     """
     direct = build_A(corpus, cap)
-    prov: Provenance = {
-        pair(0, code): (fid, f"np side, {note}")
-        for code, (fid, note) in direct.provenance.items()
+    np_side = {code: (fid, f"np side, {note}") for code, (fid, note) in direct.provenance.items()}
+    co_side = {
+        input_code_at(f.id, 0, f.k): (
+            f.id, "co side: sentinel for a problem with no accepting assignment")
+        for f in corpus.formulas if not truth_table(f, cap)
     }
-    for f in corpus.formulas:
-        if not truth_table(f, cap):
-            prov[pair(1, input_code_at(f.id, 0, f.k))] = (
-                f.id, "co side: sentinel for a problem with no accepting assignment")
-    return _finish("F", prov, prov, corpus)
+    return TwoSidedSet(np_side, co_side, direct.corpus_ids, direct.corpus_hash)
 
 
-def save_oracle(oracle: OracleSet, path) -> None:
+def save_oracle(oracle: OracleSet | TwoSidedSet, path) -> None:
     """Write an oracle set as JSON, atomically (temp file, then rename).
     Codes are written as decimal strings."""
     with code_digit_limit():
@@ -457,11 +517,21 @@ def save_oracle(oracle: OracleSet, path) -> None:
         fh.write("\n")
 
 
+ORACLE_FILE_KEYS = ("kind", "members", "corpus_hash", "corpus_ids", "provenance")
+
+
+def _is_decimal(code) -> bool:
+    return isinstance(code, str) and code.isascii() and code.isdigit()
+
+
 def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     """Read an oracle set back; the set is constructed only after the whole
     document validates, so a corrupted file never yields a partial set.
 
-    With a corpus given, a hash mismatch is rejected as well.
+    The document must hold exactly the keys `save_oracle` writes, its members
+    must be decimal strings, and they must be the provenance keys: a member
+    without provenance, or provenance without a member, is refused. With a
+    corpus given, a hash mismatch is rejected as well.
     """
     with code_digit_limit():
         try:
@@ -469,17 +539,28 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise OracleFileError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise OracleFileError(f"{path}: an oracle file holds a JSON object")
+        missing = [key for key in ORACLE_FILE_KEYS if key not in doc]
+        if missing:
+            raise OracleFileError(f"{path}: missing keys {missing}")
+        unknown = sorted(doc.keys() - set(ORACLE_FILE_KEYS))
+        if unknown:
+            raise OracleFileError(f"{path}: unknown keys {unknown}")
+        codes, notes = doc["members"], doc["provenance"]
+        if not (isinstance(codes, list) and all(_is_decimal(code) for code in codes)):
+            raise OracleFileError(f"{path}: 'members' must be a list of decimal strings")
+        if not (isinstance(notes, dict) and notes.keys() == set(codes)):
+            raise OracleFileError(f"{path}: 'members' differ from the 'provenance' keys")
         try:
             kind = doc["kind"]
-            members = frozenset(int(code) for code in doc["members"])
             corpus_hash = doc["corpus_hash"]
             corpus_ids = frozenset(int(i) for i in doc["corpus_ids"])
-            prov = {int(code): (int(fid), str(note))
-                    for code, (fid, note) in doc["provenance"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            prov = {int(code): (int(fid), str(note)) for code, (fid, note) in notes.items()}
+        except (TypeError, ValueError) as exc:
             raise OracleFileError(f"{path}: malformed oracle document ({exc})") from exc
     if kind not in KINDS:
         raise OracleFileError(f"{path}: unknown oracle kind {kind!r}")
     if corpus is not None and corpus.digest() != corpus_hash:
         raise OracleFileError(f"{path}: oracle was built over a different corpus")
-    return OracleSet(kind, members, prov, corpus_ids, corpus_hash)
+    return OracleSet(kind, frozenset(prov), prov, corpus_ids, corpus_hash)

@@ -4,6 +4,7 @@ import pytest
 
 from relativize import (
     Budget,
+    ConfigurationError,
     ExperimentConfig,
     brute_force_sat,
     enumeration_cap,
@@ -155,6 +156,21 @@ class TestCap:
         monkeypatch.delenv("RELATIVIZE_CAP", raising=False)
         assert enumeration_cap() == 20
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_env_must_be_a_non_negative_integer(self, tmp_path, monkeypatch, capsys, value):
+        corpus_path = tmp_path / "corpus.json"
+        assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
+                     "--per-k", "1", "--out", str(corpus_path)]) == 0
+        monkeypatch.setenv("RELATIVIZE_CAP", value)
+        with pytest.raises(ConfigurationError, match="RELATIVIZE_CAP"):
+            enumeration_cap()
+        capsys.readouterr()
+        assert main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
+                     "--out", str(tmp_path / "a.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "RELATIVIZE_CAP must be a non-negative integer" in err
+        assert not (tmp_path / "a.json").exists()
+
 
 class TestCli:
     def test_gen_corpus_and_build_and_solve(self, tmp_path, capsys):
@@ -303,6 +319,26 @@ class TestCli:
                      "--out", str(tmp_path / "a.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "corpus entry 0" in err and message in err
+        assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"id": 1, "literals": ["a"], "clauses": [[[0, "false"]]]}, "malformed formula"),
+        ({"id": 1, "literals": ["a", "b"], "clauses": [[[1.7, True]]]}, "malformed formula"),
+        ({"id": 1, "literals": ["a", "b"], "clauses": [[[True, True]]]}, "malformed formula"),
+        ({"id": 1, "literals": ["a"], "clauses": [[[0, True, 1]]]}, "malformed formula"),
+        ({"id": True, "literals": ["a"], "clauses": [[[0, True]]]}, "'id' must be an integer"),
+        ({"id": "1", "literals": ["a"], "clauses": []}, "'id' must be an integer"),
+        ({"id": 1, "literals": [1, 2], "clauses": []}, "'literals' must be a list of strings"),
+    ])
+    def test_corpus_entry_values_are_not_coerced(self, tmp_path, capsys, entry, message):
+        corpus_path = tmp_path / "corpus.json"
+        second = {"id": 2, "literals": ["a"], "clauses": [[[0, True]]]}
+        corpus_path.write_text(json.dumps([entry, second]), encoding="utf-8")
+        assert main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
+                     "--out", str(tmp_path / "a.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "corpus entry 0" in captured.err
+        assert message in captured.err and captured.out == ""
         assert not (tmp_path / "a.json").exists()
 
     def test_bad_oracle_file_is_reported(self, tmp_path, capsys):

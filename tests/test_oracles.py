@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -360,6 +361,29 @@ class TestDeterminismAndFiles:
         save_oracle(oracle, tmp_path / "a.json")
         with pytest.raises(OracleFileError):
             load_oracle(tmp_path / "a.json", craft_d_corpus())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(note="x"), "unknown keys ['note']"),
+        (lambda doc: doc.pop("corpus_ids"), "missing keys ['corpus_ids']"),
+        (lambda doc: doc["members"].append("999"), "'members' differ from the 'provenance' keys"),
+        (lambda doc: doc["members"].pop(), "'members' differ from the 'provenance' keys"),
+        (lambda doc: doc["members"].append(12.7), "'members' must be a list of decimal strings"),
+        (lambda doc: doc["members"].append(12), "'members' must be a list of decimal strings"),
+        (lambda doc: doc["members"].append("12.7"), "'members' must be a list of decimal strings"),
+        (lambda doc: doc["members"].append(" 12"), "'members' must be a list of decimal strings"),
+        (lambda doc: doc.update(members="123"), "'members' must be a list of decimal strings"),
+        (lambda doc: doc.update(provenance=[]), "'members' differ from the 'provenance' keys"),
+    ])
+    def test_file_is_read_strictly(self, tmp_path, edit, message):
+        corpus = seeded_corpus(seed=83)
+        path = tmp_path / "a.json"
+        save_oracle(build_A(corpus), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["members"]
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(OracleFileError, match=re.escape(message)):
+            load_oracle(path, corpus)
 
 
 class TestKappa:

@@ -1,7 +1,8 @@
 """Differential tests: every truth-table read and every index-native input
 code against a per-assignment reference, and every cached code (block codes,
 canonical keys, F's tagged members, the report writer's decimal memo)
-against a fresh computation.
+against a fresh computation. A built F answers through its untagged sides,
+checked against tagged views over the reference F.
 
 The references below walk the 2^k assignments one by one through `accepts`
 (which is `evaluate` for formulas), building each assignment here rather than
@@ -13,6 +14,7 @@ field, transcripts, provenance text and insertion order included.
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from relativize import (
     SatVerdict,
     SetSumInstance,
     SetSumProblem,
+    TaggedOracleView,
     assignment_index,
     brute_force_sat,
     build_A,
@@ -41,9 +44,12 @@ from relativize import (
     default_literals,
     evaluate,
     gen_corpus,
+    gen_instances,
     godel_number,
     input_code,
     kappa_ids,
+    lambda_report,
+    load_corpus,
     nd_solve,
     negate,
     pair,
@@ -58,8 +64,10 @@ from relativize import (
     tagged_view,
     truth_table,
 )
+from relativize.analog import _problem_corpus
 from relativize.encoding import PartitionCode, code_digit_limit, input_code_at, input_codes
 from relativize.formula import block_masks, literal_masks
+from relativize.harness import SuiteRunner, main
 from relativize.machine import RunResult, search_limit, write_results_jsonl
 from relativize.oracles import OracleSet
 
@@ -645,3 +653,78 @@ class TestCachedCodes:
     def test_corpus_digest_unchanged(self, corpus):
         assert corpus.digest() == ref_digest(corpus)
         assert corpus.digest() == ref_digest(corpus)
+
+
+# ---------------------------------------------------------------- F's sides
+
+
+@pytest.fixture
+def paired(monkeypatch):
+    """The set of every value `pair` returns while the test runs, through
+    every module of the package that binds it."""
+    seen = set()
+
+    def recording(a, b):
+        code = pair(a, b)
+        seen.add(code)
+        return code
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "relativize" and getattr(module, "pair", None) is pair:
+            monkeypatch.setattr(module, "pair", recording)
+    return seen
+
+
+class TestTwoSidedF:
+    @given(corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_sides_answer_as_tagged_views_over_the_reference(self, corpus):
+        built, ref = build_F(corpus), ref_build_F(corpus)
+        assert len(built) == len(ref)
+        probes = set()
+        for p in corpus:
+            probes.update(partition_code(p, t).code for t in range(p.k + 1))
+            probes.add(input_code(p.id, assignment(0, p.k)).code)
+            if p.k <= 8:
+                probes.update(input_code(p.id, assignment(e, p.k)).code for e in range(1 << p.k))
+        for tag in (0, 1):
+            view, want = tagged_view(built, tag), TaggedOracleView(ref, tag)
+            assert (view.kind, view.corpus_ids) == (want.kind, want.corpus_ids)
+            assert {c for c in probes if c in view} == {c for c in probes if c in want}
+
+    def test_queries_compute_no_tagged_code(self, paired):
+        runner = SuiteRunner(ExperimentConfig(seed=11, k_range=(6, 8), formulas_per_k=2,
+                                              oracle_kinds=("F",)))
+        oracle = build_F(runner.corpus)
+        views = (tagged_view(oracle, 0), tagged_view(oracle, 1))
+        hits = [code in view for view in views for p in runner.corpus
+                for code in (*(partition_code(p, t).code for t in range(p.k + 1)),
+                             input_code_at(p.id, 0, p.k))]
+        assert len(oracle) > 0 and any(hits) and not all(hits)
+        runner._run_F()
+        assert runner.results and not runner.failures
+        instances = gen_instances(seed=2, count=8, r_min=3, r_max=6)
+        assert all(row.demonstrated for row in lambda_report(instances).rows)
+        during = set(paired)
+        tagged = oracle.members | build_F(_problem_corpus(instances)).members
+        assert not during & tagged
+        # the union itself is paired through the recorder, so a tagged code
+        # computed on any path above would have been seen
+        assert oracle.members <= paired
+
+    def test_oracle_file_then_solve_reports_both_sides_correct(self, tmp_path, capsys):
+        corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "f.json"
+        assert main(["gen-corpus", "--seed", "9", "--k-min", "6", "--k-max", "7",
+                     "--per-k", "2", "--out", str(corpus_path)]) == 0
+        assert main(["build-oracle", "--kind", "F", "--corpus", str(corpus_path),
+                     "--out", str(oracle_path)]) == 0
+        corpus = load_corpus(corpus_path, Budget(2, 2))
+        save_oracle(ref_build_F(corpus), tmp_path / "ref.json")
+        assert oracle_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+        for p in corpus:
+            capsys.readouterr()
+            assert main(["solve", "--oracle", str(oracle_path), "--formula", str(p.id),
+                         "--corpus", str(corpus_path)]) == 0
+            runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert [r["oracle"] for r in runs] == ["F[np]", "F[co]"]
+            assert all(r["correct"] is True for r in runs)
