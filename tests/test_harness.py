@@ -7,14 +7,29 @@ from relativize import (
     ConfigurationError,
     ExperimentConfig,
     brute_force_sat,
+    build_A,
+    build_B,
+    build_C,
+    build_C_bar,
+    build_D,
+    build_E,
+    build_F,
+    craft_d_corpus,
     enumeration_cap,
     gen_corpus,
     load_corpus,
     run_suite,
     save_corpus,
+    save_oracle,
+    solve_conp_with_C_bar,
+    solve_with_A,
+    solve_with_B,
+    solve_with_C,
+    tagged_view,
 )
+from relativize.encoding import code_digit_limit
 from relativize.harness import config_from_json, main
-from relativize.machine import atomic_open
+from relativize.machine import atomic_open, run_result_to_json
 
 SMALL = ExperimentConfig(seed=7, k_range=(6, 8), formulas_per_k=3, out_dir="unused")
 
@@ -198,6 +213,55 @@ class TestCli:
         lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()
                  if line.startswith("{")]
         assert {run["oracle"] for run in lines[-2:]} == {"F[np]", "F[co]"}
+
+    # Each kind's set built directly, and the solver runs `solve` must print
+    # for it: the np and co sides for F, the complement question for the
+    # barred sets. D and D_bar need even k at even positions, and budget
+    # (1, 1) gives the crafted corpus's budgets back on load.
+    ROUND_TRIP = {
+        "A": (build_A, lambda f, o, c, sat: [solve_with_A(f, o, ground_truth=sat)]),
+        "B": (build_B, lambda f, o, c, sat: [
+            solve_with_B(f, o, c.budget_for(f.id), ground_truth=sat)]),
+        "C": (build_C, lambda f, o, c, sat: [solve_with_C(f, o, ground_truth=sat)]),
+        "C_bar": (build_C_bar, lambda f, o, c, sat: [
+            solve_conp_with_C_bar(f, o, ground_truth=not sat)]),
+        "D": (lambda c: build_D(c)[0], lambda f, o, c, sat: [
+            solve_with_C(f, o, ground_truth=sat)]),
+        "D_bar": (lambda c: build_D(c)[1], lambda f, o, c, sat: [
+            solve_conp_with_C_bar(f, o, ground_truth=not sat)]),
+        "E": (lambda c: build_E(c, build_A(c)), lambda f, o, c, sat: [
+            solve_with_A(f, o, ground_truth=sat)]),
+        "F": (build_F, lambda f, o, c, sat: [
+            solve_with_A(f, tagged_view(o, 0), ground_truth=sat),
+            solve_conp_with_C_bar(f, tagged_view(o, 1), ground_truth=not sat)]),
+    }
+
+    @pytest.mark.parametrize("kind", list(ROUND_TRIP))
+    def test_build_oracle_then_solve_every_kind(self, tmp_path, capsys, kind):
+        corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "oracle.json"
+        if kind in ("D", "D_bar"):
+            save_corpus(craft_d_corpus(), corpus_path)
+            budget = ["1", "1"]
+        else:
+            save_corpus(gen_corpus(ExperimentConfig(seed=5, k_range=(5, 7), formulas_per_k=2)),
+                        corpus_path)
+            budget = ["2", "2"]
+        corpus = load_corpus(corpus_path, Budget(*map(int, budget)))
+        build, solve = self.ROUND_TRIP[kind]
+        oracle = build(corpus)
+        assert oracle.kind == kind and len(oracle) > 0
+        assert main(["build-oracle", "--kind", kind, "--corpus", str(corpus_path),
+                     "--out", str(oracle_path), "--budget", *budget]) == 0
+        save_oracle(oracle, tmp_path / "direct.json")
+        assert oracle_path.read_bytes() == (tmp_path / "direct.json").read_bytes()
+        for f in corpus:
+            capsys.readouterr()
+            assert main(["solve", "--oracle", str(oracle_path), "--formula", str(f.id),
+                         "--corpus", str(corpus_path), "--budget", *budget]) == 0
+            with code_digit_limit():
+                want = [json.dumps(run_result_to_json(r))
+                        for r in solve(f, oracle, corpus, brute_force_sat(f).satisfiable)]
+            assert capsys.readouterr().out.splitlines() == want
 
     def test_suite_command(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
