@@ -27,6 +27,7 @@ from .machine import (
     clamped_budget,
     nd_solve,
     run_report,
+    run_result_to_json,
     solve_conp_with_C_bar,
     solve_with_A,
     solve_with_B,
@@ -321,6 +322,65 @@ def _build(kind: str, corpus: Corpus, cap=None):
     raise ConfigurationError(f"unknown oracle kind {kind!r}")
 
 
+def _sides(oracle) -> tuple:
+    """What the solvers query: F through its np and co views, in that
+    order, and every other set as itself."""
+    if oracle.kind == "F":
+        return tagged_view(oracle, 0), tagged_view(oracle, 1)
+    return (oracle,)
+
+
+def _solve(side, problem, corpus: Corpus, truth: bool, cap=None) -> RunResult:
+    """Run the solver that queries `side` on one problem, graded against
+    `truth`, the problem's satisfiability.
+
+    The side's label picks the solver: the block-query solver for A, E and
+    F[np], the budgeted one for B, the exhaustive input-code scan for C and
+    D. C_bar, D_bar and F[co] answer the complement question, so their
+    ground truth is `not truth`.
+    """
+    label = side.kind
+    if label in ("A", "E", "F[np]"):
+        return solve_with_A(problem, side, ground_truth=truth)
+    if label == "B":
+        return solve_with_B(problem, side, corpus.budget_for(problem.id),
+                            ground_truth=truth, cap=cap)
+    if label in ("C", "D"):
+        return solve_with_C(problem, side, ground_truth=truth, cap=cap)
+    if label in ("C_bar", "D_bar", "F[co]"):
+        return solve_conp_with_C_bar(problem, side, ground_truth=not truth)
+    raise ConfigurationError(f"no solver queries oracle side {label!r}")
+
+
+# What the suite checks on each run of a side besides a correct verdict:
+# (holds(run, problem, corpus), failure message after "<label>: ").
+_K_PLUS_1_QUERIES = (lambda r, f, corpus: r.queries <= f.k + 1,
+                     "more than k+1 queries on formula {f.id}")
+_ONE_QUERY = (lambda r, f, corpus: r.queries == 1, "{r.queries} queries on formula {f.id}")
+RUN_RULES = {
+    "A": (_K_PLUS_1_QUERIES,
+          (lambda r, f, corpus: not r.accepted
+           or r.steps + r.queries <= corpus.budget_for(f.id).steps(f.k) + f.k + 1,
+           "accepting run on formula {f.id} exceeded p(k)+k+1")),
+    "C": ((lambda r, f, corpus: r.ground_truth or r.queries == 1 << f.k,
+           "rejected formula {f.id} used {r.queries} queries, expected 2^k"),),
+    "C_bar": (_ONE_QUERY,),
+    "F[np]": (_K_PLUS_1_QUERIES,),
+    "F[co]": (_ONE_QUERY,),
+}
+
+
+def _traced_to(runs: list[RunResult], oracle, step: str) -> list[RunResult]:
+    """The wrong runs that got a yes from a member placed by `step`."""
+    return [
+        r for r in runs
+        if r.correct is False and any(
+            oracle.provenance.get(code, (0, ""))[1].startswith(step)
+            for code, answer in r.transcript if answer
+        )
+    ]
+
+
 class SuiteRunner:
     """One suite execution: builds, runs, checks, and accumulates reportage."""
 
@@ -338,9 +398,14 @@ class SuiteRunner:
             self.failures.append(message)
 
     def run(self) -> None:
+        """ND first, then each kind: B, D and E by their own runs, the rest
+        by the checked loop over their sides."""
         self._run_nd()
         for kind in self.config.oracle_kinds:
-            getattr(self, f"_run_{kind}")()
+            if hasattr(self, f"_run_{kind}"):
+                getattr(self, f"_run_{kind}")()
+            else:
+                self._run_sides(kind)
 
     def _sat(self, fid: int) -> bool:
         return self.truth[fid].satisfiable
@@ -352,37 +417,48 @@ class SuiteRunner:
         self.check(all(r.queries == 0 for r in runs), "ND: a run entered the query state")
         self.evidence["ND"] = {"runs": len(runs), "incorrect": 0, "queries": 0}
 
-    def _run_A(self) -> None:
-        oracle = build_A(self.corpus, self.cap)
+    def _run_sides(self, kind: str) -> None:
+        """Build one set over the corpus, query each of its sides on every
+        problem in turn, and check every run: a correct verdict, then its
+        side's RUN_RULES."""
+        sides = _sides(_build(kind, self.corpus, self.cap))
         runs = []
         for f in self.corpus:
-            r = solve_with_A(f, oracle, ground_truth=self._sat(f.id))
-            runs.append(r)
-            self.check(r.correct is True, f"A: wrong verdict on formula {f.id}")
-            self.check(r.queries <= f.k + 1, f"A: more than k+1 queries on formula {f.id}")
-            if r.accepted:
-                bound = self.corpus.budget_for(f.id).steps(f.k) + f.k + 1
-                self.check(
-                    r.steps + r.queries <= bound,
-                    f"A: accepting run on formula {f.id} exceeded p(k)+k+1",
-                )
+            for side in sides:
+                r = _solve(side, f, self.corpus, self._sat(f.id), self.cap)
+                runs.append(r)
+                self.check(r.correct is True, f"{side.kind}: wrong verdict on formula {f.id}")
+                for holds, message in RUN_RULES[side.kind]:
+                    if not holds(r, f, self.corpus):
+                        self.failures.append(f"{side.kind}: " + message.format(r=r, f=f))
         self.results.extend(runs)
-        self.evidence["A"] = {
+        evidence = self.evidence[kind] = {
             "runs": len(runs),
             "incorrect": sum(r.correct is False for r in runs),
-            "max_queries": max((r.queries for r in runs), default=0),
         }
+        if kind == "A":
+            evidence["max_queries"] = max((r.queries for r in runs), default=0)
+        if kind == "C_bar":
+            evidence["queries"] = 1
+        if kind == "C":
+            growth = {}
+            for r in runs:
+                if not r.ground_truth:
+                    growth.setdefault(r.k, r.queries)
+            for k in sorted(growth):
+                if k + 1 in growth:
+                    self.check(
+                        growth[k + 1] == 2 * growth[k],
+                        f"C: query count did not double from k={k} to k={k + 1}",
+                    )
+            evidence["reject_queries_by_k"] = growth
 
     def _run_B(self) -> None:
         for f in self.corpus:
             p = self.corpus.budget_for(f.id).steps(f.k)
             self.check(p < (1 << f.k), f"B: budget p(k)={p} not below 2^k for formula {f.id}")
         oracle = build_B(self.corpus, self.cap)
-        runs = [
-            solve_with_B(f, oracle, self.corpus.budget_for(f.id),
-                         ground_truth=self._sat(f.id), cap=self.cap)
-            for f in self.corpus
-        ]
+        runs = [_solve(oracle, f, self.corpus, self._sat(f.id), self.cap) for f in self.corpus]
         self.results.extend(runs)
         wrong = [r for r in runs if r.correct is False]
         self.check(bool(wrong), "B: no dysfunctional verdict anywhere in the corpus")
@@ -397,75 +473,18 @@ class SuiteRunner:
             "incorrect_with_step2_provenance": len(step2),
         }
 
-    def _run_C(self) -> None:
-        oracle = build_C(self.corpus, self.cap)
-        runs = []
-        growth = {}
-        for f in self.corpus:
-            r = solve_with_C(f, oracle, ground_truth=self._sat(f.id), cap=self.cap)
-            runs.append(r)
-            self.check(r.correct is True, f"C: wrong verdict on formula {f.id}")
-            if not self._sat(f.id):
-                self.check(
-                    r.queries == (1 << f.k),
-                    f"C: rejected formula {f.id} used {r.queries} queries, expected 2^k",
-                )
-                growth.setdefault(f.k, r.queries)
-        self.results.extend(runs)
-        ks = sorted(growth)
-        for a, b in zip(ks, ks[1:]):
-            if b == a + 1:
-                self.check(
-                    growth[b] == 2 * growth[a],
-                    f"C: query count did not double from k={a} to k={b}",
-                )
-        self.evidence["C"] = {
-            "runs": len(runs),
-            "incorrect": sum(r.correct is False for r in runs),
-            "reject_queries_by_k": growth,
-        }
-
-    def _run_C_bar(self) -> None:
-        oracle = build_C_bar(self.corpus, self.cap)
-        runs = []
-        for f in self.corpus:
-            r = solve_conp_with_C_bar(f, oracle, ground_truth=not self._sat(f.id))
-            runs.append(r)
-            self.check(r.correct is True, f"C_bar: wrong verdict on formula {f.id}")
-            self.check(r.queries == 1, f"C_bar: {r.queries} queries on formula {f.id}")
-        self.results.extend(runs)
-        self.evidence["C_bar"] = {
-            "runs": len(runs),
-            "incorrect": sum(r.correct is False for r in runs),
-            "queries": 1,
-        }
-
     def _run_D(self) -> None:
         corpus = craft_d_corpus()
         truth = {f.id: brute_force_sat(f, self.cap).satisfiable for f in corpus}
         d_set, dbar_set = build_D(corpus, self.cap)
-        d_runs = [solve_with_C(f, d_set, ground_truth=truth[f.id], cap=self.cap) for f in corpus]
-        dbar_runs = [
-            solve_conp_with_C_bar(f, dbar_set, ground_truth=not truth[f.id]) for f in corpus
-        ]
+        d_runs = [_solve(d_set, f, corpus, truth[f.id], self.cap) for f in corpus]
+        dbar_runs = [_solve(dbar_set, f, corpus, truth[f.id], self.cap) for f in corpus]
         nd_runs = [nd_solve(f, ground_truth=truth[f.id], cap=self.cap) for f in corpus]
         self.results.extend(d_runs + dbar_runs + nd_runs)
-        wrong_d = [
-            r for r in d_runs
-            if r.correct is False and any(
-                d_set.provenance.get(code, (0, ""))[1].startswith("step 5")
-                for code, answer in r.transcript if answer
-            )
-        ]
-        wrong_dbar = [
-            r for r in dbar_runs
-            if r.correct is False and any(
-                dbar_set.provenance.get(code, (0, ""))[1].startswith("step 8")
-                for code, answer in r.transcript if answer
-            )
-        ]
-        self.check(bool(wrong_d), "D: no wrong verdict traceable to a step-5 member")
-        self.check(bool(wrong_dbar), "D_bar: no wrong verdict traceable to a step-8 member")
+        self.check(bool(_traced_to(d_runs, d_set, "step 5")),
+                   "D: no wrong verdict traceable to a step-5 member")
+        self.check(bool(_traced_to(dbar_runs, dbar_set, "step 8")),
+                   "D_bar: no wrong verdict traceable to a step-8 member")
         self.check(all(r.correct for r in nd_runs), "D: ND erred on the crafted corpus")
         self.evidence["D"] = {
             "crafted_runs": len(d_runs) + len(dbar_runs),
@@ -493,7 +512,7 @@ class SuiteRunner:
         runs = []
         for f in corpus:
             if f.id in kappa:
-                r = solve_with_A(f, oracle, ground_truth=truth[f.id])
+                r = _solve(oracle, f, corpus, truth[f.id], self.cap)
                 runs.append(r)
                 self.check(r.correct is True, f"E: wrong verdict on complement-paired formula {f.id}")
         self.results.extend(runs)
@@ -501,26 +520,6 @@ class SuiteRunner:
             "kappa_ids": sorted(kappa),
             "kappa_codes_equal": e_kappa == a_kappa,
             "injected_codes": len(injected),
-        }
-
-    def _run_F(self) -> None:
-        oracle = build_F(self.corpus, self.cap)
-        np_side = tagged_view(oracle, 0)
-        co_side = tagged_view(oracle, 1)
-        runs = []
-        for f in self.corpus:
-            r = solve_with_A(f, np_side, ground_truth=self._sat(f.id))
-            runs.append(r)
-            self.check(r.correct is True, f"F[np]: wrong verdict on formula {f.id}")
-            self.check(r.queries <= f.k + 1, f"F[np]: more than k+1 queries on formula {f.id}")
-            rc = solve_conp_with_C_bar(f, co_side, ground_truth=not self._sat(f.id))
-            runs.append(rc)
-            self.check(rc.correct is True, f"F[co]: wrong verdict on formula {f.id}")
-            self.check(rc.queries == 1, f"F[co]: {rc.queries} queries on formula {f.id}")
-        self.results.extend(runs)
-        self.evidence["F"] = {
-            "runs": len(runs),
-            "incorrect": sum(r.correct is False for r in runs),
         }
 
     def _conclusions(self) -> list[dict]:
@@ -623,11 +622,7 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_build_oracle(args) -> int:
     corpus = load_corpus(args.corpus, Budget(args.budget[0], args.budget[1]))
-    if args.kind in ("D", "D_bar"):
-        d, dbar = build_D(corpus)
-        oracle = d if args.kind == "D" else dbar
-    else:
-        oracle = _build(args.kind, corpus)
+    oracle = _build(args.kind, corpus)
     save_oracle(oracle, args.out)
     print(f"wrote oracle {oracle.kind} with {len(oracle)} members to {args.out}")
     return 0
@@ -638,22 +633,7 @@ def _cmd_solve(args) -> int:
     oracle = load_oracle(args.oracle, corpus)
     f = corpus.by_id(args.formula)
     truth = brute_force_sat(f).satisfiable
-    kind = oracle.kind
-    if kind in ("A", "E"):
-        runs = [solve_with_A(f, oracle, ground_truth=truth)]
-    elif kind == "B":
-        runs = [solve_with_B(f, oracle, corpus.budget_for(f.id), ground_truth=truth)]
-    elif kind in ("C", "D"):
-        runs = [solve_with_C(f, oracle, ground_truth=truth)]
-    elif kind in ("C_bar", "D_bar"):
-        runs = [solve_conp_with_C_bar(f, oracle, ground_truth=not truth)]
-    else:  # F: both sides
-        runs = [
-            solve_with_A(f, tagged_view(oracle, 0), ground_truth=truth),
-            solve_conp_with_C_bar(f, tagged_view(oracle, 1), ground_truth=not truth),
-        ]
-    from .machine import run_result_to_json
-
+    runs = [_solve(side, f, corpus, truth) for side in _sides(oracle)]
     with code_digit_limit():
         for r in runs:
             print(json.dumps(run_result_to_json(r)))

@@ -524,14 +524,21 @@ def _is_decimal(code) -> bool:
     return isinstance(code, str) and code.isascii() and code.isdigit()
 
 
+def _is_note(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2 and type(entry[0]) is int
+            and isinstance(entry[1], str))
+
+
 def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     """Read an oracle set back; the set is constructed only after the whole
     document validates, so a corrupted file never yields a partial set.
 
     The document must hold exactly the keys `save_oracle` writes, its members
     must be decimal strings, and they must be the provenance keys: a member
-    without provenance, or provenance without a member, is refused. With a
-    corpus given, a hash mismatch is rejected as well.
+    without provenance, or provenance without a member, is refused. Corpus
+    ids must be integers and provenance entries [integer, string] pairs;
+    nothing is coerced. With a corpus given, a hash mismatch is rejected as
+    well.
     """
     with code_digit_limit():
         try:
@@ -552,15 +559,18 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
             raise OracleFileError(f"{path}: 'members' must be a list of decimal strings")
         if not (isinstance(notes, dict) and notes.keys() == set(codes)):
             raise OracleFileError(f"{path}: 'members' differ from the 'provenance' keys")
+        if not all(_is_note(entry) for entry in notes.values()):
+            raise OracleFileError(f"{path}: 'provenance' entries must be [integer, string] pairs")
+        ids = doc["corpus_ids"]
+        if not (isinstance(ids, list) and all(type(i) is int for i in ids)):
+            raise OracleFileError(f"{path}: 'corpus_ids' must be a list of integers")
         try:
-            kind = doc["kind"]
-            corpus_hash = doc["corpus_hash"]
-            corpus_ids = frozenset(int(i) for i in doc["corpus_ids"])
-            prov = {int(code): (int(fid), str(note)) for code, (fid, note) in notes.items()}
-        except (TypeError, ValueError) as exc:
+            prov = {int(code): tuple(entry) for code, entry in notes.items()}
+        except ValueError as exc:
             raise OracleFileError(f"{path}: malformed oracle document ({exc})") from exc
+    kind, corpus_hash = doc["kind"], doc["corpus_hash"]
     if kind not in KINDS:
         raise OracleFileError(f"{path}: unknown oracle kind {kind!r}")
     if corpus is not None and corpus.digest() != corpus_hash:
         raise OracleFileError(f"{path}: oracle was built over a different corpus")
-    return OracleSet(kind, frozenset(prov), prov, corpus_ids, corpus_hash)
+    return OracleSet(kind, frozenset(prov), prov, frozenset(ids), corpus_hash)

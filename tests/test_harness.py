@@ -405,6 +405,22 @@ class TestCli:
         assert message in captured.err and captured.out == ""
         assert not (tmp_path / "a.json").exists()
 
+    def test_solve_refuses_coerced_oracle_file_values(self, tmp_path, capsys):
+        corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "a.json"
+        main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
+              "--per-k", "1", "--out", str(corpus_path)])
+        main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
+              "--out", str(oracle_path)])
+        doc = json.loads(oracle_path.read_text(encoding="utf-8"))
+        doc["corpus_ids"] = ["1", 2.9, True]
+        oracle_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["solve", "--oracle", str(oracle_path), "--formula", "1",
+                     "--corpus", str(corpus_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert "'corpus_ids' must be a list of integers" in captured.err
+
     def test_bad_oracle_file_is_reported(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"
         main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",

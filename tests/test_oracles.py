@@ -47,6 +47,11 @@ ABC = ("a", "b", "c")
 WIDE = Formula(1, ABC, (((0, True), (1, True), (2, True)),))
 
 
+def set_first_note(doc, entry):
+    """Replace the provenance entry of an oracle document's first member."""
+    doc["provenance"][doc["members"][0]] = entry
+
+
 def one_formula_corpus(f, budget=None):
     return Corpus((f,), {f.id: budget or clamped_budget(f.k)})
 
@@ -373,6 +378,15 @@ class TestDeterminismAndFiles:
         (lambda doc: doc["members"].append(" 12"), "'members' must be a list of decimal strings"),
         (lambda doc: doc.update(members="123"), "'members' must be a list of decimal strings"),
         (lambda doc: doc.update(provenance=[]), "'members' differ from the 'provenance' keys"),
+        (lambda doc: doc.update(corpus_ids=["1", 2.9, True]),
+         "'corpus_ids' must be a list of integers"),
+        (lambda doc: doc["corpus_ids"].append(True), "'corpus_ids' must be a list of integers"),
+        (lambda doc: doc.update(corpus_ids="12"), "'corpus_ids' must be a list of integers"),
+        (lambda doc: set_first_note(doc, [1.8, 5]), "'provenance' entries must be"),
+        (lambda doc: set_first_note(doc, [1, 5]), "'provenance' entries must be"),
+        (lambda doc: set_first_note(doc, [True, "step 1"]), "'provenance' entries must be"),
+        (lambda doc: set_first_note(doc, ["1", "step 1"]), "'provenance' entries must be"),
+        (lambda doc: set_first_note(doc, [1, "step 1", 2]), "'provenance' entries must be"),
     ])
     def test_file_is_read_strictly(self, tmp_path, edit, message):
         corpus = seeded_corpus(seed=83)

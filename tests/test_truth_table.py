@@ -701,8 +701,9 @@ class TestTwoSidedF:
                 for code in (*(partition_code(p, t).code for t in range(p.k + 1)),
                              input_code_at(p.id, 0, p.k))]
         assert len(oracle) > 0 and any(hits) and not all(hits)
-        runner._run_F()
+        runner.run()
         assert runner.results and not runner.failures
+        assert {r.oracle for r in runner.results} == {"ND", "F[np]", "F[co]"}
         instances = gen_instances(seed=2, count=8, r_min=3, r_max=6)
         assert all(row.demonstrated for row in lambda_report(instances).rows)
         during = set(paired)
