@@ -330,7 +330,7 @@ def _sides(oracle) -> tuple:
     return (oracle,)
 
 
-def _solve(side, problem, corpus: Corpus, truth: bool, cap=None) -> RunResult:
+def _solve(side, problem, corpus: Corpus, truth: bool, cap: int | None) -> RunResult:
     """Run the solver that queries `side` on one problem, graded against
     `truth`, the problem's satisfiability.
 
@@ -633,7 +633,7 @@ def _cmd_solve(args) -> int:
     oracle = load_oracle(args.oracle, corpus)
     f = corpus.by_id(args.formula)
     truth = brute_force_sat(f).satisfiable
-    runs = [_solve(side, f, corpus, truth) for side in _sides(oracle)]
+    runs = [_solve(side, f, corpus, truth, cap=None) for side in _sides(oracle)]
     with code_digit_limit():
         for r in runs:
             print(json.dumps(run_result_to_json(r)))
