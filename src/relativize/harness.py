@@ -25,6 +25,7 @@ from .machine import (
     RunResult,
     atomic_open,
     clamped_budget,
+    code_text,
     nd_solve,
     run_report,
     run_result_to_json,
@@ -232,12 +233,14 @@ def craft_e_corpus() -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """Corpus file: array of {"id", "literals", "clauses"} objects."""
+    """Corpus file: array of {"id", "literals", "clauses", "budget"} objects,
+    the budget as [coefficient, exponent]."""
     doc = [
         {
             "id": f.id,
             "literals": list(f.literals),
             "clauses": [[[i, p] for i, p in clause] for clause in f.clauses],
+            "budget": [corpus.budget_for(f.id).coefficient, corpus.budget_for(f.id).exponent],
         }
         for f in corpus.formulas
     ]
@@ -264,6 +267,9 @@ def _formula_from_entry(entry, where: str) -> Formula:
     missing = [key for key in CORPUS_ENTRY_KEYS if key not in entry]
     if missing:
         raise ConfigurationError(f"{where}: missing keys {missing}")
+    unknown = sorted(set(entry) - {*CORPUS_ENTRY_KEYS, "budget"})
+    if unknown:  # a misspelt "budget" would otherwise fall back to the default
+        raise ConfigurationError(f"{where}: unknown keys {unknown}")
     for key in ("literals", "clauses"):
         if not isinstance(entry[key], list):
             raise ConfigurationError(f"{where}: {key!r} must be a list")
@@ -287,18 +293,29 @@ def _formula_from_entry(entry, where: str) -> Formula:
         raise ConfigurationError(f"{where}: malformed formula ({exc})") from exc
 
 
-def load_corpus(path, budget: Budget = DEFAULT_BUDGET) -> Corpus:
-    """Read a corpus file; budgets are re-derived from the preferred budget,
-    clamped per formula. A malformed file raises ConfigurationError."""
+def load_corpus(path, budget: Budget | None = None) -> Corpus:
+    """Read a corpus file. Each problem keeps the budget its entry stores; a
+    preferred `budget` instead re-derives every budget from it, clamped per
+    formula, as the default one does for an entry without a budget. A
+    malformed file raises ConfigurationError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, list):
         raise ConfigurationError(f"{path}: a corpus file holds a JSON array of formulas")
-    formulas = tuple(
-        _formula_from_entry(entry, f"{path}: corpus entry {n}") for n, entry in enumerate(doc)
-    )
-    budgets = {f.id: clamped_budget(f.k, budget) for f in formulas}
-    return Corpus(formulas, budgets)
+    formulas, budgets = [], {}
+    for n, entry in enumerate(doc):
+        where = f"{path}: corpus entry {n}"
+        f = _formula_from_entry(entry, where)
+        formulas.append(f)
+        stored = entry.get("budget", [])
+        if "budget" in entry and not (_is_int_pair(stored) and min(stored) >= 0):
+            raise ConfigurationError(
+                f"{where}: 'budget' must be a list of two non-negative integers")
+        if budget is None and stored:
+            budgets[f.id] = Budget(*stored)
+        else:
+            budgets[f.id] = clamped_budget(f.k, budget or DEFAULT_BUDGET)
+    return Corpus(tuple(formulas), budgets)
 
 
 # ---------------------------------------------------------------- the suite
@@ -391,6 +408,9 @@ class SuiteRunner:
         self.failures: list[str] = []
         self.evidence: dict[str, dict] = {}
         self.corpus = gen_corpus(config, cap)
+        # The problems whose block codes the runs query, so the report
+        # writer can print those codes from them: this corpus and E's.
+        self.block_coded = list(self.corpus)
         self.truth = {f.id: brute_force_sat(f, cap) for f in self.corpus}
 
     def check(self, condition: bool, message: str) -> None:
@@ -494,6 +514,7 @@ class SuiteRunner:
 
     def _run_E(self) -> None:
         corpus = craft_e_corpus()
+        self.block_coded.extend(corpus)
         truth = {f.id: brute_force_sat(f, self.cap).satisfiable for f in corpus}
         base = build_A(corpus, self.cap)
         oracle = build_E(corpus, base, cap=self.cap)
@@ -554,7 +575,7 @@ class SuiteRunner:
         out = Path(self.config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_results_csv(self.results, out / "runs.csv")
-        write_results_jsonl(self.results, out / "runs.jsonl")
+        write_results_jsonl(self.results, out / "runs.jsonl", self.block_coded)
         report = run_report(self.results)
         summary = {
             "config": {
@@ -621,7 +642,7 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_build_oracle(args) -> int:
-    corpus = load_corpus(args.corpus, Budget(args.budget[0], args.budget[1]))
+    corpus = load_corpus(args.corpus, args.budget and Budget(*args.budget))
     oracle = _build(args.kind, corpus)
     save_oracle(oracle, args.out)
     print(f"wrote oracle {oracle.kind} with {len(oracle)} members to {args.out}")
@@ -629,14 +650,15 @@ def _cmd_build_oracle(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    corpus = load_corpus(args.corpus, Budget(args.budget[0], args.budget[1]))
+    corpus = load_corpus(args.corpus, args.budget and Budget(*args.budget))
     oracle = load_oracle(args.oracle, corpus)
     f = corpus.by_id(args.formula)
     truth = brute_force_sat(f).satisfiable
     runs = [_solve(side, f, corpus, truth, cap=None) for side in _sides(oracle)]
     with code_digit_limit():
+        text = code_text((f,))
         for r in runs:
-            print(json.dumps(run_result_to_json(r)))
+            print(json.dumps(run_result_to_json(r, text)))
     return 0
 
 
@@ -659,6 +681,9 @@ def _cmd_lambda(args) -> int:
     return 0 if report.all_demonstrated() else 1
 
 
+BUDGET_HELP = "re-derive every budget as C*n^D, clamped below 2^k (default: the file's)"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="relativize",
@@ -679,14 +704,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--kind", required=True, choices=list(KINDS))
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, nargs=2, default=[2, 2], metavar=("C", "D"))
+    p.add_argument("--budget", type=int, nargs=2, metavar=("C", "D"), help=BUDGET_HELP)
     p.set_defaults(func=_cmd_build_oracle)
 
     p = sub.add_parser("solve", help="run the matching solver for one formula")
     p.add_argument("--oracle", required=True)
     p.add_argument("--formula", type=int, required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--budget", type=int, nargs=2, default=[2, 2], metavar=("C", "D"))
+    p.add_argument("--budget", type=int, nargs=2, metavar=("C", "D"), help=BUDGET_HELP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("suite", help="run the full experiment suite")

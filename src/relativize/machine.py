@@ -19,7 +19,8 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
-from .encoding import code_digit_limit, input_code_at, input_codes, partition_code
+from .encoding import (block_code_texts, code_digit_limit, input_code_at, input_codes,
+                       partition_code)
 from .errors import ConfigurationError
 from .formula import check_enumerable, first_accepted, truth_table
 
@@ -338,21 +339,31 @@ def atomic_open(path, newline: str | None = None):
 _MEMO_BITS = 1024
 
 
-def write_results_jsonl(results: list[RunResult], path) -> None:
-    """One JSON line per run, written atomically. Each distinct code wider
-    than _MEMO_BITS (block codes: A and F[np] query the same ones) is turned
-    into decimal once per call."""
+def code_text(problems=()):
+    """A code -> decimal text function, for use inside `code_digit_limit()`.
+    A code wider than _MEMO_BITS is turned into text once: by
+    `block_code_texts(problems)` if it is one of their block codes, else by
+    `str`."""
     memo: dict[int, str] = {}
+    from_problem = block_code_texts(problems)
 
     def text(code: int) -> str:
         if code.bit_length() <= _MEMO_BITS:
             return str(code)
         s = memo.get(code)
         if s is None:
-            s = memo[code] = str(code)
+            s = memo[code] = from_problem(code) or str(code)
         return s
 
+    return text
+
+
+def write_results_jsonl(results: list[RunResult], path, problems=()) -> None:
+    """One JSON line per run, written atomically. Codes go through one
+    `code_text(problems)`, which lives only for the call: pass the problems
+    whose block codes the runs queried. Any results list is written right."""
     with code_digit_limit(), atomic_open(path) as fh:
+        text = code_text(problems)
         for r in results:
             fh.write(json.dumps(run_result_to_json(r, text), separators=(",", ":")) + "\n")
 

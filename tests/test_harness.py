@@ -14,7 +14,9 @@ from relativize import (
     build_D,
     build_E,
     build_F,
+    clamped_budget,
     craft_d_corpus,
+    craft_e_corpus,
     enumeration_cap,
     gen_corpus,
     load_corpus,
@@ -92,6 +94,34 @@ class TestCorpusFiles:
         loaded = load_corpus(path)
         assert loaded.formulas == corpus.formulas
         assert loaded.digest() == corpus.digest()
+
+    def test_stored_budgets_survive_a_round_trip(self, tmp_path):
+        corpus = craft_e_corpus()
+        assert corpus.budget_for(1) == Budget(2, 0) != clamped_budget(2)
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        assert [entry["budget"] for entry in json.loads(path.read_text(encoding="utf-8"))] == [
+            [2, 0], [1, 1], [1, 1]]
+        loaded = load_corpus(path)
+        assert loaded.budgets == corpus.budgets and loaded.digest() == corpus.digest()
+        # a preferred budget still re-derives every one of them
+        assert load_corpus(path, Budget(1, 2)).budgets == {
+            f.id: clamped_budget(f.k, Budget(1, 2)) for f in corpus}
+
+    def test_file_without_budgets_loads_as_before(self, tmp_path):
+        corpus = gen_corpus(ExperimentConfig(seed=7, k_range=(2, 8), formulas_per_k=1,
+                                             budget=Budget(1, 2)))
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for entry in doc:
+            del entry["budget"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for preferred in (None, Budget(1, 2)):
+            loaded = load_corpus(path, preferred)
+            assert loaded.formulas == corpus.formulas
+            assert loaded.budgets == {
+                f.id: clamped_budget(f.k, preferred or Budget(2, 2)) for f in corpus}
 
     def test_config_from_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -263,6 +293,21 @@ class TestCli:
                         for r in solve(f, oracle, corpus, brute_force_sat(f).satisfiable)]
             assert capsys.readouterr().out.splitlines() == want
 
+    def test_build_oracle_keeps_the_stored_budgets(self, tmp_path, capsys):
+        corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "d_bar.json"
+        save_corpus(craft_d_corpus(), corpus_path)
+        direct = build_D(craft_d_corpus())[1]
+        assert len(direct) == 9
+        save_oracle(direct, tmp_path / "direct.json")
+        assert main(["build-oracle", "--kind", "D_bar", "--corpus", str(corpus_path),
+                     "--out", str(oracle_path)]) == 0
+        assert "with 9 members" in capsys.readouterr().out
+        assert oracle_path.read_bytes() == (tmp_path / "direct.json").read_bytes()
+        # --budget re-derives them: formula 3 loses its Budget(1, 1)
+        assert main(["build-oracle", "--kind", "D_bar", "--corpus", str(corpus_path),
+                     "--out", str(oracle_path), "--budget", "2", "2"]) == 0
+        assert "with 0 members" in capsys.readouterr().out
+
     def test_suite_command(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(
@@ -375,6 +420,8 @@ class TestCli:
         ([1, ["a"], [[[0, True]]]], "expected an object"),
         ({"id": 1, "literals": "a", "clauses": [[[0, True]]]}, "'literals' must be a list"),
         ({"id": 1, "literals": ["a"], "clauses": [[0, True]]}, "malformed formula"),
+        ({"id": 1, "literals": ["a"], "clauses": [], "budgets": [1, 1]},
+         "unknown keys ['budgets']"),
     ])
     def test_malformed_corpus_entry(self, tmp_path, capsys, entry, message):
         corpus_path = tmp_path / "corpus.json"
@@ -393,6 +440,9 @@ class TestCli:
         ({"id": True, "literals": ["a"], "clauses": [[[0, True]]]}, "'id' must be an integer"),
         ({"id": "1", "literals": ["a"], "clauses": []}, "'id' must be an integer"),
         ({"id": 1, "literals": [1, 2], "clauses": []}, "'literals' must be a list of strings"),
+        *(({"id": 1, "literals": ["a"], "clauses": [], "budget": budget},
+           "'budget' must be a list of two non-negative integers")
+          for budget in ([1], [1, 2, 3], [1, -1], [True, 1], ["1", 1], [1.5, 1], "1 1", None)),
     ])
     def test_corpus_entry_values_are_not_coerced(self, tmp_path, capsys, entry, message):
         corpus_path = tmp_path / "corpus.json"

@@ -1,7 +1,7 @@
 """Differential tests: every truth-table read and every index-native input
 code against a per-assignment reference, and every cached code (block codes,
-canonical keys, F's tagged members, the report writer's decimal memo)
-against a fresh computation. A built F answers through its untagged sides,
+canonical keys, F's tagged members, the report writer's decimal memo and its
+block-code text computed from the problem) against a fresh computation. A built F answers through its untagged sides,
 checked against tagged views over the reference F.
 
 The references below walk the 2^k assignments one by one through `accepts`
@@ -12,6 +12,7 @@ field, transcripts, provenance text and insertion order included.
 """
 
 import dataclasses
+import decimal
 import hashlib
 import json
 import sys
@@ -36,10 +37,12 @@ from relativize import (
     build_B,
     build_C,
     build_C_bar,
+    build_E,
     build_F,
     build_D,
     clamped_budget,
     craft_d_corpus,
+    craft_e_corpus,
     decode_input_code,
     default_literals,
     evaluate,
@@ -64,11 +67,18 @@ from relativize import (
     tagged_view,
     truth_table,
 )
+from relativize import machine
 from relativize.analog import _problem_corpus
-from relativize.encoding import PartitionCode, code_digit_limit, input_code_at, input_codes
+from relativize.encoding import (
+    PartitionCode,
+    block_code_texts,
+    code_digit_limit,
+    input_code_at,
+    input_codes,
+)
 from relativize.formula import block_masks, literal_masks
 from relativize.harness import SuiteRunner, main
-from relativize.machine import RunResult, search_limit, write_results_jsonl
+from relativize.machine import RunResult, code_text, search_limit, write_results_jsonl
 from relativize.oracles import OracleSet
 
 # ---------------------------------------------------------------- references
@@ -576,6 +586,22 @@ def run_results(draw):
     return out
 
 
+# Problems with k 1..20, among them formulas with up to 80 clauses, whose
+# structural numbers run to the size of the default corpus's (about 9.4k
+# bits at k=12).
+def wide_formulas(k):
+    literal = st.tuples(st.integers(0, k - 1), st.booleans())
+    clause = st.lists(literal, min_size=1, max_size=3, unique=True).map(tuple)
+    return st.lists(clause, max_size=80).map(
+        lambda clauses: Formula(1, default_literals(k), tuple(clauses)))
+
+
+block_coded_problems = st.one_of(
+    problems(ks=st.integers(1, 20)),
+    st.integers(1, 20).flatmap(wide_formulas),
+)
+
+
 class TestCachedCodes:
     @given(problems(ks=st.integers(1, 12)))
     @settings(max_examples=150, deadline=None)
@@ -623,6 +649,92 @@ class TestCachedCodes:
         write_results_jsonl(results, out / "got.jsonl")
         ref_write_results_jsonl(results, out / "want.jsonl")
         assert (out / "got.jsonl").read_bytes() == (out / "want.jsonl").read_bytes()
+
+    @given(block_coded_problems)
+    @settings(max_examples=120, deadline=None)
+    def test_block_code_text_is_str_of_the_pairing(self, p):
+        limit = sys.get_int_max_str_digits()
+        g = godel_number(p)
+        codes = [partition_code(p, t).code for t in range(p.k + 1)]
+        cached = dict(vars(p))
+        with code_digit_limit():
+            text = block_code_texts([p])
+            assert [text(code) for code in codes] == [str(pair(t, g)) for t in range(p.k + 1)]
+            assert text(codes[-1] + 1) is None and text(g) is None
+            by_writer = code_text([p])
+            assert [by_writer(code) for code in codes] == [str(code) for code in codes]
+        assert sys.get_int_max_str_digits() == limit
+        assert vars(p) == cached  # nothing new on the instance
+
+    def test_block_code_text_traps_a_precision_shortfall(self, monkeypatch):
+        f = Formula(1, default_literals(6), (((0, True), (3, False)), ((5, True),)))
+        code = partition_code(f, 1).code
+        assert block_code_texts([f])(code) == str(code)
+        monkeypatch.setattr(decimal, "MAX_PREC", 20)  # far fewer digits than g has
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            block_code_texts([f])(code)
+
+    def test_write_results_jsonl_prints_block_codes_from_problems(self, tmp_path, monkeypatch):
+        corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(11, 12), formulas_per_k=2))
+        first = corpus.formulas[0]
+        twin = dataclasses.replace(first, id=len(corpus) + 1)  # same canonical form
+        corpus = Corpus(corpus.formulas + (twin,),
+                        {**corpus.budgets, twin.id: corpus.budget_for(first.id)})
+        a, f = build_A(corpus), build_F(corpus)
+        crafted = craft_e_corpus()
+        e = build_E(crafted, build_A(crafted))
+        results = []
+        for p in corpus:
+            results.append(solve_with_A(p, a))
+            results.append(solve_with_A(p, tagged_view(f, 0)))
+            results.append(solve_conp_with_C_bar(p, tagged_view(f, 1)))
+        results += [solve_with_A(p, e) for p in crafted]
+        assert vars(twin)["_block_codes"] == vars(first)["_block_codes"]
+        ref_write_results_jsonl(results, tmp_path / "want.jsonl")
+
+        printed = []
+
+        def counting(problems):
+            text = block_code_texts(problems)
+
+            def counted(code):
+                s = text(code)
+                printed.append(s is not None)
+                return s
+            return counted
+
+        monkeypatch.setattr(machine, "block_code_texts", counting)
+        limit = sys.get_int_max_str_digits()
+        everything = [*corpus, *crafted]
+        # all of them; every other one (the rest fall back to str); only the
+        # twin of a queried problem (its codes are shared); none
+        for problems in (everything, everything[::2], [twin], ()):
+            printed.clear()
+            write_results_jsonl(results, tmp_path / "got.jsonl", problems)
+            assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+            assert sys.get_int_max_str_digits() == limit
+            assert any(printed) == bool(problems) and all(printed) == (problems is everything)
+
+    def test_suite_passes_every_problem_whose_block_codes_it_queried(self, tmp_path,
+                                                                     monkeypatch):
+        passed = []
+
+        def recording(problems):
+            passed.append(list(problems))
+            return block_code_texts(passed[-1])
+
+        monkeypatch.setattr(machine, "block_code_texts", recording)
+        runner = SuiteRunner(ExperimentConfig(seed=3, k_range=(6, 7), formulas_per_k=2,
+                                              oracle_kinds=("A", "E", "F"),
+                                              out_dir=str(tmp_path)))
+        runner.run()
+        runner.write_reports()
+        [problems] = passed
+        blocks = {code for p in problems for code in vars(p).get("_block_codes", ())}
+        queried = [code for r in runner.results if r.oracle in ("A", "E", "F[np]")
+                   for code, _ in r.transcript]
+        assert {r.oracle for r in runner.results} >= {"A", "E", "F[np]"}
+        assert queried and set(queried) <= blocks
 
     def test_write_results_jsonl_on_suite_runs(self, tmp_path):
         corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(11, 12), formulas_per_k=2))
