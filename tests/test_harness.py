@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 
 import pytest
@@ -30,6 +32,7 @@ from relativize import (
     tagged_view,
 )
 from relativize.encoding import code_digit_limit
+from relativize import harness
 from relativize.harness import config_from_json, main
 from relativize.machine import atomic_open, run_result_to_json
 
@@ -190,6 +193,64 @@ class TestSuite:
         assert run_suite(config) == 0
         header = (tmp_path / "runs.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "oracle,formula_id,k,verdict,steps,queries,correct"
+
+
+def _corrupted(solve, flips=(), inflates=()):
+    """`solve` with the verdict of its n-th call flipped for n in `flips`, and
+    k+2 queries added to it for n in `inflates`, counting calls from 0."""
+    calls = itertools.count()
+
+    def run(*args, **kwargs):
+        n, r = next(calls), solve(*args, **kwargs)
+        if n in flips:
+            accepted = not r.accepted
+            r = dataclasses.replace(r, accepted=accepted, correct=None if r.ground_truth is None
+                                    else accepted == r.ground_truth)
+        if n in inflates:
+            r = dataclasses.replace(r, queries=r.queries + r.k + 2)
+        return r
+
+    return run
+
+
+# The failures the corrupted suite below reports, in the order it reports them.
+PINNED_FAILURES = [
+    "ND: some verdict disagreed with ground truth",
+    "A: wrong verdict on formula 2",
+    "A: more than k+1 queries on formula 6",
+    "C_bar: 9 queries on formula 1",
+    "E: wrong verdict on complement-paired formula 2",
+    "F[np]: wrong verdict on formula 4",
+]
+
+
+class TestFailureAttribution:
+    """Which row a failure counts against, with the solvers the suite calls
+    corrupted on a fixed call pattern. The runs go A, B, C, C_bar, D, E, F
+    over 12 seeded problems, so solve_with_A's calls 0..11 are A's, 12..13
+    E's and 14..25 F[np]'s; solve_conp_with_C_bar's 0..11 are C_bar's and
+    12..14 D_bar's, which no per-run rule checks."""
+
+    CONFIG = dict(seed=7, k_range=(6, 7), formulas_per_k=2)
+
+    def _summary(self, tmp_path, monkeypatch, corruptions):
+        for name, pattern in corruptions.items():
+            monkeypatch.setattr(harness, name, _corrupted(getattr(harness, name), **pattern))
+        config = ExperimentConfig(**self.CONFIG, out_dir=str(tmp_path / "out"))
+        status = run_suite(config)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        rows = {row["oracle"]: row["demonstrated"] for row in summary["conclusions"]}
+        return status, summary["failures"], rows
+
+    def test_failures_and_rows_are_pinned(self, tmp_path, monkeypatch):
+        status, failures, rows = self._summary(tmp_path, monkeypatch, {
+            "nd_solve": {"flips": {0}},
+            "solve_with_A": {"flips": {1, 12, 17}, "inflates": {5}},
+            "solve_conp_with_C_bar": {"inflates": {0, 13}},
+        })
+        assert status == 1
+        assert failures == PINNED_FAILURES
+        assert rows == {"A": False, "B": True, "C": False, "D": True, "E": False, "F": False}
 
 
 class TestCap:
