@@ -8,12 +8,10 @@ same constructions are replayed over a problem that is trivially easy.
 """
 
 from .analog import (
-    ClassRegistry,
     LambdaReport,
     SetSumInstance,
     SetSumProblem,
     build_lambda_oracle,
-    default_registry,
     gen_instances,
     lambda_report,
     set_sum_direct,
@@ -41,12 +39,9 @@ from .formula import (
     brute_force_sat,
     conjoin,
     default_literals,
-    enumerate_assignments,
     enumeration_cap,
     evaluate,
     negate,
-    partition,
-    true_count,
     truth_table,
 )
 from .harness import (
@@ -77,7 +72,7 @@ from .machine import (
 from .oracles import (
     Corpus,
     OracleSet,
-    TaggedOracleView,
+    SideView,
     TwoSidedSet,
     build_A,
     build_B,
@@ -94,21 +89,20 @@ from .oracles import (
 )
 
 __all__ = [
-    "AggregateReport", "Assignment", "Budget", "CapacityError", "ClassRegistry",
+    "AggregateReport", "Assignment", "Budget", "CapacityError",
     "ConfigurationError", "Corpus", "DEFAULT_BUDGET", "DimensionError",
     "ExperimentConfig", "Formula", "InputCode", "LambdaReport", "OracleChannel",
     "OracleFileError", "OracleSet", "PartitionCode", "RunResult", "SatVerdict",
-    "SetSumInstance", "SetSumProblem", "TaggedOracleView", "TwoSidedSet",
+    "SetSumInstance", "SetSumProblem", "SideView", "TwoSidedSet",
     "assignment_from_index", "assignment_index", "brute_force_sat", "build_A",
     "build_B", "build_C", "build_C_bar", "build_D", "build_E", "build_F",
     "build_lambda_oracle", "clamped_budget", "conjoin", "craft_all_true",
     "craft_d_corpus", "craft_e_corpus", "craft_unsat", "decode_input_code",
-    "decode_partition_code", "default_literals", "default_registry",
-    "enumerate_assignments", "enumeration_cap", "evaluate", "gen_corpus",
-    "gen_instances", "godel_number", "input_code", "kappa_ids", "lambda_report",
-    "load_corpus", "load_oracle", "nd_solve", "negate", "pair", "partition",
+    "decode_partition_code", "default_literals", "enumeration_cap", "evaluate",
+    "gen_corpus", "gen_instances", "godel_number", "input_code", "kappa_ids",
+    "lambda_report", "load_corpus", "load_oracle", "nd_solve", "negate", "pair",
     "partition_code", "run_report", "run_suite", "save_corpus", "save_oracle",
     "set_sum_direct", "set_sum_naive", "solve_conp_with_C_bar",
     "solve_lambda_with_oracle", "solve_with_A", "solve_with_B", "solve_with_C",
-    "tagged_view", "tower", "true_count", "truth_table", "unpair",
+    "tagged_view", "tower", "truth_table", "unpair",
 ]

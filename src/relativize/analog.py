@@ -49,18 +49,6 @@ from .oracles import (
     tagged_view,
 )
 
-SET_SUM = "set-sum"
-
-# Problems taken as known-easy for the analog registries.
-KNOWN_EASY = (
-    "sorting",
-    "greatest-common-divisor",
-    "primality",
-    "shortest-path",
-    "string-matching",
-    SET_SUM,
-)
-
 
 @dataclass(frozen=True)
 class SetSumInstance:
@@ -136,31 +124,6 @@ class SetSumProblem:
     def canonical_key(self) -> str:
         return json.dumps(["setsum", list(self.instance.values), self.instance.target],
                           separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class ClassRegistry:
-    """Name registries for the analog class pair.
-
-    At initialization the deterministic-side registry is the nondeterministic
-    one minus set-sum; resolving the question puts set-sum back.
-    """
-
-    np_lambda: frozenset[str]
-    p_lambda: frozenset[str]
-
-    def __post_init__(self):
-        if not self.p_lambda <= self.np_lambda:
-            raise ValueError("deterministic registry must be a subset of the nondeterministic one")
-
-    def resolved(self) -> "ClassRegistry":
-        """Registry after the direct solver settles set-sum."""
-        return ClassRegistry(self.np_lambda, self.p_lambda | {SET_SUM})
-
-
-def default_registry() -> ClassRegistry:
-    names = frozenset(KNOWN_EASY)
-    return ClassRegistry(names, names - {SET_SUM})
 
 
 def gen_instances(seed: int, count: int, r_min: int = 3, r_max: int = 10) -> list[SetSumInstance]:

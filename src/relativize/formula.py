@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from string import ascii_lowercase
-from typing import Iterator
 
 from .errors import CapacityError, ConfigurationError, DimensionError
 
@@ -200,32 +199,6 @@ def assignment_from_index(e: int, k: int) -> Assignment:
 def assignment_index(a: Assignment) -> int:
     """Inverse of assignment_from_index."""
     return sum(1 << j for j, v in enumerate(a) if v)
-
-
-def enumerate_assignments(f, cap: int | None = None) -> Iterator[Assignment]:
-    """All 2^k assignments of f in canonical order.
-
-    Deterministic and identical across every call; any problem object exposing
-    `k` can be enumerated.
-    """
-    k = check_enumerable(f.k, cap)
-    for e in range(1 << k):
-        yield assignment_from_index(e, k)
-
-
-def true_count(a: Assignment) -> int:
-    """Number of true positions in the assignment."""
-    return sum(a)
-
-
-def partition(f, t: int, cap: int | None = None) -> list[Assignment]:
-    """All assignments of f with exactly t true literals, in canonical order.
-
-    The k+1 blocks for t = 0..k partition the full assignment space.
-    """
-    if not 0 <= t <= f.k:
-        raise ValueError(f"true-count {t} out of range [0, {f.k}]")
-    return [a for a in enumerate_assignments(f, cap) if true_count(a) == t]
 
 
 @dataclass(frozen=True)

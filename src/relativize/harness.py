@@ -14,9 +14,10 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .analog import lambda_report, load_instances, render_lambda_table, write_lambda_csv
-from .encoding import code_digit_limit
+from .encoding import code_digit_limit, godel_number, unpair
 from .errors import CapacityError, ConfigurationError, OracleFileError
 from .formula import Formula, brute_force_sat, default_literals
 from .machine import (
@@ -39,6 +40,8 @@ from .machine import (
 from .oracles import (
     KINDS,
     Corpus,
+    OracleSet,
+    SideView,
     build_A,
     build_B,
     build_C,
@@ -52,8 +55,6 @@ from .oracles import (
     tagged_view,
 )
 
-DEFAULT_ORACLE_KINDS = ("A", "B", "C", "C_bar", "D", "E", "F")
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -61,93 +62,6 @@ def _is_int(value) -> bool:
 
 def _is_int_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value)
-
-
-# Keys a config file may hold (anything else is a typo, not a default), each
-# with its default, the test its value must pass, and what that test demands.
-CONFIG_KEYS = {
-    "seed": (42, _is_int, "an integer"),
-    "k_range": ([6, 12], _is_int_pair, "a list of two integers"),
-    "formulas_per_k": (10, _is_int, "an integer"),
-    "clause_density": (3.0, lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "budget": ([DEFAULT_BUDGET.coefficient, DEFAULT_BUDGET.exponent], _is_int_pair,
-               "a list of two integers"),
-    "oracles": (list(DEFAULT_ORACLE_KINDS),
-                lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
-                "a list of strings"),
-    "out_dir": ("results", lambda v: isinstance(v, str), "a string"),
-}
-
-# What each construction is expected to demonstrate; the suite turns every
-# line into checked table rows.
-CONCLUSIONS = {
-    "A": "functional: the deterministic block-query solver answers every problem "
-         "correctly within k+1 queries",
-    "B": "dysfunctional: the budgeted deterministic solver returns at least one wrong "
-         "verdict while the nondeterministic solver never queries and never errs",
-    "C": "one-sided: the complement question is answered correctly in one query while "
-         "the direct side needs up to 2^k queries",
-    "D": "doubly dysfunctional: both the set and its complement side mislead the "
-         "deterministic solvers, with step-level provenance",
-    "E": "conservative where complements are present, corrupted elsewhere: problems "
-         "with their complement in the corpus keep exactly the functional set's codes",
-    "F": "two-sided functional: the direct and complement solvers are both polynomial "
-         "and correct",
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a suite run depends on; identical configs must produce
-    bit-identical corpora, oracles, and reports."""
-
-    seed: int = 42
-    k_range: tuple[int, int] = (6, 12)
-    formulas_per_k: int = 10
-    clause_density: float = 3.0
-    budget: Budget = DEFAULT_BUDGET
-    oracle_kinds: tuple[str, ...] = DEFAULT_ORACLE_KINDS
-    out_dir: str = "results"
-
-    def __post_init__(self):
-        lo, hi = self.k_range
-        if not 1 <= lo <= hi:
-            raise ConfigurationError(f"bad k_range {self.k_range}")
-        if "D_bar" in self.oracle_kinds:
-            raise ConfigurationError(
-                "oracle kind 'D_bar' is not run on its own: D's run covers D_bar; list 'D'"
-            )
-        unknown = [kind for kind in self.oracle_kinds if kind not in DEFAULT_ORACLE_KINDS]
-        if unknown:
-            raise ConfigurationError(f"unknown oracle kinds {unknown}")
-
-
-def config_from_json(path) -> ExperimentConfig:
-    """Read a config file; keys are those of CONFIG_KEYS, each optional, and
-    a value of the wrong type is rejected, never coerced."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: a config file holds one JSON object")
-    unknown = sorted(set(doc) - set(CONFIG_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"{path}: unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}"
-        )
-    values = {}
-    for key, (default, valid, what) in CONFIG_KEYS.items():
-        values[key] = doc.get(key, default)
-        if not valid(values[key]):
-            raise ConfigurationError(f"{path}: {key!r} must be {what}, got {values[key]!r}")
-    return ExperimentConfig(
-        seed=values["seed"],
-        k_range=tuple(values["k_range"]),
-        formulas_per_k=values["formulas_per_k"],
-        clause_density=values["clause_density"],
-        budget=Budget(*values["budget"]),
-        oracle_kinds=tuple(values["oracles"]),
-        out_dir=values["out_dir"],
-    )
 
 
 # ---------------------------------------------------------------- corpora
@@ -320,25 +234,6 @@ def load_corpus(path, budget: Budget | None = None) -> Corpus:
 
 # ---------------------------------------------------------------- the suite
 
-def _build(kind: str, corpus: Corpus, cap=None):
-    if kind == "A":
-        return build_A(corpus, cap)
-    if kind == "B":
-        return build_B(corpus, cap)
-    if kind == "C":
-        return build_C(corpus, cap)
-    if kind == "C_bar":
-        return build_C_bar(corpus, cap)
-    if kind in ("D", "D_bar"):
-        d, dbar = build_D(corpus, cap)
-        return d if kind == "D" else dbar
-    if kind == "E":
-        return build_E(corpus, build_A(corpus, cap), cap=cap)
-    if kind == "F":
-        return build_F(corpus, cap)
-    raise ConfigurationError(f"unknown oracle kind {kind!r}")
-
-
 def _sides(oracle) -> tuple:
     """What the solvers query: F through its np and co views, in that
     order, and every other set as itself."""
@@ -354,7 +249,8 @@ def _solve(side, problem, corpus: Corpus, truth: bool, cap: int | None) -> RunRe
     The side's label picks the solver: the block-query solver for A, E and
     F[np], the budgeted one for B, the exhaustive input-code scan for C and
     D. C_bar, D_bar and F[co] answer the complement question, so their
-    ground truth is `not truth`.
+    ground truth is `not truth`. ND (NO_ORACLE) is the nondeterministic
+    machine, which queries nothing.
     """
     label = side.kind
     if label in ("A", "E", "F[np]"):
@@ -366,25 +262,67 @@ def _solve(side, problem, corpus: Corpus, truth: bool, cap: int | None) -> RunRe
         return solve_with_C(problem, side, ground_truth=truth, cap=cap)
     if label in ("C_bar", "D_bar", "F[co]"):
         return solve_conp_with_C_bar(problem, side, ground_truth=not truth)
+    if label == "ND":
+        return nd_solve(problem, ground_truth=truth, cap=cap)
     raise ConfigurationError(f"no solver queries oracle side {label!r}")
 
 
-# What the suite checks on each run of a side besides a correct verdict:
-# (holds(run, problem, corpus), failure message after "<label>: ").
+# The side the ND runs query: the nondeterministic machine asks no oracle.
+NO_ORACLE = SideView("ND", frozenset())
+
+# What the suite checks on each run of a side: (holds(run, problem, corpus),
+# failure message after "<label>: "). B, D, D_bar and ND runs are judged as a
+# whole, by their construction's checks.
+_CORRECT = (lambda r, f, corpus: r.correct is True, "wrong verdict on formula {f.id}")
 _K_PLUS_1_QUERIES = (lambda r, f, corpus: r.queries <= f.k + 1,
                      "more than k+1 queries on formula {f.id}")
 _ONE_QUERY = (lambda r, f, corpus: r.queries == 1, "{r.queries} queries on formula {f.id}")
 RUN_RULES = {
-    "A": (_K_PLUS_1_QUERIES,
+    "A": (_CORRECT, _K_PLUS_1_QUERIES,
           (lambda r, f, corpus: not r.accepted
            or r.steps + r.queries <= corpus.budget_for(f.id).steps(f.k) + f.k + 1,
            "accepting run on formula {f.id} exceeded p(k)+k+1")),
-    "C": ((lambda r, f, corpus: r.ground_truth or r.queries == 1 << f.k,
-           "rejected formula {f.id} used {r.queries} queries, expected 2^k"),),
-    "C_bar": (_ONE_QUERY,),
-    "F[np]": (_K_PLUS_1_QUERIES,),
-    "F[co]": (_ONE_QUERY,),
+    "C": (_CORRECT,
+          (lambda r, f, corpus: r.ground_truth or r.queries == 1 << f.k,
+           "rejected formula {f.id} used {r.queries} queries, expected 2^k")),
+    "C_bar": (_CORRECT, _ONE_QUERY),
+    "E": ((lambda r, f, corpus: r.correct is True,
+           "wrong verdict on complement-paired formula {f.id}"),),
+    "F[np]": (_CORRECT, _K_PLUS_1_QUERIES),
+    "F[co]": (_CORRECT, _ONE_QUERY),
 }
+
+
+class Built(NamedTuple):
+    """A construction as its runs and checks read it: the sets whose sides
+    the runs query, in run order; the ids of the problems they run on (all of
+    the corpus when None); and the set it was built on, if any."""
+
+    sets: tuple
+    on: frozenset[int] | None = None
+    base: OracleSet | None = None
+
+
+@dataclass(frozen=True)
+class Construction:
+    """How the suite runs one kind: failures of its runs and of its checks
+    count against conclusion row `row`. `build(corpus, cap)` calls the
+    module-level `build_X` names, so it runs whatever they are bound to then.
+    The runs use `corpus()`, or the seeded corpus when that is None.
+    `checks(check, corpus, built, runs)` makes the kind-level checks through
+    `check(condition, message)` and returns the kind's evidence. `covers`
+    lists the other oracle kinds this build makes; they run with it only.
+    """
+
+    row: str
+    build: Callable[[Corpus, int | None], Built]
+    checks: Callable[..., dict | None]
+    corpus: Callable[[], Corpus] | None = None
+    covers: tuple[str, ...] = ()
+
+
+def _counts(runs: list[RunResult]) -> dict:
+    return {"runs": len(runs), "incorrect": sum(r.correct is False for r in runs)}
 
 
 def _traced_to(runs: list[RunResult], oracle, step: str) -> list[RunResult]:
@@ -398,6 +336,198 @@ def _traced_to(runs: list[RunResult], oracle, step: str) -> list[RunResult]:
     ]
 
 
+def _check_nd(check, corpus, built, runs) -> None:
+    check(all(r.correct for r in runs), "ND: some verdict disagreed with ground truth")
+    check(all(r.queries == 0 for r in runs), "ND: a run entered the query state")
+
+
+def _check_A(check, corpus, built, runs) -> dict:
+    return {**_counts(runs), "max_queries": max((r.queries for r in runs), default=0)}
+
+
+def _check_B(check, corpus, built, runs) -> dict:
+    for f in corpus:
+        p = corpus.budget_for(f.id).steps(f.k)
+        check(p < (1 << f.k), f"B: budget p(k)={p} not below 2^k for formula {f.id}")
+    (oracle,) = built.sets
+    wrong = [r for r in runs if r.correct is False]
+    check(bool(wrong), "B: no dysfunctional verdict anywhere in the corpus")
+    step2 = [
+        r for r in wrong
+        if r.transcript and oracle.provenance.get(r.transcript[0][0], (0, ""))[1].startswith("step 2")
+    ]
+    check(bool(step2), "B: no wrong verdict traceable to a step-2 member")
+    return {**_counts(runs), "incorrect_with_step2_provenance": len(step2)}
+
+
+def _check_C(check, corpus, built, runs) -> dict:
+    growth = {}
+    for r in runs:
+        if not r.ground_truth:
+            growth.setdefault(r.k, r.queries)
+    for k in sorted(growth):
+        if k + 1 in growth:
+            check(growth[k + 1] == 2 * growth[k],
+                  f"C: query count did not double from k={k} to k={k + 1}")
+    return {**_counts(runs), "reject_queries_by_k": growth}
+
+
+def _check_D(check, corpus, built, runs) -> dict:
+    d_set, dbar_set, _ = built.sets
+    d_runs, dbar_runs, nd_runs = (
+        [r for r in runs if r.oracle == label] for label in ("D", "D_bar", "ND"))
+    check(bool(_traced_to(d_runs, d_set, "step 5")),
+          "D: no wrong verdict traceable to a step-5 member")
+    check(bool(_traced_to(dbar_runs, dbar_set, "step 8")),
+          "D_bar: no wrong verdict traceable to a step-8 member")
+    check(all(r.correct for r in nd_runs), "D: ND erred on the crafted corpus")
+    return {
+        "crafted_runs": len(d_runs) + len(dbar_runs),
+        "incorrect_under_D": sum(r.correct is False for r in d_runs),
+        "incorrect_under_D_bar": sum(r.correct is False for r in dbar_runs),
+    }
+
+
+def _build_E(corpus: Corpus, cap=None) -> Built:
+    """E over its functional base, run only on the problems whose complement
+    is in the corpus: there it must keep exactly the base's codes."""
+    base = build_A(corpus, cap)
+    return Built((build_E(corpus, base, cap=cap),), kappa_ids(corpus, cap), base)
+
+
+def _check_E(check, corpus, built, runs) -> dict:
+    (oracle,), kappa, base = built
+    kappa_godels = {godel_number(f) for f in corpus if f.id in kappa}
+    e_kappa = {c for c in oracle.members if unpair(c)[1] in kappa_godels}
+    a_kappa = {c for c in base.members if unpair(c)[1] in kappa_godels}
+    check(e_kappa == a_kappa, "E: complement-paired problems gained or lost codes")
+    injected = [
+        code for code, (fid, note) in oracle.provenance.items()
+        if note.startswith("step 7") and fid not in kappa
+    ]
+    check(bool(injected), "E: no injection happened on the crafted corpus")
+    return {
+        "kappa_ids": sorted(kappa),
+        "kappa_codes_equal": e_kappa == a_kappa,
+        "injected_codes": len(injected),
+    }
+
+
+# The construction table: suite kind -> Construction, in default run order.
+CONSTRUCTIONS = {
+    "A": Construction("A", lambda corpus, cap: Built((build_A(corpus, cap),)), _check_A),
+    "B": Construction("B", lambda corpus, cap: Built((build_B(corpus, cap),)), _check_B),
+    "C": Construction("C", lambda corpus, cap: Built((build_C(corpus, cap),)), _check_C),
+    "C_bar": Construction("C", lambda corpus, cap: Built((build_C_bar(corpus, cap),)),
+                          lambda check, corpus, built, runs: {**_counts(runs), "queries": 1}),
+    "D": Construction("D", lambda corpus, cap: Built((*build_D(corpus, cap), NO_ORACLE)),
+                      _check_D, craft_d_corpus, covers=("D_bar",)),
+    "E": Construction("E", _build_E, _check_E, craft_e_corpus),
+    "F": Construction("F", lambda corpus, cap: Built((build_F(corpus, cap),)),
+                      lambda check, corpus, built, runs: _counts(runs)),
+}
+COVERED_BY = {kind: owner for owner, c in CONSTRUCTIONS.items() for kind in c.covers}
+
+# The ND runs on the seeded corpus, made before any kind's. B's claim says
+# the nondeterministic machine never queries and never errs, so their
+# failures count against B's row.
+ND_RUN = Construction("B", lambda corpus, cap: Built((NO_ORACLE,)), _check_nd)
+
+# What each conclusion row claims; the suite turns every line into checked
+# table rows.
+CONCLUSIONS = {
+    "A": "functional: the deterministic block-query solver answers every problem "
+         "correctly within k+1 queries",
+    "B": "dysfunctional: the budgeted deterministic solver returns at least one wrong "
+         "verdict while the nondeterministic solver never queries and never errs",
+    "C": "one-sided: the complement question is answered correctly in one query while "
+         "the direct side needs up to 2^k queries",
+    "D": "doubly dysfunctional: both the set and its complement side mislead the "
+         "deterministic solvers, with step-level provenance",
+    "E": "conservative where complements are present, corrupted elsewhere: problems "
+         "with their complement in the corpus keep exactly the functional set's codes",
+    "F": "two-sided functional: the direct and complement solvers are both polynomial "
+         "and correct",
+}
+
+
+# ---------------------------------------------------------------- config
+
+# Keys a config file may hold (anything else is a typo, not a default), each
+# with its default, the test its value must pass, and what that test demands.
+CONFIG_KEYS = {
+    "seed": (42, _is_int, "an integer"),
+    "k_range": ([6, 12], _is_int_pair, "a list of two integers"),
+    "formulas_per_k": (10, _is_int, "an integer"),
+    "clause_density": (3.0, lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "budget": ([DEFAULT_BUDGET.coefficient, DEFAULT_BUDGET.exponent], _is_int_pair,
+               "a list of two integers"),
+    "oracles": (list(CONSTRUCTIONS),
+                lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
+                "a list of strings"),
+    "out_dir": ("results", lambda v: isinstance(v, str), "a string"),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything a suite run depends on; identical configs must produce
+    bit-identical corpora, oracles, and reports."""
+
+    seed: int = 42
+    k_range: tuple[int, int] = (6, 12)
+    formulas_per_k: int = 10
+    clause_density: float = 3.0
+    budget: Budget = DEFAULT_BUDGET
+    oracle_kinds: tuple[str, ...] = tuple(CONSTRUCTIONS)
+    out_dir: str = "results"
+
+    def __post_init__(self):
+        lo, hi = self.k_range
+        if not 1 <= lo <= hi:
+            raise ConfigurationError(f"bad k_range {self.k_range}")
+        kinds = self.oracle_kinds
+        for kind in kinds:
+            if kind in COVERED_BY:
+                owner = COVERED_BY[kind]
+                raise ConfigurationError(f"oracle kind {kind!r} is not run on its own: "
+                                         f"{owner}'s run covers {kind}; list {owner!r}")
+        unknown = [kind for kind in kinds if kind not in CONSTRUCTIONS]
+        if unknown:
+            raise ConfigurationError(f"unknown oracle kinds {unknown}")
+        repeated = [kind for kind in CONSTRUCTIONS if kinds.count(kind) > 1]
+        if repeated:
+            raise ConfigurationError(f"oracle kinds {repeated} are listed more than once")
+
+
+def config_from_json(path) -> ExperimentConfig:
+    """Read a config file; keys are those of CONFIG_KEYS, each optional, and
+    a value of the wrong type is rejected, never coerced."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path}: a config file holds one JSON object")
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigurationError(
+            f"{path}: unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}"
+        )
+    values = {}
+    for key, (default, valid, what) in CONFIG_KEYS.items():
+        values[key] = doc.get(key, default)
+        if not valid(values[key]):
+            raise ConfigurationError(f"{path}: {key!r} must be {what}, got {values[key]!r}")
+    return ExperimentConfig(
+        seed=values["seed"],
+        k_range=tuple(values["k_range"]),
+        formulas_per_k=values["formulas_per_k"],
+        clause_density=values["clause_density"],
+        budget=Budget(*values["budget"]),
+        oracle_kinds=tuple(values["oracles"]),
+        out_dir=values["out_dir"],
+    )
+
+
 class SuiteRunner:
     """One suite execution: builds, runs, checks, and accumulates reportage."""
 
@@ -406,169 +536,71 @@ class SuiteRunner:
         self.cap = cap
         self.results: list[RunResult] = []
         self.failures: list[str] = []
+        self.failed_rows: set[str] = set()
         self.evidence: dict[str, dict] = {}
         self.corpus = gen_corpus(config, cap)
         # The problems whose block codes the runs query, so the report
-        # writer can print those codes from them: this corpus and E's.
+        # writer can print those codes from them: this corpus and each
+        # crafted one.
         self.block_coded = list(self.corpus)
-        self.truth = {f.id: brute_force_sat(f, cap) for f in self.corpus}
+        self.truth = {f.id: brute_force_sat(f, cap).satisfiable for f in self.corpus}
 
-    def check(self, condition: bool, message: str) -> None:
-        if not condition:
-            self.failures.append(message)
+    def fail(self, row: str, message: str) -> None:
+        """Record `message` as a failure against conclusion row `row`."""
+        self.failures.append(message)
+        self.failed_rows.add(row)
 
     def run(self) -> None:
-        """ND first, then each kind: B, D and E by their own runs, the rest
-        by the checked loop over their sides."""
-        self._run_nd()
+        """The ND runs on the seeded corpus first, then each kind in turn."""
+        self._run_sides(ND_RUN)
         for kind in self.config.oracle_kinds:
-            if hasattr(self, f"_run_{kind}"):
-                getattr(self, f"_run_{kind}")()
-            else:
-                self._run_sides(kind)
+            self.evidence[kind] = self._run_sides(CONSTRUCTIONS[kind])
 
-    def _sat(self, fid: int) -> bool:
-        return self.truth[fid].satisfiable
-
-    def _run_nd(self) -> None:
-        runs = [nd_solve(f, ground_truth=self._sat(f.id), cap=self.cap) for f in self.corpus]
-        self.results.extend(runs)
-        self.check(all(r.correct for r in runs), "ND: some verdict disagreed with ground truth")
-        self.check(all(r.queries == 0 for r in runs), "ND: a run entered the query state")
-        self.evidence["ND"] = {"runs": len(runs), "incorrect": 0, "queries": 0}
-
-    def _run_sides(self, kind: str) -> None:
-        """Build one set over the corpus, query each of its sides on every
-        problem in turn, and check every run: a correct verdict, then its
-        side's RUN_RULES."""
-        sides = _sides(_build(kind, self.corpus, self.cap))
+    def _run_sides(self, c: Construction) -> dict | None:
+        """Build one construction over its corpus, query each side of each
+        built set on every problem it runs on, check every run against its
+        side's RUN_RULES, then make the kind-level checks. Returns the
+        kind's evidence."""
+        corpus = self.corpus if c.corpus is None else c.corpus()
+        if corpus is self.corpus:
+            truth = self.truth
+        else:  # a crafted corpus: the runs may query its block codes
+            self.block_coded.extend(corpus)
+            truth = {f.id: brute_force_sat(f, self.cap).satisfiable for f in corpus}
+        built = c.build(corpus, self.cap)
         runs = []
-        for f in self.corpus:
-            for side in sides:
-                r = _solve(side, f, self.corpus, self._sat(f.id), self.cap)
-                runs.append(r)
-                self.check(r.correct is True, f"{side.kind}: wrong verdict on formula {f.id}")
-                for holds, message in RUN_RULES[side.kind]:
-                    if not holds(r, f, self.corpus):
-                        self.failures.append(f"{side.kind}: " + message.format(r=r, f=f))
+        for oracle in built.sets:
+            sides = _sides(oracle)
+            for f in corpus:
+                if built.on is not None and f.id not in built.on:
+                    continue
+                for side in sides:
+                    r = _solve(side, f, corpus, truth[f.id], self.cap)
+                    runs.append(r)
+                    for holds, message in RUN_RULES.get(side.kind, ()):
+                        if not holds(r, f, corpus):
+                            self.fail(c.row, f"{side.kind}: " + message.format(r=r, f=f))
         self.results.extend(runs)
-        evidence = self.evidence[kind] = {
-            "runs": len(runs),
-            "incorrect": sum(r.correct is False for r in runs),
-        }
-        if kind == "A":
-            evidence["max_queries"] = max((r.queries for r in runs), default=0)
-        if kind == "C_bar":
-            evidence["queries"] = 1
-        if kind == "C":
-            growth = {}
-            for r in runs:
-                if not r.ground_truth:
-                    growth.setdefault(r.k, r.queries)
-            for k in sorted(growth):
-                if k + 1 in growth:
-                    self.check(
-                        growth[k + 1] == 2 * growth[k],
-                        f"C: query count did not double from k={k} to k={k + 1}",
-                    )
-            evidence["reject_queries_by_k"] = growth
 
-    def _run_B(self) -> None:
-        for f in self.corpus:
-            p = self.corpus.budget_for(f.id).steps(f.k)
-            self.check(p < (1 << f.k), f"B: budget p(k)={p} not below 2^k for formula {f.id}")
-        oracle = build_B(self.corpus, self.cap)
-        runs = [_solve(oracle, f, self.corpus, self._sat(f.id), self.cap) for f in self.corpus]
-        self.results.extend(runs)
-        wrong = [r for r in runs if r.correct is False]
-        self.check(bool(wrong), "B: no dysfunctional verdict anywhere in the corpus")
-        step2 = [
-            r for r in wrong
-            if r.transcript and oracle.provenance.get(r.transcript[0][0], (0, ""))[1].startswith("step 2")
-        ]
-        self.check(bool(step2), "B: no wrong verdict traceable to a step-2 member")
-        self.evidence["B"] = {
-            "runs": len(runs),
-            "incorrect": len(wrong),
-            "incorrect_with_step2_provenance": len(step2),
-        }
+        def check(condition: bool, message: str) -> None:
+            if not condition:
+                self.fail(c.row, message)
 
-    def _run_D(self) -> None:
-        corpus = craft_d_corpus()
-        truth = {f.id: brute_force_sat(f, self.cap).satisfiable for f in corpus}
-        d_set, dbar_set = build_D(corpus, self.cap)
-        d_runs = [_solve(d_set, f, corpus, truth[f.id], self.cap) for f in corpus]
-        dbar_runs = [_solve(dbar_set, f, corpus, truth[f.id], self.cap) for f in corpus]
-        nd_runs = [nd_solve(f, ground_truth=truth[f.id], cap=self.cap) for f in corpus]
-        self.results.extend(d_runs + dbar_runs + nd_runs)
-        self.check(bool(_traced_to(d_runs, d_set, "step 5")),
-                   "D: no wrong verdict traceable to a step-5 member")
-        self.check(bool(_traced_to(dbar_runs, dbar_set, "step 8")),
-                   "D_bar: no wrong verdict traceable to a step-8 member")
-        self.check(all(r.correct for r in nd_runs), "D: ND erred on the crafted corpus")
-        self.evidence["D"] = {
-            "crafted_runs": len(d_runs) + len(dbar_runs),
-            "incorrect_under_D": sum(r.correct is False for r in d_runs),
-            "incorrect_under_D_bar": sum(r.correct is False for r in dbar_runs),
-        }
-
-    def _run_E(self) -> None:
-        corpus = craft_e_corpus()
-        self.block_coded.extend(corpus)
-        truth = {f.id: brute_force_sat(f, self.cap).satisfiable for f in corpus}
-        base = build_A(corpus, self.cap)
-        oracle = build_E(corpus, base, cap=self.cap)
-        kappa = kappa_ids(corpus, self.cap)
-        from .encoding import godel_number, unpair  # local: only the checks need decoding
-
-        kappa_godels = {godel_number(f) for f in corpus if f.id in kappa}
-        e_kappa = {c for c in oracle.members if unpair(c)[1] in kappa_godels}
-        a_kappa = {c for c in base.members if unpair(c)[1] in kappa_godels}
-        self.check(e_kappa == a_kappa, "E: complement-paired problems gained or lost codes")
-        injected = [
-            code for code, (fid, note) in oracle.provenance.items()
-            if note.startswith("step 7") and fid not in kappa
-        ]
-        self.check(bool(injected), "E: no injection happened on the crafted corpus")
-        runs = []
-        for f in corpus:
-            if f.id in kappa:
-                r = _solve(oracle, f, corpus, truth[f.id], self.cap)
-                runs.append(r)
-                self.check(r.correct is True, f"E: wrong verdict on complement-paired formula {f.id}")
-        self.results.extend(runs)
-        self.evidence["E"] = {
-            "kappa_ids": sorted(kappa),
-            "kappa_codes_equal": e_kappa == a_kappa,
-            "injected_codes": len(injected),
-        }
+        return c.checks(check, corpus, built, runs)
 
     def _conclusions(self) -> list[dict]:
-        """One row per construction behavior, from the kinds actually run.
-
-        The C and D rows cover their complement sides too, matching how the
-        behaviors are stated.
-        """
-        related = {
-            "A": ("A",), "B": ("B",), "C": ("C", "C_bar"),
-            "D": ("D", "D_bar"), "E": ("E",), "F": ("F",),
-        }
-
-        def base_of(message: str) -> str:
-            return message.split(":", 1)[0].split("[")[0]
-
+        """One row per construction behavior, from the kinds actually run,
+        each with the evidence of every kind that reports into it."""
         rows = []
-        for bullet, kinds in related.items():
-            ran = [k for k in kinds if k in self.evidence]
-            if not ran:
-                continue
-            failed = any(base_of(msg) in kinds for msg in self.failures)
-            rows.append({
-                "oracle": bullet,
-                "claim": CONCLUSIONS[bullet],
-                "demonstrated": not failed,
-                "evidence": {k: self.evidence[k] for k in ran},
-            })
+        for row, claim in CONCLUSIONS.items():
+            evidence = {k: e for k, e in self.evidence.items() if CONSTRUCTIONS[k].row == row}
+            if evidence:
+                rows.append({
+                    "oracle": row,
+                    "claim": claim,
+                    "demonstrated": row not in self.failed_rows,
+                    "evidence": evidence,
+                })
         return rows
 
     def write_reports(self) -> None:
@@ -643,7 +675,8 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_build_oracle(args) -> int:
     corpus = load_corpus(args.corpus, args.budget and Budget(*args.budget))
-    oracle = _build(args.kind, corpus)
+    built = CONSTRUCTIONS[COVERED_BY.get(args.kind, args.kind)].build(corpus, None)
+    oracle = next(s for s in built.sets if s.kind == args.kind)
     save_oracle(oracle, args.out)
     print(f"wrote oracle {oracle.kind} with {len(oracle)} members to {args.out}")
     return 0
@@ -734,3 +767,4 @@ def main(argv: list[str] | None = None) -> int:
 
 if __name__ == "__main__":
     raise SystemExit(main())
+

@@ -2,10 +2,11 @@
 
 Eight sets are built here (A, B, C, C_bar, D, D_bar, E, F), each by its own
 staged algorithm: problems are processed in corpus order, and any machine
-simulated during a stage sees only the members placed so far. Every member
-carries provenance (problem id plus the construction step responsible), so the
-dysfunction demonstrations can point at the exact code that caused a wrong
-verdict.
+simulated during a stage queries the members placed so far, in the map or set
+the construction keeps them in; nothing joins it while that machine runs.
+Every member carries provenance (problem id plus the construction step
+responsible), so the dysfunction demonstrations can point at the exact code
+that caused a wrong verdict.
 
 Two encodings appear as members: block codes (true-count paired with the
 problem's structural number) for A, E, and F's direct side; input codes
@@ -76,36 +77,21 @@ class OracleSet:
 
 
 @dataclass(frozen=True)
-class TaggedOracleView:
-    """Membership view of one tagged side of a union set: a query for code c
-    is answered by looking up pair(tag, c) in the base set."""
+class SideView:
+    """One side of a set as an oracle, under its own label (F[np], F[co]).
 
-    base: OracleSet
-    tag: int
-
-    def __contains__(self, code: int) -> bool:
-        return pair(self.tag, code) in self.base.members
-
-    @property
-    def kind(self) -> str:
-        return f"{self.base.kind}[{'np' if self.tag == 0 else 'co'}]"
-
-    @property
-    def corpus_ids(self) -> frozenset[int]:
-        return self.base.corpus_ids
-
-
-@dataclass(frozen=True)
-class _StageView:
-    """Members placed so far, dressed up as an oracle for staged machines;
-    also one untagged side of a built F, which carries its corpus ids."""
+    A query for code c asks `members` for c itself or, with a tag, for
+    pair(tag, c): a built F hands over each untagged side, an F read from a
+    file its tagged union.
+    """
 
     kind: str
     members: Container[int]
     corpus_ids: frozenset[int] | None = None
+    tag: int | None = None
 
     def __contains__(self, code: int) -> bool:
-        return code in self.members
+        return (code if self.tag is None else pair(self.tag, code)) in self.members
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +138,7 @@ class TwoSidedSet:
         return NotImplemented
 
 
-def tagged_view(oracle: OracleSet | TwoSidedSet, tag: int) -> TaggedOracleView | _StageView:
+def tagged_view(oracle: OracleSet | TwoSidedSet, tag: int) -> SideView:
     """One side of F as an oracle, labelled F[np] (tag 0) or F[co] (tag 1).
 
     A built F answers from the untagged side itself. An F read from a file
@@ -160,10 +146,10 @@ def tagged_view(oracle: OracleSet | TwoSidedSet, tag: int) -> TaggedOracleView |
     decoding every member on load would cost more than the few queries a
     `solve` asks.
     """
+    label = f"{oracle.kind}[{'np' if tag == 0 else 'co'}]"
     if isinstance(oracle, TwoSidedSet):
-        side = {0: oracle.np, 1: oracle.co}.get(tag, {})
-        return _StageView(f"F[{'np' if tag == 0 else 'co'}]", side, oracle.corpus_ids)
-    return TaggedOracleView(oracle, tag)
+        return SideView(label, {0: oracle.np, 1: oracle.co}.get(tag, {}), oracle.corpus_ids)
+    return SideView(label, oracle.members, oracle.corpus_ids, tag)
 
 
 @dataclass(frozen=True)
@@ -291,7 +277,7 @@ def build_B(corpus: Corpus, cap=None) -> OracleSet:
     prov: Provenance = {}
     for f in corpus.formulas:
         budget = corpus.budget_for(f.id)
-        staged = solve_with_B(f, _StageView("B", frozenset(prov)), budget, cap=cap)
+        staged = solve_with_B(f, prov, budget, cap=cap)
         if not staged.accepted:
             limit = search_limit(budget, f.k)
             if limit < (1 << f.k):
@@ -385,9 +371,7 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
                     "D stage %d: gate failed (lengths_ok=%s, p=%d, k=%d)", n, lengths_ok, p, f.k
                 )
                 continue
-            staged = solve_with_C(
-                f, _StageView("D", frozenset(d_prov)), cap=cap, max_queries=p
-            )
+            staged = solve_with_C(f, d_prov, cap=cap, max_queries=p)
             for code, _answer in staged.transcript:
                 if code not in dbar_prov:
                     dbar_prov[code] = (f.id, "step 8: queried by the staged budgeted scanner")
@@ -419,7 +403,11 @@ def tower(n: int) -> int:
     return value
 
 
-def build_E(corpus: Corpus, base: OracleSet, stage_cap: int = 3, cap=None) -> OracleSet:
+# E runs stages 1..E_STAGE_CAP only: t(E_STAGE_CAP + 2) is not representable.
+E_STAGE_CAP = 3
+
+
+def build_E(corpus: Corpus, base: OracleSet, cap=None) -> OracleSet:
     """Conservative-plus-injections construction on top of a functional base.
 
     Starts from every member of the base set. Problems whose pointwise
@@ -433,9 +421,9 @@ def build_E(corpus: Corpus, base: OracleSet, stage_cap: int = 3, cap=None) -> Or
     from trusted ones to later runs, which is exactly how they corrupt
     verdicts on the problems that received them.
 
-    Stages beyond `stage_cap` are skipped because t(stage_cap + 2) is not
-    representable; the construction stops cleanly and reports how many stages
-    ran.
+    Stages beyond E_STAGE_CAP (3) are skipped because t(E_STAGE_CAP + 2) is
+    not representable; the construction stops cleanly and logs how many
+    stages ran.
     """
     if base.corpus_hash != corpus.digest():
         raise ConfigurationError("base oracle was built over a different corpus")
@@ -444,10 +432,10 @@ def build_E(corpus: Corpus, base: OracleSet, stage_cap: int = 3, cap=None) -> Or
     kappa = kappa_ids(corpus, cap)
     stages_done = 0
     for n, f in enumerate(corpus.formulas, start=1):
-        if n > stage_cap:
+        if n > E_STAGE_CAP:
             logger.info(
                 "E construction: stage cap %d reached, %d of %d stages completed",
-                stage_cap, stages_done, len(corpus),
+                E_STAGE_CAP, stages_done, len(corpus),
             )
             break
         stages_done = n
@@ -465,7 +453,7 @@ def build_E(corpus: Corpus, base: OracleSet, stage_cap: int = 3, cap=None) -> Or
         if budget.steps(mid) < 2**mid:
             logger.debug("E stage %d: budget below 2^t(n) at the threshold", n)
             continue
-        staged = solve_with_A(f, _StageView("E", frozenset(members)), max_queries=p_k)
+        staged = solve_with_A(f, members, max_queries=p_k)
         if staged.accepted or staged.queries >= f.k + 1:
             continue
         t_next = staged.queries
@@ -501,17 +489,19 @@ def build_F(corpus: Corpus, cap=None) -> TwoSidedSet:
 
 def save_oracle(oracle: OracleSet | TwoSidedSet, path) -> None:
     """Write an oracle set as JSON, atomically (temp file, then rename).
-    Codes are written as decimal strings."""
+    Codes are written as decimal strings, each turned into text once: the
+    members are the provenance keys, which `load_oracle` demands too."""
+    if oracle.members != oracle.provenance.keys():
+        raise ValueError(f"oracle {oracle.kind}: members differ from the provenance keys")
     with code_digit_limit():
-        doc = {
-            "kind": oracle.kind,
-            "members": [str(code) for code in sorted(oracle.members)],
-            "corpus_hash": oracle.corpus_hash,
-            "corpus_ids": sorted(oracle.corpus_ids),
-            "provenance": {
-                str(code): [fid, note] for code, (fid, note) in sorted(oracle.provenance.items())
-            },
-        }
+        notes = {str(code): [fid, note] for code, (fid, note) in sorted(oracle.provenance.items())}
+    doc = {
+        "kind": oracle.kind,
+        "members": list(notes),
+        "corpus_hash": oracle.corpus_hash,
+        "corpus_ids": sorted(oracle.corpus_ids),
+        "provenance": notes,
+    }
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

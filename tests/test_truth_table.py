@@ -4,11 +4,11 @@ canonical keys, F's tagged members, the report writer's decimal memo and its
 block-code text computed from the problem) against a fresh computation. A built F answers through its untagged sides,
 checked against tagged views over the reference F.
 
-The references below walk the 2^k assignments one by one through `accepts`
-(which is `evaluate` for formulas), building each assignment here rather than
-taking it from the package and encoding it with the tuple-level `input_code`,
-and reproduce the loop versions of the constructions and solvers field for
-field, transcripts, provenance text and insertion order included.
+The references (`reference.py`) walk the 2^k assignments one by one through
+`accepts` (which is `evaluate` for formulas), building each assignment there
+rather than taking it from the package and encoding it with the tuple-level
+`input_code`, and reproduce the loop versions of the constructions and solvers
+field for field, transcripts, provenance text and insertion order included.
 """
 
 import dataclasses
@@ -27,10 +27,9 @@ from relativize import (
     Corpus,
     ExperimentConfig,
     Formula,
-    SatVerdict,
     SetSumInstance,
     SetSumProblem,
-    TaggedOracleView,
+    SideView,
     assignment_index,
     brute_force_sat,
     build_A,
@@ -43,7 +42,6 @@ from relativize import (
     clamped_budget,
     craft_d_corpus,
     craft_e_corpus,
-    decode_input_code,
     default_literals,
     evaluate,
     gen_corpus,
@@ -56,7 +54,6 @@ from relativize import (
     nd_solve,
     negate,
     pair,
-    partition,
     partition_code,
     save_oracle,
     set_sum_naive,
@@ -81,180 +78,23 @@ from relativize.harness import SuiteRunner, main
 from relativize.machine import RunResult, code_text, search_limit, write_results_jsonl
 from relativize.oracles import OracleSet
 
-# ---------------------------------------------------------------- references
-
-
-def assignment(e, k):
-    return tuple(bool((e >> j) & 1) for j in range(k))
-
-
-def accepting(p):
-    """Indices of accepting assignments in canonical order, by `accepts`."""
-    return [e for e in range(1 << p.k) if p.accepts(assignment(e, p.k))]
-
-
-def ref_brute_force(p):
-    hits = accepting(p)
-    witness = assignment(hits[0], p.k) if hits else None
-    return SatVerdict(bool(hits), witness, len(hits), 1 << p.k)
-
-
-def ref_finish(kind, members, prov, corpus):
-    return OracleSet(kind, frozenset(members), dict(prov), corpus.ids(), corpus.digest())
-
-
-def ref_build_A(corpus):
-    members, prov = set(), {}
-    for f in corpus:
-        for e in accepting(f):
-            pc = partition_code(f, sum(assignment(e, f.k)))
-            if pc.code not in members:
-                members.add(pc.code)
-                prov[pc.code] = (
-                    f.id, f"step 3: block t={pc.true_count} first accepted at assignment {e}")
-    return ref_finish("A", members, prov, corpus)
-
-
-def ref_build_C(corpus):
-    members, prov = set(), {}
-    for f in corpus:
-        hits = accepting(f)
-        if hits:
-            code = input_code(f.id, assignment(hits[0], f.k)).code
-            members.add(code)
-            prov[code] = (f.id, f"step 2: first accepting assignment (index {hits[0]})")
-    return ref_finish("C", members, prov, corpus)
-
-
-def ref_build_C_bar(corpus):
-    members, prov = set(), {}
-    for f in corpus:
-        if not accepting(f):
-            for e in range(1 << f.k):
-                code = input_code(f.id, assignment(e, f.k)).code
-                members.add(code)
-                prov[code] = (f.id, "step 2: all input codes of a rejected problem")
-    return ref_finish("C_bar", members, prov, corpus)
-
-
-def ref_build_F(corpus):
-    direct = ref_build_A(corpus)
-    members = {pair(0, code) for code in direct.members}
-    prov = {pair(0, code): (fid, f"np side, {note}")
-            for code, (fid, note) in direct.provenance.items()}
-    for f in corpus:
-        if not accepting(f):
-            code = pair(1, input_code(f.id, assignment(0, f.k)).code)
-            members.add(code)
-            prov[code] = (f.id, "co side: sentinel for a problem with no accepting assignment")
-    return ref_finish("F", members, prov, corpus)
-
-
-def ref_kappa_ids(corpus):
-    rows = {f.id: (f.k, tuple(f.accepts(assignment(e, f.k)) for e in range(1 << f.k)))
-            for f in corpus}
-    present = set(rows.values())
-    return frozenset(
-        fid for fid, (k, row) in rows.items() if (k, tuple(not v for v in row)) in present
-    )
-
-
-def ref_nd_solve(p, ground_truth=None):
-    examined, found = 0, False
-    for e in range(1 << p.k):
-        examined += 1
-        if p.accepts(assignment(e, p.k)):
-            found = True
-            break
-    correct = None if ground_truth is None else found == ground_truth
-    return RunResult("ND", p.id, p.k, found, 1, 0, (), ground_truth, correct, examined)
-
-
-def ref_solve_with_B(p, oracle, budget, ground_truth=None):
-    limit = search_limit(budget, p.k)
-
-    def result(accepted, steps, transcript):
-        correct = None if ground_truth is None else accepted == ground_truth
-        return RunResult(oracle.kind, p.id, p.k, accepted, steps, len(transcript),
-                         tuple(transcript), ground_truth, correct)
-
-    for e in range(limit):
-        if p.accepts(assignment(e, p.k)):
-            return result(True, e + 1, [])
-    if limit >= 1 << p.k:
-        return result(False, limit, [])
-    code = input_code(p.id, assignment(limit, p.k)).code
-    answer = code in oracle
-    return result(answer, limit, [(code, answer)])
-
-
-def ref_solve_with_C(p, oracle, ground_truth=None, max_queries=None):
-    total = 1 << p.k
-    limit = total if max_queries is None else min(max_queries, total)
-    transcript = []
-
-    def result(accepted, steps):
-        correct = None if ground_truth is None else accepted == ground_truth
-        return RunResult(getattr(oracle, "kind", "oracle"), p.id, p.k, accepted, steps,
-                         len(transcript), tuple(transcript), ground_truth, correct)
-
-    for e in range(limit):
-        code = input_code(p.id, assignment(e, p.k)).code
-        answer = code in oracle
-        transcript.append((code, answer))
-        if answer:
-            return result(True, e + 1)
-    return result(False, limit)
-
-
-def ref_build_D(corpus):
-    """The per-assignment loop version of build_D, staged scans included."""
-    d_members, d_prov, dbar_members, dbar_prov = set(), {}, set(), {}
-    for n, f in enumerate(corpus, start=1):
-        if n % 2 == 0:
-            g = next((h for h in corpus if h.k == f.k // 2), None)
-            if g is None or accepting(g):
-                continue
-            for e in range(1 << f.k):
-                code = input_code(f.id, assignment(e, f.k)).code
-                if code in dbar_members:
-                    continue
-                d_members.add(code)
-                d_prov[code] = (
-                    f.id, f"step 5: half-prefix is an assignment of rejected problem {g.id}")
-        else:
-            lengths_ok = all(decode_input_code(code).k < n for code in dbar_members)
-            p = corpus.budget_for(f.id).steps(f.k)
-            if not (lengths_ok and p * p < (1 << (f.k - 1))):
-                continue
-            staged = ref_solve_with_C(f, frozenset(d_members), max_queries=p)
-            for code, _answer in staged.transcript:
-                if code not in dbar_members:
-                    dbar_members.add(code)
-                    dbar_prov[code] = (f.id, "step 8: queried by the staged budgeted scanner")
-            if not staged.accepted:
-                limit = min(p, 1 << f.k)
-                if limit < (1 << f.k):
-                    code = input_code(f.id, assignment(limit, f.k)).code
-                    d_members.add(code)
-                    d_prov[code] = (
-                        f.id,
-                        f"step 8: next unqueried assignment (index {limit}) after staged reject")
-    return (ref_finish("D", d_members, d_prov, corpus),
-            ref_finish("D_bar", dbar_members, dbar_prov, corpus))
-
-
-def ref_set_sum_naive(inst):
-    """The per-subset sum loop."""
-    full = (1 << inst.r) - 1
-    verdict, examined = False, 0
-    for mask in range(1 << inst.r):
-        examined += 1
-        subtotal = sum(v for j, v in enumerate(inst.values) if (mask >> j) & 1)
-        if mask == full and subtotal == inst.target:
-            verdict = True
-    return verdict, examined
-
+from reference import (
+    accepting,
+    assignment,
+    partition,
+    ref_brute_force,
+    ref_build_A,
+    ref_build_C,
+    ref_build_C_bar,
+    ref_build_D,
+    ref_build_F,
+    ref_finish,
+    ref_kappa_ids,
+    ref_nd_solve,
+    ref_set_sum_naive,
+    ref_solve_with_B,
+    ref_solve_with_C,
+)
 
 # ---------------------------------------------------------------- strategies
 
@@ -800,7 +640,8 @@ class TestTwoSidedF:
             if p.k <= 8:
                 probes.update(input_code(p.id, assignment(e, p.k)).code for e in range(1 << p.k))
         for tag in (0, 1):
-            view, want = tagged_view(built, tag), TaggedOracleView(ref, tag)
+            view = tagged_view(built, tag)
+            want = SideView(("F[np]", "F[co]")[tag], ref.members, ref.corpus_ids, tag)
             assert (view.kind, view.corpus_ids) == (want.kind, want.corpus_ids)
             assert {c for c in probes if c in view} == {c for c in probes if c in want}
 
