@@ -61,6 +61,7 @@ from .machine import (
     Budget,
     OracleChannel,
     RunResult,
+    ScanTranscript,
     clamped_budget,
     nd_solve,
     run_report,
@@ -93,7 +94,7 @@ __all__ = [
     "ConfigurationError", "Corpus", "DEFAULT_BUDGET", "DimensionError",
     "ExperimentConfig", "Formula", "InputCode", "LambdaReport", "OracleChannel",
     "OracleFileError", "OracleSet", "PartitionCode", "RunResult", "SatVerdict",
-    "SetSumInstance", "SetSumProblem", "SideView", "TwoSidedSet",
+    "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView", "TwoSidedSet",
     "assignment_from_index", "assignment_index", "brute_force_sat", "build_A",
     "build_B", "build_C", "build_C_bar", "build_D", "build_E", "build_F",
     "build_lambda_oracle", "clamped_budget", "conjoin", "craft_all_true",

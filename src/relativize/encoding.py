@@ -175,10 +175,17 @@ def input_codes(i: int, k: int, stop: int | None = None, n: int = 0):
     when stop is None).
 
     A scan that stops at its first yes computes only the codes it asks about.
+    `pair` is inlined: the inner sum s = framed + n grows by one per code, so
+    its triangular number x grows by s (x += s after s += 1), and only the
+    outer pairing multiplies.
     """
     frame = 1 << k
-    for framed in range(frame, frame + (frame if stop is None else min(stop, frame))):
-        yield pair(i, pair(framed, n))
+    s = frame + n
+    x = s * (s + 1) // 2 + n  # pair(frame, n)
+    for s in range(s + 1, s + 1 + (frame if stop is None else min(stop, frame))):
+        w = i + x
+        yield w * (w + 1) // 2 + x  # pair(i, x)
+        x += s
 
 
 def input_code(i: int, a: Assignment, n: int = 0) -> InputCode:

@@ -278,9 +278,11 @@ _K_PLUS_1_QUERIES = (lambda r, f, corpus: r.queries <= f.k + 1,
                      "more than k+1 queries on formula {f.id}")
 _ONE_QUERY = (lambda r, f, corpus: r.queries == 1, "{r.queries} queries on formula {f.id}")
 RUN_RULES = {
+    # A block-query run examines no assignment: its steps are its queries,
+    # each counted once.
     "A": (_CORRECT, _K_PLUS_1_QUERIES,
           (lambda r, f, corpus: not r.accepted
-           or r.steps + r.queries <= corpus.budget_for(f.id).steps(f.k) + f.k + 1,
+           or r.steps <= corpus.budget_for(f.id).steps(f.k) + f.k + 1,
            "accepting run on formula {f.id} exceeded p(k)+k+1")),
     "C": (_CORRECT,
           (lambda r, f, corpus: r.ground_truth or r.queries == 1 << f.k,

@@ -4,7 +4,8 @@ nondeterministic solver, and exact per-run accounting.
 Step accounting follows the input-sets-examined convention: a deterministic
 solver's steps count the assignments it examined (or the encodings it
 prepared), each oracle query costs one query and is answered instantaneously,
-and a run's transcript records every (code, answer) pair in order. The
+and a run's transcript reads as every (code, answer) pair in order; an
+input-code scan's is held as the four numbers that determine it. The
 nondeterministic solver explores all branches at once in the model, so its
 model-level cost is a single step and it never enters the query state; the
 work done to simulate it is recorded separately and never conflated with the
@@ -16,8 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, compress, count, islice, repeat
+from operator import index
 
 from .encoding import (block_code_texts, code_digit_limit, input_code_at, input_codes,
                        partition_code)
@@ -75,7 +79,7 @@ class RunResult:
     accepted: bool
     steps: int
     queries: int
-    transcript: tuple[tuple[int, bool], ...]
+    transcript: Sequence[tuple[int, bool]]
     ground_truth: bool | None = None
     correct: bool | None = None
     simulated_work: int | None = None
@@ -94,18 +98,63 @@ def _result(label, f, accepted, steps, transcript, ground_truth, simulated_work=
         accepted=accepted,
         steps=steps,
         queries=len(transcript),
-        transcript=tuple(transcript),
+        transcript=transcript,
         ground_truth=ground_truth,
         correct=correct,
         simulated_work=simulated_work,
     )
 
 
+class ScanTranscript(Sequence):
+    """The transcript of an input-code scan, held as the four numbers that
+    determine it instead of one (code, answer) pair per query.
+
+    A scan asks input_code_at(problem_id, e, k) for e = 0, 1, ... in turn and
+    stops at its first yes, so every answer is no but the last, which is yes
+    iff the scan hit. It reads as the tuple of those pairs: the same len,
+    iteration, indexing and slicing, equality either way round, and hash.
+    (A plain class: a dataclass would add a millisecond to every import.)
+    """
+
+    __slots__ = ("problem_id", "k", "queries", "hit")
+
+    def __init__(self, problem_id: int, k: int, queries: int, hit: bool):
+        self.problem_id, self.k, self.queries, self.hit = problem_id, k, queries, hit
+
+    def codes(self):
+        return input_codes(self.problem_id, self.k, self.queries)
+
+    def __len__(self) -> int:
+        return self.queries
+
+    def __iter__(self):
+        no = self.queries - self.hit
+        return zip(self.codes(), chain(repeat(False, no), repeat(True, self.hit)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        e = index(i)
+        if e < 0:
+            e += self.queries
+        if not 0 <= e < self.queries:
+            raise IndexError("transcript index out of range")
+        return input_code_at(self.problem_id, e, self.k), self.hit and e == self.queries - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, ScanTranscript)):
+            return NotImplemented
+        return len(other) == self.queries and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 class OracleChannel:
     """One run's connection to an oracle set.
 
     Answers membership queries against anything supporting `in` and keeps the
-    ordered transcript; counters are per-run, never shared.
+    run's ordered (code, answer) pairs, never shared with another run.
     """
 
     def __init__(self, oracle):
@@ -116,21 +165,6 @@ class OracleChannel:
         answer = code in self._oracle
         self.transcript.append((code, answer))
         return answer
-
-    def scan(self, codes) -> bool:
-        """Query each code in turn, stopping at the first yes; True iff one
-        came. The transcript is the one per-code `query` calls would leave."""
-        oracle, record = self._oracle, self.transcript.append
-        for code in codes:
-            if code in oracle:
-                record((code, True))
-                return True
-            record((code, False))
-        return False
-
-    @property
-    def queries(self) -> int:
-        return len(self.transcript)
 
 
 def _label(oracle) -> str:
@@ -155,7 +189,7 @@ def nd_solve(f, ground_truth: bool | None = None, cap: int | None = None) -> Run
     """
     table = truth_table(f, cap)
     work = first_accepted(table) + 1 if table else 1 << f.k
-    return _result("ND", f, table != 0, steps=1, transcript=[],
+    return _result("ND", f, table != 0, steps=1, transcript=(),
                    ground_truth=ground_truth, simulated_work=work)
 
 
@@ -174,9 +208,9 @@ def solve_with_A(f, oracle, ground_truth: bool | None = None,
     for t in range(limit):
         if chan.query(partition_code(f, t).code):
             return _result(_label(oracle), f, True, steps=t + 1,
-                           transcript=chan.transcript, ground_truth=ground_truth)
+                           transcript=tuple(chan.transcript), ground_truth=ground_truth)
     return _result(_label(oracle), f, False, steps=limit,
-                   transcript=chan.transcript, ground_truth=ground_truth)
+                   transcript=tuple(chan.transcript), ground_truth=ground_truth)
 
 
 def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
@@ -198,14 +232,14 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
     first = first_accepted(table) if table else limit
     if first < limit:
         return _result(_label(oracle), f, True, steps=first + 1,
-                       transcript=[], ground_truth=ground_truth)
+                       transcript=(), ground_truth=ground_truth)
     if limit >= 1 << k:
         return _result(_label(oracle), f, False, steps=limit,
-                       transcript=[], ground_truth=ground_truth)
+                       transcript=(), ground_truth=ground_truth)
     chan = OracleChannel(oracle)
     answer = chan.query(input_code_at(f.id, limit, k))
     return _result(_label(oracle), f, answer, steps=limit,
-                   transcript=chan.transcript, ground_truth=ground_truth)
+                   transcript=tuple(chan.transcript), ground_truth=ground_truth)
 
 
 def solve_with_C(f, oracle, ground_truth: bool | None = None,
@@ -214,17 +248,21 @@ def solve_with_C(f, oracle, ground_truth: bool | None = None,
     order, accepting on the first yes.
 
     Worst case 2^k queries; that exponential scan is the whole point of the
-    construction it pairs with. Each code is computed from its assignment
-    index, lazily, so a scan that accepts early computes no code it does not
-    ask about; steps equal the queries asked. `max_queries` limits the scan
-    for budgeted staging; None scans the full space.
+    construction it pairs with. Every code goes through the oracle's `in`;
+    each is computed from its assignment index, lazily, so a scan that accepts
+    early computes no code it does not ask about, and none is kept: the
+    transcript is a ScanTranscript. Steps equal the queries asked.
+    `max_queries` limits the scan for budgeted staging; None scans the full
+    space.
     """
     _require_covered(f, oracle)
     k = check_enumerable(f.k, cap)
-    chan = OracleChannel(oracle)
-    accepted = chan.scan(input_codes(f.id, k, max_queries))
-    return _result(_label(oracle), f, accepted, steps=chan.queries,
-                   transcript=chan.transcript, ground_truth=ground_truth)
+    total = 1 << k if max_queries is None else max(0, min(max_queries, 1 << k))
+    hit = next(compress(count(), map(oracle.__contains__, input_codes(f.id, k, total))), None)
+    queries = total if hit is None else hit + 1
+    return _result(_label(oracle), f, hit is not None, steps=queries,
+                   transcript=ScanTranscript(f.id, k, queries, hit is not None),
+                   ground_truth=ground_truth)
 
 
 def solve_conp_with_C_bar(f, oracle, ground_truth: bool | None = None) -> RunResult:
@@ -240,7 +278,7 @@ def solve_conp_with_C_bar(f, oracle, ground_truth: bool | None = None) -> RunRes
     chan = OracleChannel(oracle)
     answer = chan.query(input_code_at(f.id, 0, f.k))
     return _result(_label(oracle), f, answer, steps=1,
-                   transcript=chan.transcript, ground_truth=ground_truth)
+                   transcript=tuple(chan.transcript), ground_truth=ground_truth)
 
 
 @dataclass(frozen=True)
@@ -358,14 +396,36 @@ def code_text(problems=()):
     return text
 
 
+def _write_scan(fh, t: ScanTranscript) -> None:
+    """Write a scan transcript as JSON, [["c",false],...,["c",true]], from its
+    code stream a batch at a time: every answer is false but the last."""
+    if not t.queries:
+        fh.write("[]")
+        return
+    codes, sep = map(str, t.codes()), '",false],["'
+    fh.write('[["' + next(codes))
+    while batch := sep.join(islice(codes, 4096)):
+        fh.write(sep + batch)
+    fh.write('",true]]' if t.hit else '",false]]')
+
+
 def write_results_jsonl(results: list[RunResult], path, problems=()) -> None:
     """One JSON line per run, written atomically. Codes go through one
     `code_text(problems)`, which lives only for the call: pass the problems
-    whose block codes the runs queried. Any results list is written right."""
+    whose block codes the runs queried. Any results list is written right;
+    a scan transcript is streamed into its line by `_write_scan`."""
     with code_digit_limit(), atomic_open(path) as fh:
         text = code_text(problems)
         for r in results:
-            fh.write(json.dumps(run_result_to_json(r, text), separators=(",", ":")) + "\n")
+            t = r.transcript
+            if not isinstance(t, ScanTranscript):
+                fh.write(json.dumps(run_result_to_json(r, text), separators=(",", ":")) + "\n")
+                continue
+            line = json.dumps(run_result_to_json(replace(r, transcript=())), separators=(",", ":"))
+            head, tail = line.split('"transcript":[]')
+            fh.write(head + '"transcript":')
+            _write_scan(fh, t)
+            fh.write(tail + "\n")
 
 
 def write_results_csv(results: list[RunResult], path) -> None:

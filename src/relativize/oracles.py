@@ -27,6 +27,7 @@ import math
 from collections.abc import Container
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 from .encoding import (
     code_digit_limit,
@@ -213,7 +214,7 @@ class Corpus:
 
 
 def _finish(kind, members, prov, corpus) -> OracleSet:
-    return OracleSet(kind, frozenset(members), dict(prov), corpus.ids(), corpus.digest())
+    return OracleSet(kind, frozenset(members), prov, corpus.ids(), corpus.digest())
 
 
 def kappa_ids(corpus: Corpus, cap=None) -> frozenset[int]:
@@ -311,7 +312,7 @@ def build_C_bar(corpus: Corpus, cap=None) -> OracleSet:
     for f in corpus.formulas:
         if not truth_table(f, cap):
             note = (f.id, "step 2: all input codes of a rejected problem")
-            prov.update(dict.fromkeys(input_codes(f.id, f.k), note))
+            prov.update(zip(input_codes(f.id, f.k), repeat(note)))
     return _finish("C_bar", prov, prov, corpus)
 
 

@@ -187,6 +187,18 @@ class TestSuite:
         del one["config"], two["config"]  # out_dir differs by construction
         assert one == two
 
+    def test_block_queries_count_once_against_p_k(self, tmp_path, capsys):
+        # At k = 3, p(3) = 3: an accepting block t >= 3 takes t+1 steps, which
+        # are its t+1 queries, within p(k)+k+1 = 7 only if counted once.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 0, "k_range": [3, 8],
+                                           "out_dir": str(tmp_path / "out")}), encoding="utf-8")
+        assert main(["suite", "--config", str(config_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["failures"] == []
+        row = next(row for row in summary["conclusions"] if row["oracle"] == "A")
+        assert row["demonstrated"] is True
+
     def test_csv_columns(self, tmp_path):
         config = ExperimentConfig(seed=7, k_range=(6, 6), formulas_per_k=1,
                                   oracle_kinds=("A",), out_dir=str(tmp_path))

@@ -2,7 +2,9 @@
 code against a per-assignment reference, and every cached code (block codes,
 canonical keys, F's tagged members, the report writer's decimal memo and its
 block-code text computed from the problem) against a fresh computation. A built F answers through its untagged sides,
-checked against tagged views over the reference F.
+checked against tagged views over the reference F. C's lazy scan transcript
+reads as the reference's tuple of (code, answer) pairs, and the report writer
+streams it to the same bytes.
 
 The references (`reference.py`) walk the 2^k assignments one by one through
 `accepts` (which is `evaluate` for formulas), building each assignment there
@@ -14,11 +16,12 @@ field for field, transcripts, provenance text and insertion order included.
 import dataclasses
 import decimal
 import hashlib
+import itertools
 import json
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relativize import (
@@ -40,6 +43,7 @@ from relativize import (
     build_F,
     build_D,
     clamped_budget,
+    craft_unsat,
     craft_d_corpus,
     craft_e_corpus,
     default_literals,
@@ -75,7 +79,13 @@ from relativize.encoding import (
 )
 from relativize.formula import block_masks, literal_masks
 from relativize.harness import SuiteRunner, main
-from relativize.machine import RunResult, code_text, search_limit, write_results_jsonl
+from relativize.machine import (
+    RunResult,
+    ScanTranscript,
+    code_text,
+    search_limit,
+    write_results_jsonl,
+)
 from relativize.oracles import OracleSet
 
 from reference import (
@@ -351,6 +361,131 @@ class TestInputCodes:
         assert godel_number(p) == fresh
         twin = dataclasses.replace(p)  # a fresh instance, nothing cached on it
         assert twin == p and godel_number(twin) == fresh
+
+
+# ---------------------------------------------------------------- scan transcripts
+
+
+@st.composite
+def scans(draw):
+    """A problem; an oracle, a frozenset or a live dict like D's staged one,
+    holding the code at a hit index (the first, the middle, the last, any, or
+    none) and maybe a later one; and a query cap (none, or up to past 2^k)."""
+    p = draw(problems())
+    total = 1 << p.k
+    hit = draw(st.sampled_from((0, total // 2, total - 1, None)) | st.integers(0, total - 1))
+    members = set() if hit is None else {input_code_at(p.id, hit, p.k)}
+    if hit is not None and draw(st.booleans()):
+        members.add(input_code_at(p.id, draw(st.integers(hit, total - 1)), p.k))
+    oracle = draw(st.sampled_from((frozenset(members), dict.fromkeys(members, (p.id, "note")))))
+    cap = draw(st.none() | st.integers(0, total + 2) | st.sampled_from((hit or 0, (hit or 0) + 1)))
+    return p, oracle, cap
+
+
+def slices(n):
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    return st.builds(slice, bound, bound, st.none() | st.integers(-3, 3).filter(bool))
+
+
+class TestScanTranscript:
+    @given(scans(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_reads_as_the_reference_tuple(self, scan, data):
+        p, oracle, cap = scan
+        truth = bool(accepting(p))
+        got = solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
+        want = ref_solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
+        assert got == want and want == got and hash(got) == hash(want)
+        t, ref = got.transcript, want.transcript
+        assert isinstance(t, ScanTranscript) and type(ref) is tuple
+        assert t == ref and ref == t and not t != ref and not ref != t
+        assert len(t) == len(ref) and list(t) == list(ref) and hash(t) == hash(ref)
+        assert all(t[e] == ref[e] for e in range(-len(ref), len(ref)))
+        for e in (len(ref), -len(ref) - 1):
+            with pytest.raises(IndexError):
+                t[e]
+        cut = data.draw(slices(len(ref)))
+        assert t[cut] == ref[cut] and type(t[cut]) is tuple
+        if ref:
+            flipped = ref[:-1] + ((ref[-1][0], not ref[-1][1]),)
+            assert t != flipped and flipped != t and not t == flipped
+            assert t != ref[:-1] and ref[:-1] != t
+        assert t != list(ref) and list(ref) != t  # a tuple never equals a list
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
+    @pytest.mark.parametrize("live", [False, True])
+    def test_hit_positions_and_capped_stages(self, where, live):
+        f = craft_unsat(3, 4)
+        hit = {"first": 0, "middle": 7, "last": 15, "none": None}[where]
+        members = set() if hit is None else {input_code_at(3, hit, 4)}
+        oracle = dict.fromkeys(members, (3, "note")) if live else frozenset(members)
+        for cap in (None, 0, 1, 7, 8, 15, 16, 40):
+            got = solve_with_C(f, oracle, max_queries=cap)
+            want = ref_solve_with_C(f, frozenset(members), max_queries=cap)
+            assert got == want and got.transcript == want.transcript
+            assert got.accepted == (hit is not None and hit < (16 if cap is None else cap))
+            assert got.steps == got.queries == len(want.transcript)
+
+    def test_every_code_goes_through_the_oracles_in(self):
+        asked = []
+
+        class Recording:
+            def __contains__(self, code):
+                asked.append(code)
+                return code == input_code_at(3, 9, 4)
+
+        f = craft_unsat(3, 4)
+        for cap in (None, 5):
+            asked.clear()
+            r = solve_with_C(f, Recording(), max_queries=cap)
+            assert asked == [code for code, _ in r.transcript]
+        assert r.queries == 5 and not r.accepted
+
+    def test_scans_compare_and_hash_as_their_tuples(self):
+        scans_ = [ScanTranscript(i, k, q, h)
+                  for i in (1, 2) for k in (0, 1, 2) for q in range(min(3, 1 << k) + 1)
+                  for h in ((False, True) if q else (False,))]
+        for a, b in itertools.product(scans_, repeat=2):
+            assert (a == b) == (tuple(a) == tuple(b)) and (a != b) == (tuple(a) != tuple(b))
+        for a in scans_:
+            assert hash(a) == hash(tuple(a)) and a[:] == tuple(a)
+        assert ScanTranscript(1, 2, 0, False) == () == ScanTranscript(2, 0, 0, False)
+
+    @given(st.integers(0, 12), st.integers(0, 3), st.integers(0, 1 << 40))
+    @example(12, 3, 1 << 40)
+    @example(0, 0, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_additive_codes_are_input_code_at(self, k, n, i):
+        total = 1 << k
+        for stop in (None, 0, 1, total // 2, total, total + 3):
+            count = total if stop is None else min(stop, total)
+            assert list(input_codes(i, k, stop, n)) == [
+                input_code_at(i, e, k, n) for e in range(count)]
+
+    def test_writer_streams_scans_byte_for_byte(self, tmp_path):
+        f = craft_unsat(5, 3)
+        results = []
+        for hit in [*range(8), None]:
+            members = frozenset() if hit is None else frozenset({input_code_at(5, hit, 3)})
+            for kind in ("C", "D"):
+                for cap in (None, 0, 3):
+                    results.append(solve_with_C(f, SideView(kind, members), max_queries=cap))
+            results.append(solve_conp_with_C_bar(f, SideView("C_bar", members)))
+        for t in [*range(4), None]:
+            blocks = frozenset() if t is None else frozenset({partition_code(f, t).code})
+            results.append(solve_with_A(f, SideView("E", blocks)))
+        runner = SuiteRunner(ExperimentConfig(seed=3, k_range=(6, 7), formulas_per_k=2,
+                                              out_dir=str(tmp_path)))
+        runner.run()
+        results += runner.results
+        # a hand-made run with a plain tuple of input codes takes the generic way
+        scan = results[0]
+        results.append(dataclasses.replace(scan, transcript=tuple(scan.transcript)))
+        assert {r.oracle for r in results} >= {"C", "C_bar", "D", "D_bar", "E"}
+        assert sum(isinstance(r.transcript, ScanTranscript) for r in results) > 9 * 6
+        write_results_jsonl(results, tmp_path / "got.jsonl", [f])
+        ref_write_results_jsonl(results, tmp_path / "want.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
 
 # ---------------------------------------------------------------- cached codes
