@@ -59,7 +59,6 @@ from .machine import (
     DEFAULT_BUDGET,
     AggregateReport,
     Budget,
-    OracleChannel,
     RunResult,
     ScanTranscript,
     clamped_budget,
@@ -92,7 +91,7 @@ from .oracles import (
 __all__ = [
     "AggregateReport", "Assignment", "Budget", "CapacityError",
     "ConfigurationError", "Corpus", "DEFAULT_BUDGET", "DimensionError",
-    "ExperimentConfig", "Formula", "InputCode", "LambdaReport", "OracleChannel",
+    "ExperimentConfig", "Formula", "InputCode", "LambdaReport",
     "OracleFileError", "OracleSet", "PartitionCode", "RunResult", "SatVerdict",
     "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView", "TwoSidedSet",
     "assignment_from_index", "assignment_index", "brute_force_sat", "build_A",

@@ -150,23 +150,6 @@ class ScanTranscript(Sequence):
         return hash(tuple(self))
 
 
-class OracleChannel:
-    """One run's connection to an oracle set.
-
-    Answers membership queries against anything supporting `in` and keeps the
-    run's ordered (code, answer) pairs, never shared with another run.
-    """
-
-    def __init__(self, oracle):
-        self._oracle = oracle
-        self.transcript: list[tuple[int, bool]] = []
-
-    def query(self, code: int) -> bool:
-        answer = code in self._oracle
-        self.transcript.append((code, answer))
-        return answer
-
-
 def _label(oracle) -> str:
     return getattr(oracle, "kind", "oracle")
 
@@ -204,13 +187,16 @@ def solve_with_A(f, oracle, ground_truth: bool | None = None,
     _require_covered(f, oracle)
     blocks = f.k + 1
     limit = blocks if max_queries is None else min(max_queries, blocks)
-    chan = OracleChannel(oracle)
+    transcript = []
+    accepted = False
     for t in range(limit):
-        if chan.query(partition_code(f, t).code):
-            return _result(_label(oracle), f, True, steps=t + 1,
-                           transcript=tuple(chan.transcript), ground_truth=ground_truth)
-    return _result(_label(oracle), f, False, steps=limit,
-                   transcript=tuple(chan.transcript), ground_truth=ground_truth)
+        code = partition_code(f, t).code
+        accepted = code in oracle
+        transcript.append((code, accepted))
+        if accepted:
+            break
+    return _result(_label(oracle), f, accepted, steps=len(transcript),
+                   transcript=tuple(transcript), ground_truth=ground_truth)
 
 
 def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
@@ -236,10 +222,10 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
     if limit >= 1 << k:
         return _result(_label(oracle), f, False, steps=limit,
                        transcript=(), ground_truth=ground_truth)
-    chan = OracleChannel(oracle)
-    answer = chan.query(input_code_at(f.id, limit, k))
+    code = input_code_at(f.id, limit, k)
+    answer = code in oracle
     return _result(_label(oracle), f, answer, steps=limit,
-                   transcript=tuple(chan.transcript), ground_truth=ground_truth)
+                   transcript=((code, answer),), ground_truth=ground_truth)
 
 
 def solve_with_C(f, oracle, ground_truth: bool | None = None,
@@ -275,10 +261,10 @@ def solve_conp_with_C_bar(f, oracle, ground_truth: bool | None = None) -> RunRes
     accepting assignment).
     """
     _require_covered(f, oracle)
-    chan = OracleChannel(oracle)
-    answer = chan.query(input_code_at(f.id, 0, f.k))
+    code = input_code_at(f.id, 0, f.k)
+    answer = code in oracle
     return _result(_label(oracle), f, answer, steps=1,
-                   transcript=tuple(chan.transcript), ground_truth=ground_truth)
+                   transcript=((code, answer),), ground_truth=ground_truth)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 Eight sets are built here (A, B, C, C_bar, D, D_bar, E, F), each by its own
 staged algorithm: problems are processed in corpus order, and any machine
-simulated during a stage queries the members placed so far, in the map or set
-the construction keeps them in; nothing joins it while that machine runs.
-Every member carries provenance (problem id plus the construction step
-responsible), so the dysfunction demonstrations can point at the exact code
-that caused a wrong verdict.
+simulated during a stage queries the members placed so far, in the map the
+construction keeps them in; nothing joins it while that machine runs. Every
+member carries provenance (problem id plus the construction step responsible),
+so the dysfunction demonstrations can point at the exact code that caused a
+wrong verdict. That map is the set: its keys are the members, held once.
 
 Two encodings appear as members: block codes (true-count paired with the
 problem's structural number) for A, E, and F's direct side; input codes
@@ -24,7 +24,7 @@ import hashlib
 import json
 import logging
 import math
-from collections.abc import Container
+from collections.abc import Container, KeysView
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -57,11 +57,11 @@ Provenance = dict[int, tuple[int, str]]
 
 @dataclass(frozen=True)
 class OracleSet:
-    """An immutable finite membership set, tagged with the construction that
-    produced it and the corpus it was built over."""
+    """A finite set held as one map from each member code to its provenance,
+    tagged with the construction that produced it and the corpus it was built
+    over. The members are the map's keys; `in` and `len` read the map."""
 
     kind: str
-    members: frozenset[int]
     provenance: Provenance
     corpus_ids: frozenset[int]
     corpus_hash: str
@@ -70,11 +70,16 @@ class OracleSet:
         if self.kind not in KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
 
+    @property
+    def members(self) -> KeysView[int]:
+        """The member codes: a read-only view of the provenance keys."""
+        return self.provenance.keys()
+
     def __contains__(self, code: int) -> bool:
-        return code in self.members
+        return code in self.provenance
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.provenance)
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class SideView:
 
     A query for code c asks `members` for c itself or, with a tag, for
     pair(tag, c): a built F hands over each untagged side, an F read from a
-    file its tagged union.
+    file its tagged provenance map.
     """
 
     kind: str
@@ -117,10 +122,10 @@ class TwoSidedSet:
     def union(self) -> OracleSet:
         prov = {pair(tag, code): note
                 for tag, side in enumerate((self.np, self.co)) for code, note in side.items()}
-        return OracleSet(self.kind, frozenset(prov), prov, self.corpus_ids, self.corpus_hash)
+        return OracleSet(self.kind, prov, self.corpus_ids, self.corpus_hash)
 
     @property
-    def members(self) -> frozenset[int]:
+    def members(self) -> KeysView[int]:
         return self.union.members
 
     @property
@@ -150,7 +155,7 @@ def tagged_view(oracle: OracleSet | TwoSidedSet, tag: int) -> SideView:
     label = f"{oracle.kind}[{'np' if tag == 0 else 'co'}]"
     if isinstance(oracle, TwoSidedSet):
         return SideView(label, {0: oracle.np, 1: oracle.co}.get(tag, {}), oracle.corpus_ids)
-    return SideView(label, oracle.members, oracle.corpus_ids, tag)
+    return SideView(label, oracle.provenance, oracle.corpus_ids, tag)
 
 
 @dataclass(frozen=True)
@@ -213,8 +218,8 @@ class Corpus:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _finish(kind, members, prov, corpus) -> OracleSet:
-    return OracleSet(kind, frozenset(members), prov, corpus.ids(), corpus.digest())
+def _finish(kind, prov, corpus) -> OracleSet:
+    return OracleSet(kind, prov, corpus.ids(), corpus.digest())
 
 
 def kappa_ids(corpus: Corpus, cap=None) -> frozenset[int]:
@@ -249,7 +254,6 @@ def build_A(corpus: Corpus, cap=None) -> OracleSet:
     be re-derived per block by independent brute force; unsatisfiable problems
     contribute nothing.
     """
-    members: set[int] = set()
     prov: Provenance = {}
     for f in corpus.formulas:
         table = truth_table(f, cap)
@@ -260,10 +264,9 @@ def build_A(corpus: Corpus, cap=None) -> OracleSet:
         )
         for e, t in firsts:
             pc = partition_code(f, t)
-            if pc.code not in members:
-                members.add(pc.code)
+            if pc.code not in prov:
                 prov[pc.code] = (f.id, f"step 3: block t={t} first accepted at assignment {e}")
-    return _finish("A", members, prov, corpus)
+    return _finish("A", prov, corpus)
 
 
 def build_B(corpus: Corpus, cap=None) -> OracleSet:
@@ -286,7 +289,7 @@ def build_B(corpus: Corpus, cap=None) -> OracleSet:
                     f.id,
                     f"step 2: next unexamined assignment (index {limit}) after staged reject",
                 )
-    return _finish("B", prov, prov, corpus)
+    return _finish("B", prov, corpus)
 
 
 def build_C(corpus: Corpus, cap=None) -> OracleSet:
@@ -299,7 +302,7 @@ def build_C(corpus: Corpus, cap=None) -> OracleSet:
             e = first_accepted(table)
             code = input_code_at(f.id, e, f.k)
             prov[code] = (f.id, f"step 2: first accepting assignment (index {e})")
-    return _finish("C", prov, prov, corpus)
+    return _finish("C", prov, corpus)
 
 
 def build_C_bar(corpus: Corpus, cap=None) -> OracleSet:
@@ -313,7 +316,7 @@ def build_C_bar(corpus: Corpus, cap=None) -> OracleSet:
         if not truth_table(f, cap):
             note = (f.id, "step 2: all input codes of a rejected problem")
             prov.update(zip(input_codes(f.id, f.k), repeat(note)))
-    return _finish("C_bar", prov, prov, corpus)
+    return _finish("C_bar", prov, corpus)
 
 
 def _first_with_k(corpus: Corpus, k: int):
@@ -384,8 +387,8 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
                         f"step 8: next unqueried assignment (index {limit}) after staged reject",
                     )
     return (
-        _finish("D", d_prov, d_prov, corpus),
-        _finish("D_bar", dbar_prov, dbar_prov, corpus),
+        _finish("D", d_prov, corpus),
+        _finish("D_bar", dbar_prov, corpus),
     )
 
 
@@ -428,7 +431,6 @@ def build_E(corpus: Corpus, base: OracleSet, cap=None) -> OracleSet:
     """
     if base.corpus_hash != corpus.digest():
         raise ConfigurationError("base oracle was built over a different corpus")
-    members = set(base.members)
     prov: Provenance = dict(base.provenance)
     kappa = kappa_ids(corpus, cap)
     stages_done = 0
@@ -454,18 +456,17 @@ def build_E(corpus: Corpus, base: OracleSet, cap=None) -> OracleSet:
         if budget.steps(mid) < 2**mid:
             logger.debug("E stage %d: budget below 2^t(n) at the threshold", n)
             continue
-        staged = solve_with_A(f, members, max_queries=p_k)
+        staged = solve_with_A(f, prov, max_queries=p_k)
         if staged.accepted or staged.queries >= f.k + 1:
             continue
         t_next = staged.queries
         pc = partition_code(f, t_next)
-        if pc.code not in members:
-            members.add(pc.code)
+        if pc.code not in prov:
             prov[pc.code] = (
                 f.id,
                 f"step 7: injected block t={t_next}, the next unevaluated after a capped reject",
             )
-    return _finish("E", members, prov, corpus)
+    return _finish("E", prov, corpus)
 
 
 def build_F(corpus: Corpus, cap=None) -> TwoSidedSet:
@@ -491,9 +492,7 @@ def build_F(corpus: Corpus, cap=None) -> TwoSidedSet:
 def save_oracle(oracle: OracleSet | TwoSidedSet, path) -> None:
     """Write an oracle set as JSON, atomically (temp file, then rename).
     Codes are written as decimal strings, each turned into text once: the
-    members are the provenance keys, which `load_oracle` demands too."""
-    if oracle.members != oracle.provenance.keys():
-        raise ValueError(f"oracle {oracle.kind}: members differ from the provenance keys")
+    members are the provenance keys, as `load_oracle` demands."""
     with code_digit_limit():
         notes = {str(code): [fid, note] for code, (fid, note) in sorted(oracle.provenance.items())}
     doc = {
@@ -564,4 +563,4 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
         raise OracleFileError(f"{path}: unknown oracle kind {kind!r}")
     if corpus is not None and corpus.digest() != corpus_hash:
         raise OracleFileError(f"{path}: oracle was built over a different corpus")
-    return OracleSet(kind, frozenset(prov), prov, frozenset(ids), corpus_hash)
+    return OracleSet(kind, prov, frozenset(ids), corpus_hash)

@@ -104,7 +104,10 @@ def ref_brute_force(p):
 
 
 def ref_finish(kind, members, prov, corpus):
-    return OracleSet(kind, frozenset(members), dict(prov), corpus.ids(), corpus.digest())
+    """The set a construction builds, once its own member set is checked
+    against the keys of its provenance map."""
+    assert members == prov.keys()
+    return OracleSet(kind, dict(prov), corpus.ids(), corpus.digest())
 
 
 def ref_build_A(corpus):

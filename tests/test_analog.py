@@ -116,6 +116,14 @@ class TestLambdaOracle:
             run = solve_lambda_with_oracle(idx, inst, oracle, ground_truth=set_sum_direct(inst))
             assert run.correct is True and run.queries == 1
 
+    def test_one_query_transcript(self):
+        instances = [SetSumInstance((1, 2), 3), SetSumInstance((1, 2), 4)]
+        oracle = build_lambda_oracle(instances)
+        for idx, inst in enumerate(instances):
+            run = solve_lambda_with_oracle(idx, inst, oracle)
+            assert run.transcript == ((pair(idx, 1), idx == 0),)
+            assert run.accepted is (idx == 0) and run.steps == 1
+
 
 class TestBattery:
     def test_all_questions_demonstrated(self):

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import math
 import random
@@ -22,11 +24,13 @@ from relativize import (
     build_D,
     build_E,
     build_F,
+    build_lambda_oracle,
     clamped_budget,
     decode_input_code,
     default_literals,
     evaluate,
     gen_corpus,
+    gen_instances,
     godel_number,
     input_code,
     kappa_ids,
@@ -346,12 +350,32 @@ class TestDeterminismAndFiles:
         save_oracle(oracle, tmp_path / "empty.json")
         assert load_oracle(tmp_path / "empty.json") == oracle
 
-    def test_save_refuses_members_without_provenance(self, tmp_path):
-        # load_oracle would refuse the file such a set makes
-        oracle = OracleSet("A", frozenset({1, 2}), {1: (1, "step 3")}, frozenset({1}), "x")
-        with pytest.raises(ValueError, match="members differ from the provenance keys"):
-            save_oracle(oracle, tmp_path / "a.json")
-        assert not (tmp_path / "a.json").exists()
+    def test_set_is_its_provenance_map(self, tmp_path):
+        oracle = OracleSet("A", {1: (1, "step 3")}, frozenset({1}), "x")
+        assert oracle.members == {1}
+        assert 1 in oracle and 2 not in oracle
+        assert len(oracle) == 1
+        save_oracle(oracle, tmp_path / "a.json")
+        assert load_oracle(tmp_path / "a.json") == oracle
+
+    def test_members_are_held_once(self, tmp_path):
+        assert [f.name for f in dataclasses.fields(OracleSet)] == [
+            "kind", "provenance", "corpus_ids", "corpus_hash"]
+        corpus = seeded_corpus(seed=61)
+        d, dbar = build_D(craft_d_corpus())
+        f = build_F(corpus)
+        save_oracle(f, tmp_path / "f.json")
+        oracles = [build(corpus) for build in (build_A, build_B, build_C, build_C_bar)]
+        oracles += [d, dbar, build_E(craft_e_corpus(), build_A(craft_e_corpus())), f, f.union,
+                    load_oracle(tmp_path / "f.json", corpus),
+                    build_lambda_oracle(gen_instances(seed=5, count=6))]
+        for oracle in oracles:
+            assert oracle.members
+            # a keys view refers to its dict and nothing else; `.mapping`
+            # wraps that dict in a fresh proxy, so identity goes by referent
+            (owner,) = gc.get_referents(oracle.members)
+            assert owner is oracle.provenance
+            assert oracle.members.mapping == oracle.provenance
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "broken.json"

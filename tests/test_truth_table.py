@@ -271,7 +271,8 @@ class TestReaders:
         # an oracle that holds the probed code, so both answers are exercised
         probe = input_code(p.id, assignment(min(search_limit(budget, p.k), (1 << p.k) - 1),
                                             p.k)).code
-        yes = OracleSet("B", oracle.members | {probe}, {}, corpus.ids(), corpus.digest())
+        yes = OracleSet("B", {**oracle.provenance, probe: (p.id, "probe")},
+                        corpus.ids(), corpus.digest())
         for o in (oracle, yes):
             assert solve_with_B(p, o, budget, ground_truth=truth) == ref_solve_with_B(
                 p, o, budget, ground_truth=truth)
