@@ -20,9 +20,7 @@ from .analog import (
 )
 from .encoding import (
     InputCode,
-    PartitionCode,
     decode_input_code,
-    decode_partition_code,
     godel_number,
     input_code,
     pair,
@@ -92,14 +90,14 @@ __all__ = [
     "AggregateReport", "Assignment", "Budget", "CapacityError",
     "ConfigurationError", "Corpus", "DEFAULT_BUDGET", "DimensionError",
     "ExperimentConfig", "Formula", "InputCode", "LambdaReport",
-    "OracleFileError", "OracleSet", "PartitionCode", "RunResult", "SatVerdict",
+    "OracleFileError", "OracleSet", "RunResult", "SatVerdict",
     "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView", "TwoSidedSet",
     "assignment_from_index", "assignment_index", "brute_force_sat", "build_A",
     "build_B", "build_C", "build_C_bar", "build_D", "build_E", "build_F",
     "build_lambda_oracle", "clamped_budget", "conjoin", "craft_all_true",
     "craft_d_corpus", "craft_e_corpus", "craft_unsat", "decode_input_code",
-    "decode_partition_code", "default_literals", "enumeration_cap", "evaluate",
-    "gen_corpus", "gen_instances", "godel_number", "input_code", "kappa_ids",
+    "default_literals", "enumeration_cap", "evaluate", "gen_corpus",
+    "gen_instances", "godel_number", "input_code", "kappa_ids",
     "lambda_report", "load_corpus", "load_oracle", "nd_solve", "negate", "pair",
     "partition_code", "run_report", "run_suite", "save_corpus", "save_oracle",
     "set_sum_direct", "set_sum_naive", "solve_conp_with_C_bar",

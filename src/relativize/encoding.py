@@ -39,9 +39,6 @@ def code_digit_limit():
     finally:
         sys.set_int_max_str_digits(old)
 
-# Structural numbers are plain naturals; nothing about them needs wrapping.
-GodelNumber = int
-
 
 def pair(a: int, b: int) -> int:
     """Cantor pairing: a bijection between pairs of naturals and naturals."""
@@ -56,7 +53,7 @@ def unpair(n: int) -> tuple[int, int]:
     return w - b, b
 
 
-def godel_number(p) -> GodelNumber:
+def godel_number(p) -> int:
     """Structural number of a problem: its canonical serialization as a base-256 natural.
 
     Problems with equal canonical form share a number; distinct forms can not
@@ -71,17 +68,8 @@ def godel_number(p) -> GodelNumber:
     return g
 
 
-@dataclass(frozen=True)
-class PartitionCode:
-    """Code for the block of a problem's assignments sharing one true-count."""
-
-    true_count: int
-    godel: GodelNumber
-    code: int
-
-
-def partition_code(f, t: int) -> PartitionCode:
-    """Pair the true-count t with the problem's structural number.
+def partition_code(f, t: int) -> int:
+    """Block code of f's assignments with true-count t: pair(t, godel_number(f)).
 
     The k+1 block codes are cached on the instance on first use; only
     pair(0, g) is a big multiply, as pair(t, g) = pair(t-1, g) + g + t.
@@ -94,7 +82,7 @@ def partition_code(f, t: int) -> PartitionCode:
     if codes is None:
         codes = cache["_block_codes"] = tuple(
             accumulate(range(g + 1, g + f.k + 1), initial=pair(0, g)))
-    return PartitionCode(t, g, codes[t])
+    return codes[t]
 
 
 def block_code_texts(problems):
@@ -131,11 +119,6 @@ def block_code_texts(problems):
         return str(x.add(x.add(first, x.multiply(d, t)), t * (t + 1) // 2))
 
     return text
-
-
-def decode_partition_code(code: int) -> tuple[int, GodelNumber]:
-    """Recover (true_count, structural number) from a block code."""
-    return unpair(code)
 
 
 @dataclass(frozen=True)

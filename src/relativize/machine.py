@@ -24,7 +24,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import index
 
 from .encoding import (block_code_texts, code_digit_limit, input_code_at, input_codes,
-                       partition_code)
+                       partition_code, unpair)
 from .errors import ConfigurationError
 from .formula import check_enumerable, first_accepted, truth_table
 
@@ -190,7 +190,7 @@ def solve_with_A(f, oracle, ground_truth: bool | None = None,
     transcript = []
     accepted = False
     for t in range(limit):
-        code = partition_code(f, t).code
+        code = partition_code(f, t)
         accepted = code in oracle
         transcript.append((code, accepted))
         if accepted:
@@ -228,23 +228,64 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
                    transcript=((code, answer),), ground_truth=ground_truth)
 
 
+def _member_map(oracle) -> dict | None:
+    """The plain dict whose keys are exactly the oracle's members, if it has
+    one: an OracleSet's or a TwoSidedSet's provenance, or the oracle itself
+    (a construction's live map, like D's during its staged scans). Any other
+    container, a SideView or a test double among them, has none."""
+    if type(oracle) is dict:
+        return oracle
+    from .oracles import OracleSet, TwoSidedSet  # oracles imports this module
+    return oracle.provenance if type(oracle) in (OracleSet, TwoSidedSet) else None
+
+
+def _first_member_hit(members, i: int, k: int, total: int) -> int | None:
+    """The least e < total with input_code_at(i, e, k) among `members`, found
+    by decoding the members instead of probing the total codes.
+
+    input_code_at(i, e, k) = pair(i, pair(2^k + e, 0)) grows with e, so only
+    a member between the codes of e = 0 and e = total - 1 can be one, and
+    such a member is one iff it unpairs to (i, (framed, 0)): framed is then
+    2^k + e for an e < total.
+    """
+    lo, hi = input_code_at(i, 0, k), input_code_at(i, total - 1, k)
+    first = None
+    for code in members:
+        if lo <= code <= hi:
+            owner, rest = unpair(code)
+            if owner == i:
+                framed, n = unpair(rest)
+                if n == 0 and (first is None or framed < first):
+                    first = framed
+    return None if first is None else first - (1 << k)
+
+
 def solve_with_C(f, oracle, ground_truth: bool | None = None,
                  cap: int | None = None, max_queries: int | None = None) -> RunResult:
     """Input-query enumeration solver: ask about every assignment in canonical
     order, accepting on the first yes.
 
     Worst case 2^k queries; that exponential scan is the whole point of the
-    construction it pairs with. Every code goes through the oracle's `in`;
-    each is computed from its assignment index, lazily, so a scan that accepts
-    early computes no code it does not ask about, and none is kept: the
-    transcript is a ScanTranscript. Steps equal the queries asked.
-    `max_queries` limits the scan for budgeted staging; None scans the full
-    space.
+    construction it pairs with. When the oracle holds its members as a plain
+    dict (an OracleSet's or TwoSidedSet's provenance, or a construction's
+    live map) with fewer members than the scan is long, the first yes is read
+    off the members (`_first_member_hit`); any other container, or a map at
+    least as large as the scan, is asked code by code through its `in`, each
+    code computed lazily from its assignment index. Either way the run is the
+    same: steps equal the queries the scan asks, the transcript is a
+    ScanTranscript of exactly those codes, and every count and report byte
+    is what the code-by-code scan gives. `max_queries` limits the scan for
+    budgeted staging; None scans the full space.
     """
     _require_covered(f, oracle)
     k = check_enumerable(f.k, cap)
     total = 1 << k if max_queries is None else max(0, min(max_queries, 1 << k))
-    hit = next(compress(count(), map(oracle.__contains__, input_codes(f.id, k, total))), None)
+    members = _member_map(oracle)
+    if members is not None and len(members) < total:
+        hit = _first_member_hit(members, f.id, k, total)
+    else:
+        hit = next(compress(count(), map(oracle.__contains__, input_codes(f.id, k, total))),
+                   None)
     queries = total if hit is None else hit + 1
     return _result(_label(oracle), f, hit is not None, steps=queries,
                    transcript=ScanTranscript(f.id, k, queries, hit is not None),

@@ -263,9 +263,9 @@ def build_A(corpus: Corpus, cap=None) -> OracleSet:
             if table & mask
         )
         for e, t in firsts:
-            pc = partition_code(f, t)
-            if pc.code not in prov:
-                prov[pc.code] = (f.id, f"step 3: block t={t} first accepted at assignment {e}")
+            code = partition_code(f, t)
+            if code not in prov:
+                prov[code] = (f.id, f"step 3: block t={t} first accepted at assignment {e}")
     return _finish("A", prov, corpus)
 
 
@@ -423,7 +423,10 @@ def build_E(corpus: Corpus, base: OracleSet, cap=None) -> OracleSet:
     so far, and if it rejects with blocks still unscanned, the code of the
     next unscanned block is injected. Injected codes are indistinguishable
     from trusted ones to later runs, which is exactly how they corrupt
-    verdicts on the problems that received them.
+    verdicts on the problems that received them. No stage can meet an
+    earlier stage's injection, though it asks the members so far: the bounds
+    on log2(k) confine stages 1, 2 and 3 to k = 2, k = 3..16 and k >= 17,
+    and problems of different k never share a block code.
 
     Stages beyond E_STAGE_CAP (3) are skipped because t(E_STAGE_CAP + 2) is
     not representable; the construction stops cleanly and logs how many
@@ -460,9 +463,9 @@ def build_E(corpus: Corpus, base: OracleSet, cap=None) -> OracleSet:
         if staged.accepted or staged.queries >= f.k + 1:
             continue
         t_next = staged.queries
-        pc = partition_code(f, t_next)
-        if pc.code not in prov:
-            prov[pc.code] = (
+        code = partition_code(f, t_next)
+        if code not in prov:
+            prov[code] = (
                 f.id,
                 f"step 7: injected block t={t_next}, the next unevaluated after a capped reject",
             )

@@ -114,11 +114,11 @@ def ref_build_A(corpus):
     members, prov = set(), {}
     for f in corpus:
         for e in accepting(f):
-            pc = partition_code(f, sum(assignment(e, f.k)))
-            if pc.code not in members:
-                members.add(pc.code)
-                prov[pc.code] = (
-                    f.id, f"step 3: block t={pc.true_count} first accepted at assignment {e}")
+            t = sum(assignment(e, f.k))
+            code = partition_code(f, t)
+            if code not in members:
+                members.add(code)
+                prov[code] = (f.id, f"step 3: block t={t} first accepted at assignment {e}")
     return ref_finish("A", members, prov, corpus)
 
 

@@ -161,7 +161,7 @@ def test_criterion_08_encoding_integrity(corpus):
     block_codes = {}
     for f in corpus:
         for t in range(f.k + 1):
-            block_codes[(t, f.canonical_key())] = partition_code(f, t).code
+            block_codes[(t, f.canonical_key())] = partition_code(f, t)
     assert len(set(block_codes.values())) == len(block_codes)
     rng = random.Random(97)
     keys, numbers = set(), set()

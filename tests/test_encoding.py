@@ -13,7 +13,6 @@ from relativize import (
     Formula,
     assignment_from_index,
     decode_input_code,
-    decode_partition_code,
     default_literals,
     godel_number,
     input_code,
@@ -92,19 +91,19 @@ class TestGodelNumbering:
 class TestPartitionCode:
     def test_zero_block(self):
         f = Formula(1, ABC, (((0, True),),))
-        pc = partition_code(f, 0)
-        assert pc.code == pair(0, godel_number(f))
-        assert decode_partition_code(pc.code) == (0, godel_number(f))
+        code = partition_code(f, 0)
+        assert type(code) is int and code == pair(0, godel_number(f))
+        assert unpair(code) == (0, godel_number(f))
 
     def test_distinct_blocks_distinct_codes(self):
         f = Formula(1, ABC, (((0, True),),))
-        codes = {partition_code(f, t).code for t in range(f.k + 1)}
+        codes = {partition_code(f, t) for t in range(f.k + 1)}
         assert len(codes) == f.k + 1
 
     def test_distinct_formulas_distinct_codes(self):
         f = Formula(1, ("a", "b"), (((0, True),),))
         g = Formula(2, ("a", "b"), (((1, True),),))
-        assert partition_code(f, 1).code != partition_code(g, 1).code
+        assert partition_code(f, 1) != partition_code(g, 1)
 
     def test_out_of_range(self):
         f = Formula(1, ABC, (((0, True),),))

@@ -45,6 +45,7 @@ from relativize import (
     tower,
     unpair,
 )
+from relativize import oracles
 from relativize.harness import craft_all_true, craft_d_corpus, craft_e_corpus, craft_unsat
 
 from reference import partition
@@ -82,7 +83,7 @@ def prefix(corpus, i):
 class TestBuildA:
     def test_wide_clause_blocks(self):
         oracle = build_A(one_formula_corpus(WIDE))
-        present = {t for t in range(4) if partition_code(WIDE, t).code in oracle}
+        present = {t for t in range(4) if partition_code(WIDE, t) in oracle}
         assert present == {1, 2, 3}
 
     def test_contradiction_contributes_nothing(self):
@@ -100,7 +101,7 @@ class TestBuildA:
         for f in corpus:
             for t in range(f.k + 1):
                 expected = any(evaluate(f, a) for a in partition(f, t))
-                assert (partition_code(f, t).code in oracle) == expected
+                assert (partition_code(f, t) in oracle) == expected
 
 
 class TestBuildB:
@@ -275,6 +276,33 @@ class TestBuildE:
         with pytest.raises(ConfigurationError):
             build_E(craft_e_corpus(), base)
 
+    # A budget per stage that passes every clause of its chain but the first
+    # two, t(n-1) < log2(k) <= t(n), for any k.
+    STAGE_BUDGETS = {1: Budget(2, 0), 2: Budget(16, 0), 3: Budget(2**256, 0)}
+
+    @pytest.mark.parametrize("n, ks", [(1, {2}), (2, set(range(3, 17))), (3, {17, 18})])
+    def test_stages_run_on_disjoint_k_ranges(self, n, ks, monkeypatch):
+        # Stage n scans only a problem with log2(k) in (t(n-1), t(n)], so
+        # stages 1, 2 and 3 run on k = 2, k = 3..16 and k >= 17 alone. Those
+        # ranges are disjoint: no stage shares a k, hence a canonical key or
+        # a block code, with an earlier stage, so none can query what an
+        # earlier stage injected.
+        scanned = []
+
+        def spy(f, oracle, **kwargs):
+            scanned.append(f.id)
+            return solve_with_A(f, oracle, **kwargs)
+
+        monkeypatch.setattr(oracles, "solve_with_A", spy)
+        fillers = tuple(Formula(i, default_literals(1), ()) for i in range(1, n))
+        for k in range(1, 19):
+            f = Formula(n, default_literals(k), (((0, True),),))
+            budgets = {**dict.fromkeys(range(1, n), Budget(1, 0)), n: self.STAGE_BUDGETS[n]}
+            corpus = Corpus((*fillers, f), budgets)
+            scanned.clear()
+            build_E(corpus, build_A(corpus))
+            assert scanned == ([n] if k in ks else []), k
+
     def test_stagewise_monotone(self):
         corpus = craft_e_corpus()
         members = []
@@ -295,7 +323,7 @@ class TestBuildF:
         unsat = craft_unsat(2, 3)
         corpus = Corpus((sat, unsat), {1: clamped_budget(3), 2: clamped_budget(3)})
         oracle = build_F(corpus)
-        np_codes = {pair(0, partition_code(sat, t).code) for t in (1, 2, 3)}
+        np_codes = {pair(0, partition_code(sat, t)) for t in (1, 2, 3)}
         sentinel = pair(1, input_code(2, (False, False, False)).code)
         assert np_codes | {sentinel} == oracle.members
 

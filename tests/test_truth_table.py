@@ -67,11 +67,11 @@ from relativize import (
     solve_with_C,
     tagged_view,
     truth_table,
+    unpair,
 )
 from relativize import machine
 from relativize.analog import _problem_corpus
 from relativize.encoding import (
-    PartitionCode,
     block_code_texts,
     code_digit_limit,
     input_code_at,
@@ -86,7 +86,7 @@ from relativize.machine import (
     search_limit,
     write_results_jsonl,
 )
-from relativize.oracles import OracleSet
+from relativize.oracles import OracleSet, TwoSidedSet
 
 from reference import (
     accepting,
@@ -473,7 +473,7 @@ class TestScanTranscript:
                     results.append(solve_with_C(f, SideView(kind, members), max_queries=cap))
             results.append(solve_conp_with_C_bar(f, SideView("C_bar", members)))
         for t in [*range(4), None]:
-            blocks = frozenset() if t is None else frozenset({partition_code(f, t).code})
+            blocks = frozenset() if t is None else frozenset({partition_code(f, t)})
             results.append(solve_with_A(f, SideView("E", blocks)))
         runner = SuiteRunner(ExperimentConfig(seed=3, k_range=(6, 7), formulas_per_k=2,
                                               out_dir=str(tmp_path)))
@@ -487,6 +487,85 @@ class TestScanTranscript:
         write_results_jsonl(results, tmp_path / "got.jsonl", [f])
         ref_write_results_jsonl(results, tmp_path / "want.jsonl")
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+# ---------------------------------------------------------------- member scans
+
+
+@st.composite
+def member_scans(draw):
+    """A problem; its members: up to three of its own input codes (a hit
+    anywhere, or none) among foreign codes (other problems' input codes, its
+    id at another k, its codes with padding n > 0, its block codes), and
+    sometimes as many codes of another problem as the scan is long, so the
+    set is no smaller than the scan; and a query cap: none, 0, 1, mid-scan,
+    past 2^k, or the first hit itself, leaving every hit past the cap."""
+    p = draw(problems(draw(st.integers(1, 30))))
+    k, total = p.k, 1 << p.k
+    own = draw(st.lists(st.integers(0, total - 1), max_size=3))
+    members = {input_code_at(p.id, e, k) for e in own}
+
+    def codes_of(i, j, n=0):
+        return st.integers(0, (1 << j) - 1).map(lambda e: input_code_at(i, e, j, n))
+
+    foreign = st.one_of(
+        st.tuples(st.integers(0, 40).filter(lambda i: i != p.id), st.integers(0, 12)).flatmap(
+            lambda ij: codes_of(*ij)),
+        st.integers(0, 12).filter(lambda j: j != k).flatmap(lambda j: codes_of(p.id, j)),
+        st.integers(1, 5).flatmap(lambda n: codes_of(p.id, k, n)),
+        st.integers(0, k).map(lambda t: partition_code(p, t)),
+    )
+    members.update(draw(st.lists(foreign, max_size=8)))
+    if draw(st.booleans()):
+        members.update(input_codes(p.id + 1, k))
+    cap = draw(st.sampled_from((None, 0, 1, total // 2, total + 3))
+               | st.integers(0, total + 2) | st.just(min(own, default=None)))
+    return p, members, cap
+
+
+class TestMemberScan:
+    @given(member_scans(), st.sampled_from(("set", "live", "two-sided")))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_code_by_code_reference(self, scan, container):
+        p, members, cap = scan
+        notes = dict.fromkeys(members, (p.id, "note"))
+        oracle = {
+            "set": OracleSet("C", notes, frozenset({p.id}), ""),
+            "live": notes,  # as D's staged scan passes its map so far
+            "two-sided": TwoSidedSet(notes, {}, frozenset({p.id}), ""),
+        }[container]
+        truth = bool(accepting(p))
+        got = solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
+        want = ref_solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
+        assert got == want and got.transcript == want.transcript
+        label = getattr(oracle, "kind", "oracle")
+        probed = solve_with_C(p, SideView(label, oracle), ground_truth=truth, max_queries=cap)
+        assert got == probed
+
+    @pytest.mark.parametrize("container", ["set", "live", "two-sided"])
+    def test_maps_smaller_than_the_scan_are_not_probed(self, container, monkeypatch):
+        def oracle(notes):
+            return {"set": OracleSet("C", notes, frozenset({3}), ""), "live": notes,
+                    "two-sided": TwoSidedSet(notes, {}, frozenset({3}), "")}[container]
+
+        hit = {input_code_at(3, 9, 4): (3, "note")}
+        small = oracle(hit)
+        large = oracle({**hit, **dict.fromkeys(input_codes(4, 4), (4, "note"))})
+        scanned, asked = [], []
+        monkeypatch.setattr(machine, "input_codes",
+                            lambda *args: scanned.append(args) or input_codes(*args))
+        if container != "live":
+            contains = type(small).__contains__
+            monkeypatch.setattr(type(small), "__contains__",
+                                lambda self, code: asked.append(code) or contains(self, code))
+        f = craft_unsat(3, 4)
+        r = solve_with_C(f, small)
+        assert scanned == asked == []
+        # a two-sided set holds the tagged codes pair(0, c), so nothing hits
+        assert r.queries == (16 if container == "two-sided" else 10)
+        r = solve_with_C(f, large)
+        assert scanned == [(3, 4, 16)]
+        assert asked == ([] if container == "live" else [code for code, _ in r.transcript])
 
 
 # ---------------------------------------------------------------- cached codes
@@ -540,7 +619,7 @@ code_pool = st.one_of(
     st.integers(0, 1 << 64),
     st.integers(-3, 3).map(lambda d: (1 << 1024) + d),
     st.integers(1 << 4000, 1 << 20000),
-    problems(ks=st.integers(1, 12)).map(lambda p: partition_code(p, p.k).code),
+    problems(ks=st.integers(1, 12)).map(lambda p: partition_code(p, p.k)),
 )
 
 
@@ -584,17 +663,18 @@ class TestCachedCodes:
     def test_block_codes_are_the_pairings(self, p):
         g = godel_number(p)
         for t in range(p.k + 1):
-            assert partition_code(p, t) == PartitionCode(t, g, pair(t, g))
+            code = partition_code(p, t)
+            assert type(code) is int and code == pair(t, g) and unpair(code) == (t, g)
         assert vars(p)["_block_codes"] == tuple(pair(t, g) for t in range(p.k + 1))
 
     @given(problems(ks=st.integers(1, 12)), st.data())
     @settings(max_examples=80, deadline=None)
     def test_twin_computes_its_own_block_codes(self, p, data):
         t = data.draw(st.integers(0, p.k))
-        code = partition_code(p, t).code
+        code = partition_code(p, t)
         twin = dataclasses.replace(p)  # a fresh instance, nothing cached on it
         assert "_block_codes" not in vars(twin)
-        assert partition_code(twin, t).code == code
+        assert partition_code(twin, t) == code
         assert vars(twin)["_block_codes"] == vars(p)["_block_codes"]
         assert vars(twin)["_block_codes"] is not vars(p)["_block_codes"]
 
@@ -631,7 +711,7 @@ class TestCachedCodes:
     def test_block_code_text_is_str_of_the_pairing(self, p):
         limit = sys.get_int_max_str_digits()
         g = godel_number(p)
-        codes = [partition_code(p, t).code for t in range(p.k + 1)]
+        codes = [partition_code(p, t) for t in range(p.k + 1)]
         cached = dict(vars(p))
         with code_digit_limit():
             text = block_code_texts([p])
@@ -644,7 +724,7 @@ class TestCachedCodes:
 
     def test_block_code_text_traps_a_precision_shortfall(self, monkeypatch):
         f = Formula(1, default_literals(6), (((0, True), (3, False)), ((5, True),)))
-        code = partition_code(f, 1).code
+        code = partition_code(f, 1)
         assert block_code_texts([f])(code) == str(code)
         monkeypatch.setattr(decimal, "MAX_PREC", 20)  # far fewer digits than g has
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
@@ -771,7 +851,7 @@ class TestTwoSidedF:
         assert len(built) == len(ref)
         probes = set()
         for p in corpus:
-            probes.update(partition_code(p, t).code for t in range(p.k + 1))
+            probes.update(partition_code(p, t) for t in range(p.k + 1))
             probes.add(input_code(p.id, assignment(0, p.k)).code)
             if p.k <= 8:
                 probes.update(input_code(p.id, assignment(e, p.k)).code for e in range(1 << p.k))
@@ -787,7 +867,7 @@ class TestTwoSidedF:
         oracle = build_F(runner.corpus)
         views = (tagged_view(oracle, 0), tagged_view(oracle, 1))
         hits = [code in view for view in views for p in runner.corpus
-                for code in (*(partition_code(p, t).code for t in range(p.k + 1)),
+                for code in (*(partition_code(p, t) for t in range(p.k + 1)),
                              input_code_at(p.id, 0, p.k))]
         assert len(oracle) > 0 and any(hits) and not all(hits)
         runner.run()
