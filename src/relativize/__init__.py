@@ -12,7 +12,6 @@ from .analog import (
     SetSumInstance,
     SetSumProblem,
     build_lambda_oracle,
-    gen_instances,
     lambda_report,
     set_sum_direct,
     set_sum_naive,
@@ -35,11 +34,9 @@ from .formula import (
     assignment_from_index,
     assignment_index,
     brute_force_sat,
-    conjoin,
     default_literals,
     enumeration_cap,
     evaluate,
-    negate,
     truth_table,
 )
 from .harness import (
@@ -94,11 +91,10 @@ __all__ = [
     "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView", "TwoSidedSet",
     "assignment_from_index", "assignment_index", "brute_force_sat", "build_A",
     "build_B", "build_C", "build_C_bar", "build_D", "build_E", "build_F",
-    "build_lambda_oracle", "clamped_budget", "conjoin", "craft_all_true",
-    "craft_d_corpus", "craft_e_corpus", "craft_unsat", "decode_input_code",
-    "default_literals", "enumeration_cap", "evaluate", "gen_corpus",
-    "gen_instances", "godel_number", "input_code", "kappa_ids",
-    "lambda_report", "load_corpus", "load_oracle", "nd_solve", "negate", "pair",
+    "build_lambda_oracle", "clamped_budget", "craft_all_true", "craft_d_corpus",
+    "craft_e_corpus", "craft_unsat", "decode_input_code", "default_literals",
+    "enumeration_cap", "evaluate", "gen_corpus", "godel_number", "input_code",
+    "kappa_ids", "lambda_report", "load_corpus", "load_oracle", "nd_solve", "pair",
     "partition_code", "run_report", "run_suite", "save_corpus", "save_oracle",
     "set_sum_direct", "set_sum_naive", "solve_conp_with_C_bar",
     "solve_lambda_with_oracle", "solve_with_A", "solve_with_B", "solve_with_C",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,21 +124,6 @@ class SetSumProblem:
                           separators=(",", ":"))
 
 
-def gen_instances(seed: int, count: int, r_min: int = 3, r_max: int = 10) -> list[SetSumInstance]:
-    """Seeded instance corpus; about half sum to their target."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        r = rng.randint(r_min, r_max)
-        values = tuple(rng.randint(-20, 20) for _ in range(r))
-        if rng.random() < 0.5:
-            target = sum(values)
-        else:
-            target = sum(values) + rng.randint(1, 10)
-        out.append(SetSumInstance(values, target))
-    return out
-
-
 def _instance_from_entry(entry, where: str) -> SetSumInstance:
     if not isinstance(entry, dict):
         raise ConfigurationError(f"{where}: expected an object with keys 'S' and 'M'")
@@ -163,13 +147,6 @@ def load_instances(path) -> list[SetSumInstance]:
         raise ConfigurationError(f"{path}: an instance file holds a JSON array of instances")
     return [_instance_from_entry(entry, f"{path}: instance entry {n}")
             for n, entry in enumerate(doc)]
-
-
-def save_instances(instances: list[SetSumInstance], path) -> None:
-    doc = [{"S": list(inst.values), "M": inst.target} for inst in instances]
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
 
 
 def _instances_digest(instances: list[SetSumInstance]) -> str:

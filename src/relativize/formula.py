@@ -17,7 +17,6 @@ against.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ Assignment = tuple[bool, ...]
 Clause = tuple[tuple[int, bool], ...]
 
 DEFAULT_ENUMERATION_CAP = 20
-DEFAULT_NEGATION_CLAUSE_CAP = 100_000
 
 
 def enumeration_cap() -> int:
@@ -225,51 +223,3 @@ def brute_force_sat(f, cap: int | None = None) -> SatVerdict:
     witness = assignment_from_index(first_accepted(table), f.k) if table else None
     return SatVerdict(table != 0, witness, table.bit_count(), 1 << f.k)
 
-
-def negate(f: Formula, new_id: int | None = None, clause_cap: int = DEFAULT_NEGATION_CLAUSE_CAP) -> Formula:
-    """CNF complement of f over the same literal list.
-
-    Expands the negation by distributing over the clause product (one literal
-    picked from each clause, all picks negated), so the result can grow as the
-    product of clause sizes; `clause_cap` bounds that product. Tautological
-    product clauses are dropped and duplicates collapsed. The literal list is
-    preserved deliberately: f and its complement stay positionally aligned.
-    """
-    fid = f.id if new_id is None else new_id
-    if not f.clauses:
-        # complement of the trivially true formula: a canonical contradiction
-        return Formula(fid, f.literals, (((0, True),), ((0, False),)))
-    size = 1
-    for clause in f.clauses:
-        size *= len(clause)
-        if size > clause_cap:
-            raise CapacityError(f"negation expansion exceeds {clause_cap} clauses")
-    clauses: list[Clause] = []
-    seen: set[Clause] = set()
-    for picks in itertools.product(*f.clauses):
-        negated = {(i, not p) for i, p in picks}
-        if any((i, not p) in negated for i, p in negated):
-            continue  # tautological: always satisfied
-        clause = tuple(sorted(negated))
-        if clause not in seen:
-            seen.add(clause)
-            clauses.append(clause)
-    return Formula(fid, f.literals, tuple(clauses))
-
-
-def conjoin(f: Formula, g: Formula, new_id: int | None = None) -> Formula:
-    """CNF conjunction of f and g (clause concatenation).
-
-    Literal lists are unified by name; literals present in only one side are
-    unconstrained padding for the other. An unsatisfiable f forces an
-    unsatisfiable result no matter what g is.
-    """
-    fid = f.id if new_id is None else new_id
-    if f.literals == g.literals:
-        return Formula(fid, f.literals, f.clauses + g.clauses)
-    names = f.literals + tuple(n for n in g.literals if n not in f.literals)
-    position = {name: j for j, name in enumerate(names)}
-    remapped = tuple(
-        tuple((position[g.literals[i]], p) for i, p in clause) for clause in g.clauses
-    )
-    return Formula(fid, names, f.clauses + remapped)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, replace
@@ -352,12 +353,9 @@ def _check_B(check, corpus, built, runs) -> dict:
         p = corpus.budget_for(f.id).steps(f.k)
         check(p < (1 << f.k), f"B: budget p(k)={p} not below 2^k for formula {f.id}")
     (oracle,) = built.sets
-    wrong = [r for r in runs if r.correct is False]
-    check(bool(wrong), "B: no dysfunctional verdict anywhere in the corpus")
-    step2 = [
-        r for r in wrong
-        if r.transcript and oracle.provenance.get(r.transcript[0][0], (0, ""))[1].startswith("step 2")
-    ]
+    check(any(r.correct is False for r in runs),
+          "B: no dysfunctional verdict anywhere in the corpus")
+    step2 = _traced_to(runs, oracle, "step 2")
     check(bool(step2), "B: no wrong verdict traceable to a step-2 member")
     return {**_counts(runs), "incorrect_with_step2_provenance": len(step2)}
 
@@ -456,18 +454,17 @@ CONCLUSIONS = {
 # ---------------------------------------------------------------- config
 
 # Keys a config file may hold (anything else is a typo, not a default), each
-# with its default, the test its value must pass, and what that test demands.
+# with the test its value must pass and what that test demands. A key the
+# file leaves out takes ExperimentConfig's default.
 CONFIG_KEYS = {
-    "seed": (42, _is_int, "an integer"),
-    "k_range": ([6, 12], _is_int_pair, "a list of two integers"),
-    "formulas_per_k": (10, _is_int, "an integer"),
-    "clause_density": (3.0, lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "budget": ([DEFAULT_BUDGET.coefficient, DEFAULT_BUDGET.exponent], _is_int_pair,
-               "a list of two integers"),
-    "oracles": (list(CONSTRUCTIONS),
-                lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
+    "seed": (_is_int, "an integer"),
+    "k_range": (_is_int_pair, "a list of two integers"),
+    "formulas_per_k": (_is_int, "an integer"),
+    "clause_density": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "budget": (_is_int_pair, "a list of two integers"),
+    "oracles": (lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
                 "a list of strings"),
-    "out_dir": ("results", lambda v: isinstance(v, str), "a string"),
+    "out_dir": (lambda v: isinstance(v, str), "a string"),
 }
 
 
@@ -488,6 +485,14 @@ class ExperimentConfig:
         lo, hi = self.k_range
         if not 1 <= lo <= hi:
             raise ConfigurationError(f"bad k_range {self.k_range}")
+        if self.formulas_per_k < 0:
+            raise ConfigurationError(
+                f"formulas_per_k must be non-negative, got {self.formulas_per_k}")
+        # gen_corpus draws round(clause_density * k) clauses per formula; NaN
+        # fails both comparisons.
+        if not 0 <= self.clause_density * hi < math.inf:
+            raise ConfigurationError("clause_density must be non-negative with a finite "
+                                     f"clause_density * k, got {self.clause_density}")
         kinds = self.oracle_kinds
         for kind in kinds:
             if kind in COVERED_BY:
@@ -504,7 +509,8 @@ class ExperimentConfig:
 
 def config_from_json(path) -> ExperimentConfig:
     """Read a config file; keys are those of CONFIG_KEYS, each optional, and
-    a value of the wrong type is rejected, never coerced."""
+    a value of the wrong type is rejected, never coerced. Only the keys the
+    file holds are passed on."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -514,20 +520,17 @@ def config_from_json(path) -> ExperimentConfig:
         raise ConfigurationError(
             f"{path}: unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}"
         )
-    values = {}
-    for key, (default, valid, what) in CONFIG_KEYS.items():
-        values[key] = doc.get(key, default)
-        if not valid(values[key]):
-            raise ConfigurationError(f"{path}: {key!r} must be {what}, got {values[key]!r}")
-    return ExperimentConfig(
-        seed=values["seed"],
-        k_range=tuple(values["k_range"]),
-        formulas_per_k=values["formulas_per_k"],
-        clause_density=values["clause_density"],
-        budget=Budget(*values["budget"]),
-        oracle_kinds=tuple(values["oracles"]),
-        out_dir=values["out_dir"],
-    )
+    for key, (valid, what) in CONFIG_KEYS.items():
+        if key in doc and not valid(doc[key]):
+            raise ConfigurationError(f"{path}: {key!r} must be {what}, got {doc[key]!r}")
+    fields = dict(doc)
+    if "k_range" in fields:
+        fields["k_range"] = tuple(fields["k_range"])
+    if "budget" in fields:
+        fields["budget"] = Budget(*fields["budget"])
+    if "oracles" in fields:
+        fields["oracle_kinds"] = tuple(fields.pop("oracles"))
+    return ExperimentConfig(**fields)
 
 
 class SuiteRunner:
@@ -726,12 +729,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = ExperimentConfig()
     p = sub.add_parser("gen-corpus", help="generate a seeded formula corpus")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--k-min", type=int, default=6)
-    p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--per-k", type=int, default=10)
-    p.add_argument("--density", type=float, default=3.0)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--k-min", type=int, default=defaults.k_range[0])
+    p.add_argument("--k-max", type=int, default=defaults.k_range[1])
+    p.add_argument("--per-k", type=int, default=defaults.formulas_per_k)
+    p.add_argument("--density", type=float, default=defaults.clause_density)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_corpus)
 

@@ -380,7 +380,7 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
                 if code not in dbar_prov:
                     dbar_prov[code] = (f.id, "step 8: queried by the staged budgeted scanner")
             if not staged.accepted:
-                limit = min(p, 1 << f.k)
+                limit = search_limit(budget, f.k)
                 if limit < (1 << f.k):
                     d_prov[input_code_at(f.id, limit, f.k)] = (
                         f.id,

@@ -8,12 +8,24 @@ reproduce the loop versions of the constructions and solvers field for field,
 transcripts, provenance text and insertion order included.
 """
 
+import itertools
+import json
+import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from relativize import SatVerdict, decode_input_code, input_code, pair, partition_code
-from relativize.formula import Assignment, assignment_from_index, check_enumerable
-from relativize.machine import RunResult, search_limit
+from relativize import (
+    CapacityError,
+    Formula,
+    SatVerdict,
+    SetSumInstance,
+    decode_input_code,
+    input_code,
+    pair,
+    partition_code,
+)
+from relativize.formula import Assignment, Clause, assignment_from_index, check_enumerable
+from relativize.machine import RunResult, atomic_open, search_limit
 from relativize.oracles import OracleSet
 
 # ---------------------------------------------------------------- assignments
@@ -43,6 +55,61 @@ def partition(f, t: int, cap: int | None = None) -> list[Assignment]:
     if not 0 <= t <= f.k:
         raise ValueError(f"true-count {t} out of range [0, {f.k}]")
     return [a for a in enumerate_assignments(f, cap) if true_count(a) == t]
+
+
+# ---------------------------------------------------------------- formula operations
+
+DEFAULT_NEGATION_CLAUSE_CAP = 100_000
+
+
+def negate(f: Formula, new_id: int | None = None, clause_cap: int = DEFAULT_NEGATION_CLAUSE_CAP) -> Formula:
+    """CNF complement of f over the same literal list.
+
+    Expands the negation by distributing over the clause product (one literal
+    picked from each clause, all picks negated), so the result can grow as the
+    product of clause sizes; `clause_cap` bounds that product. Tautological
+    product clauses are dropped and duplicates collapsed. The literal list is
+    preserved deliberately: f and its complement stay positionally aligned.
+    """
+    fid = f.id if new_id is None else new_id
+    if not f.clauses:
+        # complement of the trivially true formula: a canonical contradiction
+        return Formula(fid, f.literals, (((0, True),), ((0, False),)))
+    size = 1
+    for clause in f.clauses:
+        size *= len(clause)
+        if size > clause_cap:
+            raise CapacityError(f"negation expansion exceeds {clause_cap} clauses")
+    clauses: list[Clause] = []
+    seen: set[Clause] = set()
+    for picks in itertools.product(*f.clauses):
+        negated = {(i, not p) for i, p in picks}
+        if any((i, not p) in negated for i, p in negated):
+            continue  # tautological: always satisfied
+        clause = tuple(sorted(negated))
+        if clause not in seen:
+            seen.add(clause)
+            clauses.append(clause)
+    return Formula(fid, f.literals, tuple(clauses))
+
+
+def conjoin(f: Formula, g: Formula, new_id: int | None = None) -> Formula:
+    """CNF conjunction of f and g (clause concatenation).
+
+    Literal lists are unified by name; literals present in only one side are
+    unconstrained padding for the other. An unsatisfiable f forces an
+    unsatisfiable result no matter what g is; `oracles.build_D`'s prefix
+    rule relies on that.
+    """
+    fid = f.id if new_id is None else new_id
+    if f.literals == g.literals:
+        return Formula(fid, f.literals, f.clauses + g.clauses)
+    names = f.literals + tuple(n for n in g.literals if n not in f.literals)
+    position = {name: j for j, name in enumerate(names)}
+    remapped = tuple(
+        tuple((position[g.literals[i]], p) for i, p in clause) for clause in g.clauses
+    )
+    return Formula(fid, names, f.clauses + remapped)
 
 
 # ---------------------------------------------------------------- analog classes
@@ -83,6 +150,29 @@ class ClassRegistry:
 def default_registry() -> ClassRegistry:
     names = frozenset(KNOWN_EASY)
     return ClassRegistry(names, names - {SET_SUM})
+
+
+def gen_instances(seed: int, count: int, r_min: int = 3, r_max: int = 10) -> list[SetSumInstance]:
+    """Seeded instance corpus; about half sum to their target."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        r = rng.randint(r_min, r_max)
+        values = tuple(rng.randint(-20, 20) for _ in range(r))
+        if rng.random() < 0.5:
+            target = sum(values)
+        else:
+            target = sum(values) + rng.randint(1, 10)
+        out.append(SetSumInstance(values, target))
+    return out
+
+
+def save_instances(instances: list[SetSumInstance], path) -> None:
+    """An instance file `load_instances` reads: [{"S": [ints], "M": int}, ...]."""
+    doc = [{"S": list(inst.values), "M": inst.target} for inst in instances]
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------- loop references

@@ -14,7 +14,6 @@ from relativize import (
     build_D,
     build_E,
     default_literals,
-    gen_instances,
     godel_number,
     kappa_ids,
     lambda_report,
@@ -33,6 +32,8 @@ from relativize import (
 )
 from relativize.analog import SetSumInstance
 from relativize.harness import craft_d_corpus, craft_e_corpus
+
+from reference import gen_instances
 
 
 def test_criterion_01_a_functionality(corpus, truth, oracle_a):

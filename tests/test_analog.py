@@ -7,7 +7,6 @@ from relativize import (
     SetSumInstance,
     SetSumProblem,
     build_lambda_oracle,
-    gen_instances,
     lambda_report,
     pair,
     set_sum_direct,
@@ -17,11 +16,10 @@ from relativize import (
 from relativize.analog import (
     load_instances,
     render_lambda_table,
-    save_instances,
     write_lambda_csv,
 )
 
-from reference import SET_SUM, ClassRegistry, default_registry
+from reference import SET_SUM, ClassRegistry, default_registry, gen_instances, save_instances
 
 
 def instances_strategy():

@@ -11,13 +11,11 @@ from relativize import (
     assignment_from_index,
     assignment_index,
     brute_force_sat,
-    conjoin,
     default_literals,
     evaluate,
-    negate,
 )
 
-from reference import enumerate_assignments, partition, true_count
+from reference import conjoin, enumerate_assignments, negate, partition, true_count
 
 ABC = ("a", "b", "c")
 

@@ -36,6 +36,8 @@ from relativize import harness
 from relativize.harness import config_from_json, main
 from relativize.machine import atomic_open, run_result_to_json
 
+from reference import gen_instances, save_instances
+
 SMALL = ExperimentConfig(seed=7, k_range=(6, 8), formulas_per_k=3, out_dir="unused")
 
 
@@ -400,8 +402,6 @@ class TestCli:
         assert "suite passed" in capsys.readouterr().out
 
     def test_lambda_command(self, tmp_path, capsys):
-        from relativize.analog import gen_instances, save_instances
-
         inst_path = tmp_path / "instances.json"
         save_instances(gen_instances(seed=4, count=10, r_min=3, r_max=6), inst_path)
         csv_path = tmp_path / "lambda.csv"
@@ -451,6 +451,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "out").exists()
+
+    DENSITY = "clause_density must be non-negative with a finite clause_density * k"
+    PER_K = "formulas_per_k must be non-negative"
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"clause_density": float("inf")}, DENSITY),
+        ({"clause_density": float("nan")}, DENSITY),
+        ({"clause_density": -1}, DENSITY),
+        ({"clause_density": 1e308}, DENSITY),
+        ({"formulas_per_k": -1}, PER_K),
+    ])
+    def test_suite_rejects_config_value_out_of_range(self, tmp_path, capsys, bad, message):
+        assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1, **bad}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--density", "inf", DENSITY),
+        ("--density", "nan", DENSITY),
+        ("--density", "-1", DENSITY),
+        ("--density", "1e308", DENSITY),
+        ("--per-k", "-1", PER_K),
+    ])
+    def test_gen_corpus_rejects_value_out_of_range(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "corpus.json"
+        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", flag, value,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_defaults_are_the_configs(self, tmp_path, capsys):
+        config_path, corpus_path = tmp_path / "config.json", tmp_path / "corpus.json"
+        config_path.write_text("{}", encoding="utf-8")
+        assert config_from_json(config_path) == ExperimentConfig()
+        assert main(["gen-corpus", "--out", str(corpus_path)]) == 0
+        assert load_corpus(corpus_path) == gen_corpus(ExperimentConfig())
 
     @pytest.mark.parametrize("doc, message", [
         ([{"M": 3}], "instance entry 0: missing keys ['S']"),

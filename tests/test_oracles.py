@@ -30,12 +30,10 @@ from relativize import (
     default_literals,
     evaluate,
     gen_corpus,
-    gen_instances,
     godel_number,
     input_code,
     kappa_ids,
     load_oracle,
-    negate,
     pair,
     partition_code,
     save_oracle,
@@ -48,7 +46,7 @@ from relativize import (
 from relativize import oracles
 from relativize.harness import craft_all_true, craft_d_corpus, craft_e_corpus, craft_unsat
 
-from reference import partition
+from reference import gen_instances, negate, partition
 
 ABC = ("a", "b", "c")
 WIDE = Formula(1, ABC, (((0, True), (1, True), (2, True)),))

@@ -49,14 +49,12 @@ from relativize import (
     default_literals,
     evaluate,
     gen_corpus,
-    gen_instances,
     godel_number,
     input_code,
     kappa_ids,
     lambda_report,
     load_corpus,
     nd_solve,
-    negate,
     pair,
     partition_code,
     save_oracle,
@@ -91,6 +89,8 @@ from relativize.oracles import OracleSet, TwoSidedSet
 from reference import (
     accepting,
     assignment,
+    gen_instances,
+    negate,
     partition,
     ref_brute_force,
     ref_build_A,
