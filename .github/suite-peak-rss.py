@@ -3,10 +3,11 @@ check its report bytes.
 
     python3 .github/suite-peak-rss.py K_MIN K_MAX LIMIT_MB
 
-Runs `relativize suite` from this checkout's src/ at seed 42 and the default
-config but `k_range`, writing its reports into a temporary directory, and
-prints the child's wall time and peak RSS (getrusage's ru_maxrss, in KiB on
-Linux, shown as MB = KiB / 1024) and the SHA-256 prefix of each report.
+Runs `python -m relativize suite` from this checkout's src/ at seed 42 and
+the default config but `k_range`, writing its reports into a temporary
+directory, and prints the child's wall time and peak RSS (getrusage's
+ru_maxrss, in KiB on Linux, shown as MB = KiB / 1024) and the SHA-256 prefix
+of each report.
 Exits 1 if the suite fails, the peak is above LIMIT_MB, or a report's prefix
 differs from the one pinned in REPORT_DIGESTS for (K_MIN, K_MAX); a range
 with no pinned digests is only printed. Standard library only; run from the
@@ -21,8 +22,6 @@ import subprocess
 import sys
 import tempfile
 import time
-
-RUN_SUITE = "import sys; from relativize.harness import main; sys.exit(main(sys.argv[1:]))"
 
 REPORTS = ("runs.csv", "runs.jsonl", "summary.json")
 
@@ -54,7 +53,7 @@ def main(argv):
         results = os.path.join(tmp, "results")
         start = time.perf_counter()
         status = subprocess.run(
-            [sys.executable, "-c", RUN_SUITE, "suite", "--config", config,
+            [sys.executable, "-m", "relativize", "suite", "--config", config,
              "--out-dir", results],
             env=env, stdout=subprocess.DEVNULL).returncode
         wall = time.perf_counter() - start

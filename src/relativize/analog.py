@@ -77,7 +77,7 @@ def set_sum_direct(inst: SetSumInstance) -> bool:
     return sum(inst.values) == inst.target
 
 
-def set_sum_naive(inst: SetSumInstance, cap: int | None = None) -> tuple[bool, int]:
+def set_sum_naive(inst: SetSumInstance) -> tuple[bool, int]:
     """Decide the instance by the assumed only-known method.
 
     Sums every subset in canonical bitmask order but accepts only if the full
@@ -87,7 +87,7 @@ def set_sum_naive(inst: SetSumInstance, cap: int | None = None) -> tuple[bool, i
     j bits below it, so the subtotal moves by values[j] minus the sum of
     values[:j]. Each subset gets its own subtotal in O(1) time and memory.
     """
-    r = check_enumerable(inst.r, cap)
+    r = check_enumerable(inst.r)
     step, below = [], 0
     for v in inst.values:
         step.append(v - below)
@@ -215,7 +215,7 @@ def _problem_corpus(instances: list[SetSumInstance],
     return Corpus(problems, budgets)
 
 
-def lambda_report(instances: list[SetSumInstance], cap: int | None = None) -> LambdaReport:
+def lambda_report(instances: list[SetSumInstance]) -> LambdaReport:
     """Run the five-question battery and tabulate the work separation.
 
     Each question is answered by actually building the analog of the named
@@ -244,13 +244,12 @@ def lambda_report(instances: list[SetSumInstance], cap: int | None = None) -> La
     # Question 2: an oracle separating them (deterministic side misled,
     # nondeterministic side untouched).
     corpus = _problem_corpus(instances)
-    adversarial = build_B(corpus, cap=cap)
+    adversarial = build_B(corpus)
     det_runs = [
-        solve_with_B(p, adversarial, corpus.budget_for(p.id),
-                     ground_truth=truths[p.id - 1], cap=cap)
+        solve_with_B(p, adversarial, corpus.budget_for(p.id), ground_truth=truths[p.id - 1])
         for p in corpus
     ]
-    nd_runs = [nd_solve(p, ground_truth=truths[p.id - 1], cap=cap) for p in corpus]
+    nd_runs = [nd_solve(p, ground_truth=truths[p.id - 1]) for p in corpus]
     q2_ok = (
         any(r.correct is False for r in det_runs)
         and all(r.correct and r.queries == 0 for r in nd_runs)
@@ -263,9 +262,9 @@ def lambda_report(instances: list[SetSumInstance], cap: int | None = None) -> La
 
     # Question 3: an oracle breaking complementation closure (one query for the
     # complement side, exponential scanning for the direct side).
-    witness_set = build_C(corpus, cap=cap)
-    complement_set = build_C_bar(corpus, cap=cap)
-    c_runs = [solve_with_C(p, witness_set, ground_truth=truths[p.id - 1], cap=cap) for p in corpus]
+    witness_set = build_C(corpus)
+    complement_set = build_C_bar(corpus)
+    c_runs = [solve_with_C(p, witness_set, ground_truth=truths[p.id - 1]) for p in corpus]
     co_runs = [
         solve_conp_with_C_bar(p, complement_set, ground_truth=not truths[p.id - 1])
         for p in corpus
@@ -295,12 +294,12 @@ def lambda_report(instances: list[SetSumInstance], cap: int | None = None) -> La
     d_budgets = {1: clamped_budget(2), 2: clamped_budget(4), 3: Budget(1, 1)}
     d_corpus = _problem_corpus(d_instances, d_budgets)
     d_truths = {p.id: set_sum_direct(p.instance) for p in d_corpus}
-    d_set, dbar_set = build_D(d_corpus, cap=cap)
-    d_runs = [solve_with_C(p, d_set, ground_truth=d_truths[p.id], cap=cap) for p in d_corpus]
+    d_set, dbar_set = build_D(d_corpus)
+    d_runs = [solve_with_C(p, d_set, ground_truth=d_truths[p.id]) for p in d_corpus]
     dbar_runs = [
         solve_conp_with_C_bar(p, dbar_set, ground_truth=not d_truths[p.id]) for p in d_corpus
     ]
-    d_nd = [nd_solve(p, ground_truth=d_truths[p.id], cap=cap) for p in d_corpus]
+    d_nd = [nd_solve(p, ground_truth=d_truths[p.id]) for p in d_corpus]
     q4_ok = (
         any(r.correct is False for r in d_runs)
         and any(r.correct is False for r in dbar_runs)
@@ -318,7 +317,7 @@ def lambda_report(instances: list[SetSumInstance], cap: int | None = None) -> La
     ))
 
     # Question 5: an oracle making both sides polynomially answerable.
-    two_sided = build_F(corpus, cap=cap)
+    two_sided = build_F(corpus)
     np_runs = [
         solve_with_A(p, tagged_view(two_sided, 0), ground_truth=truths[p.id - 1]) for p in corpus
     ]
@@ -341,7 +340,7 @@ def lambda_report(instances: list[SetSumInstance], cap: int | None = None) -> La
     ))
 
     work_table = tuple(
-        (idx, inst.r, inst.r, set_sum_naive(inst, cap=cap)[1])
+        (idx, inst.r, inst.r, set_sum_naive(inst)[1])
         for idx, inst in enumerate(instances)
     )
     resolution = (

@@ -141,31 +141,30 @@ class InputCode:
         return tuple(ch == "1" for ch in self.bits)
 
 
-def input_code_at(i: int, e: int, k: int, n: int = 0) -> int:
-    """Input code of (i, assignment number e of k literals, n).
+def input_code_at(i: int, e: int, k: int) -> int:
+    """Input code of (i, assignment number e of k literals, padding 0).
 
     The assignment index is framed with a leading 1 bit at position k so its
     length survives the round trip; the frame and padding are paired, then
     paired with i. This is the encoding itself: solvers and constructions
     compute every code from the assignment index, never from a bool tuple.
     """
-    return pair(i, pair((1 << k) | e, n))
+    return pair(i, pair((1 << k) | e, 0))
 
 
-def input_codes(i: int, k: int, stop: int | None = None, n: int = 0):
-    """Lazily, input_code_at(i, e, k, n) for e = 0, 1, ..., stop - 1 in
+def input_codes(i: int, k: int, stop: int | None = None):
+    """Lazily, input_code_at(i, e, k) for e = 0, 1, ..., stop - 1 in
     canonical order, never past the 2^k assignments there are (all of them
     when stop is None).
 
     A scan that stops at its first yes computes only the codes it asks about.
-    `pair` is inlined: the inner sum s = framed + n grows by one per code, so
-    its triangular number x grows by s (x += s after s += 1), and only the
-    outer pairing multiplies.
+    `pair` is inlined: the inner pair(framed, 0) is the triangular number x
+    of framed, so it grows by framed + 1 from one code to the next (x += s
+    after s += 1), and only the outer pairing multiplies.
     """
     frame = 1 << k
-    s = frame + n
-    x = s * (s + 1) // 2 + n  # pair(frame, n)
-    for s in range(s + 1, s + 1 + (frame if stop is None else min(stop, frame))):
+    x = frame * (frame + 1) // 2  # pair(frame, 0)
+    for s in range(frame + 1, frame + 1 + (frame if stop is None else min(stop, frame))):
         w = i + x
         yield w * (w + 1) // 2 + x  # pair(i, x)
         x += s
@@ -175,7 +174,8 @@ def input_code(i: int, a: Assignment, n: int = 0) -> InputCode:
     """Encode the triple (i, a, n) from an assignment tuple.
 
     The assignment-level reference: input_code_at and input_codes, which the
-    solvers and constructions use, are tested against it.
+    solvers and constructions use, are tested against it at padding 0; only
+    this reference and decode_input_code take other paddings.
     """
     framed = (1 << len(a)) | assignment_index(a)
     code = pair(i, pair(framed, n))

@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """An exhaustive operation would exceed the configured enumeration cap."""
+    """An exhaustive operation would exceed the enumeration cap (RELATIVIZE_CAP)."""
 
 
 class ConfigurationError(ValueError):

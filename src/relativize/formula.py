@@ -47,10 +47,11 @@ def enumeration_cap() -> int:
     return cap
 
 
-def check_enumerable(k: int, cap: int | None = None) -> int:
-    limit = enumeration_cap() if cap is None else cap
+def check_enumerable(k: int) -> int:
+    limit = enumeration_cap()
     if k > limit:
-        raise CapacityError(f"k={k} exceeds the enumeration cap of {limit} (2^{k} assignments)")
+        raise CapacityError(f"k={k} exceeds the enumeration cap of {limit} (2^{k} assignments);"
+                            " set RELATIVIZE_CAP to raise it")
     return k
 
 
@@ -101,14 +102,14 @@ def first_accepted(table: int) -> int:
     return (table & -table).bit_length() - 1
 
 
-def truth_table(p, cap: int | None = None) -> int:
+def truth_table(p) -> int:
     """The problem's truth table, after checking k against the enumeration cap.
 
     Every problem family exposes `truth_table`, cached on the instance: bit e
     is set iff assignment e (canonical order) is accepted. Reads go through
     here so the cap fires before any exponential work.
     """
-    check_enumerable(p.k, cap)
+    check_enumerable(p.k)
     return p.truth_table
 
 
@@ -209,7 +210,7 @@ class SatVerdict:
     assignments_examined: int
 
 
-def brute_force_sat(f, cap: int | None = None) -> SatVerdict:
+def brute_force_sat(f) -> SatVerdict:
     """Exhaustive satisfiability check: first witness in canonical order, exact model count.
 
     Decides over all 2^k assignments at once by reading the problem's truth
@@ -219,7 +220,7 @@ def brute_force_sat(f, cap: int | None = None) -> SatVerdict:
     of a loop. Works for any problem exposing `k` and `truth_table`; tests
     check it against a per-assignment `evaluate` loop.
     """
-    table = truth_table(f, cap)
+    table = truth_table(f)
     witness = assignment_from_index(first_accepted(table), f.k) if table else None
     return SatVerdict(table != 0, witness, table.bit_count(), 1 << f.k)
 

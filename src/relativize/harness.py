@@ -65,6 +65,10 @@ def _is_int_pair(value) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value)
 
 
+def _is_budget(value) -> bool:
+    return _is_int_pair(value) and min(value) >= 0
+
+
 # ---------------------------------------------------------------- corpora
 
 def craft_unsat(fid: int, k: int) -> Formula:
@@ -78,7 +82,7 @@ def craft_all_true(fid: int, k: int) -> Formula:
     return Formula(fid, default_literals(k), tuple(((j, True),) for j in range(k)))
 
 
-def gen_corpus(config: ExperimentConfig, cap: int | None = None) -> Corpus:
+def gen_corpus(config: ExperimentConfig) -> Corpus:
     """Seeded random k-CNF corpus plus crafted entries.
 
     Per k: `formulas_per_k` random formulas (clause count round(density*k),
@@ -223,7 +227,7 @@ def load_corpus(path, budget: Budget | None = None) -> Corpus:
         f = _formula_from_entry(entry, where)
         formulas.append(f)
         stored = entry.get("budget", [])
-        if "budget" in entry and not (_is_int_pair(stored) and min(stored) >= 0):
+        if "budget" in entry and not _is_budget(stored):
             raise ConfigurationError(
                 f"{where}: 'budget' must be a list of two non-negative integers")
         if budget is None and stored:
@@ -243,7 +247,7 @@ def _sides(oracle) -> tuple:
     return (oracle,)
 
 
-def _solve(side, problem, corpus: Corpus, truth: bool, cap: int | None) -> RunResult:
+def _solve(side, problem, corpus: Corpus, truth: bool) -> RunResult:
     """Run the solver that queries `side` on one problem, graded against
     `truth`, the problem's satisfiability.
 
@@ -257,14 +261,13 @@ def _solve(side, problem, corpus: Corpus, truth: bool, cap: int | None) -> RunRe
     if label in ("A", "E", "F[np]"):
         return solve_with_A(problem, side, ground_truth=truth)
     if label == "B":
-        return solve_with_B(problem, side, corpus.budget_for(problem.id),
-                            ground_truth=truth, cap=cap)
+        return solve_with_B(problem, side, corpus.budget_for(problem.id), ground_truth=truth)
     if label in ("C", "D"):
-        return solve_with_C(problem, side, ground_truth=truth, cap=cap)
+        return solve_with_C(problem, side, ground_truth=truth)
     if label in ("C_bar", "D_bar", "F[co]"):
         return solve_conp_with_C_bar(problem, side, ground_truth=not truth)
     if label == "ND":
-        return nd_solve(problem, ground_truth=truth, cap=cap)
+        return nd_solve(problem, ground_truth=truth)
     raise ConfigurationError(f"no solver queries oracle side {label!r}")
 
 
@@ -309,7 +312,7 @@ class Built(NamedTuple):
 @dataclass(frozen=True)
 class Construction:
     """How the suite runs one kind: failures of its runs and of its checks
-    count against conclusion row `row`. `build(corpus, cap)` calls the
+    count against conclusion row `row`. `build(corpus)` calls the
     module-level `build_X` names, so it runs whatever they are bound to then.
     The runs use `corpus()`, or the seeded corpus when that is None.
     `checks(check, corpus, built, runs)` makes the kind-level checks through
@@ -318,7 +321,7 @@ class Construction:
     """
 
     row: str
-    build: Callable[[Corpus, int | None], Built]
+    build: Callable[[Corpus], Built]
     checks: Callable[..., dict | None]
     corpus: Callable[[], Corpus] | None = None
     covers: tuple[str, ...] = ()
@@ -388,11 +391,11 @@ def _check_D(check, corpus, built, runs) -> dict:
     }
 
 
-def _build_E(corpus: Corpus, cap=None) -> Built:
+def _build_E(corpus: Corpus) -> Built:
     """E over its functional base, run only on the problems whose complement
     is in the corpus: there it must keep exactly the base's codes."""
-    base = build_A(corpus, cap)
-    return Built((build_E(corpus, base, cap=cap),), kappa_ids(corpus, cap), base)
+    base = build_A(corpus)
+    return Built((build_E(corpus, base),), kappa_ids(corpus), base)
 
 
 def _check_E(check, corpus, built, runs) -> dict:
@@ -415,15 +418,15 @@ def _check_E(check, corpus, built, runs) -> dict:
 
 # The construction table: suite kind -> Construction, in default run order.
 CONSTRUCTIONS = {
-    "A": Construction("A", lambda corpus, cap: Built((build_A(corpus, cap),)), _check_A),
-    "B": Construction("B", lambda corpus, cap: Built((build_B(corpus, cap),)), _check_B),
-    "C": Construction("C", lambda corpus, cap: Built((build_C(corpus, cap),)), _check_C),
-    "C_bar": Construction("C", lambda corpus, cap: Built((build_C_bar(corpus, cap),)),
+    "A": Construction("A", lambda corpus: Built((build_A(corpus),)), _check_A),
+    "B": Construction("B", lambda corpus: Built((build_B(corpus),)), _check_B),
+    "C": Construction("C", lambda corpus: Built((build_C(corpus),)), _check_C),
+    "C_bar": Construction("C", lambda corpus: Built((build_C_bar(corpus),)),
                           lambda check, corpus, built, runs: {**_counts(runs), "queries": 1}),
-    "D": Construction("D", lambda corpus, cap: Built((*build_D(corpus, cap), NO_ORACLE)),
+    "D": Construction("D", lambda corpus: Built((*build_D(corpus), NO_ORACLE)),
                       _check_D, craft_d_corpus, covers=("D_bar",)),
     "E": Construction("E", _build_E, _check_E, craft_e_corpus),
-    "F": Construction("F", lambda corpus, cap: Built((build_F(corpus, cap),)),
+    "F": Construction("F", lambda corpus: Built((build_F(corpus),)),
                       lambda check, corpus, built, runs: _counts(runs)),
 }
 COVERED_BY = {kind: owner for owner, c in CONSTRUCTIONS.items() for kind in c.covers}
@@ -431,7 +434,7 @@ COVERED_BY = {kind: owner for owner, c in CONSTRUCTIONS.items() for kind in c.co
 # The ND runs on the seeded corpus, made before any kind's. B's claim says
 # the nondeterministic machine never queries and never errs, so their
 # failures count against B's row.
-ND_RUN = Construction("B", lambda corpus, cap: Built((NO_ORACLE,)), _check_nd)
+ND_RUN = Construction("B", lambda corpus: Built((NO_ORACLE,)), _check_nd)
 
 # What each conclusion row claims; the suite turns every line into checked
 # table rows.
@@ -461,7 +464,7 @@ CONFIG_KEYS = {
     "k_range": (_is_int_pair, "a list of two integers"),
     "formulas_per_k": (_is_int, "an integer"),
     "clause_density": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "budget": (_is_int_pair, "a list of two integers"),
+    "budget": (_is_budget, "a list of two non-negative integers"),
     "oracles": (lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
                 "a list of strings"),
     "out_dir": (lambda v: isinstance(v, str), "a string"),
@@ -536,19 +539,18 @@ def config_from_json(path) -> ExperimentConfig:
 class SuiteRunner:
     """One suite execution: builds, runs, checks, and accumulates reportage."""
 
-    def __init__(self, config: ExperimentConfig, cap: int | None = None):
+    def __init__(self, config: ExperimentConfig):
         self.config = config
-        self.cap = cap
         self.results: list[RunResult] = []
         self.failures: list[str] = []
         self.failed_rows: set[str] = set()
         self.evidence: dict[str, dict] = {}
-        self.corpus = gen_corpus(config, cap)
+        self.corpus = gen_corpus(config)
         # The problems whose block codes the runs query, so the report
         # writer can print those codes from them: this corpus and each
         # crafted one.
         self.block_coded = list(self.corpus)
-        self.truth = {f.id: brute_force_sat(f, cap).satisfiable for f in self.corpus}
+        self.truth = {f.id: brute_force_sat(f).satisfiable for f in self.corpus}
 
     def fail(self, row: str, message: str) -> None:
         """Record `message` as a failure against conclusion row `row`."""
@@ -571,8 +573,8 @@ class SuiteRunner:
             truth = self.truth
         else:  # a crafted corpus: the runs may query its block codes
             self.block_coded.extend(corpus)
-            truth = {f.id: brute_force_sat(f, self.cap).satisfiable for f in corpus}
-        built = c.build(corpus, self.cap)
+            truth = {f.id: brute_force_sat(f).satisfiable for f in corpus}
+        built = c.build(corpus)
         runs = []
         for oracle in built.sets:
             sides = _sides(oracle)
@@ -580,7 +582,7 @@ class SuiteRunner:
                 if built.on is not None and f.id not in built.on:
                     continue
                 for side in sides:
-                    r = _solve(side, f, corpus, truth[f.id], self.cap)
+                    r = _solve(side, f, corpus, truth[f.id])
                     runs.append(r)
                     for holds, message in RUN_RULES.get(side.kind, ()):
                         if not holds(r, f, corpus):
@@ -650,10 +652,10 @@ class SuiteRunner:
             fh.write("\n")
 
 
-def run_suite(config: ExperimentConfig, cap: int | None = None) -> int:
+def run_suite(config: ExperimentConfig) -> int:
     """Build the requested oracles, run every matching solver, cross-check
     against ground truth, write reports. Returns 0 iff every assertion held."""
-    runner = SuiteRunner(config, cap)
+    runner = SuiteRunner(config)
     runner.run()
     runner.write_reports()
     if runner.failures:
@@ -680,7 +682,7 @@ def _cmd_gen_corpus(args) -> int:
 
 def _cmd_build_oracle(args) -> int:
     corpus = load_corpus(args.corpus, args.budget and Budget(*args.budget))
-    built = CONSTRUCTIONS[COVERED_BY.get(args.kind, args.kind)].build(corpus, None)
+    built = CONSTRUCTIONS[COVERED_BY.get(args.kind, args.kind)].build(corpus)
     oracle = next(s for s in built.sets if s.kind == args.kind)
     save_oracle(oracle, args.out)
     print(f"wrote oracle {oracle.kind} with {len(oracle)} members to {args.out}")
@@ -692,7 +694,7 @@ def _cmd_solve(args) -> int:
     oracle = load_oracle(args.oracle, corpus)
     f = corpus.by_id(args.formula)
     truth = brute_force_sat(f).satisfiable
-    runs = [_solve(side, f, corpus, truth, cap=None) for side in _sides(oracle)]
+    runs = [_solve(side, f, corpus, truth) for side in _sides(oracle)]
     with code_digit_limit():
         text = code_text((f,))
         for r in runs:
@@ -770,7 +772,4 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())
 

@@ -162,7 +162,7 @@ def _require_covered(f, oracle):
         )
 
 
-def nd_solve(f, ground_truth: bool | None = None, cap: int | None = None) -> RunResult:
+def nd_solve(f, ground_truth: bool | None = None) -> RunResult:
     """Simulated nondeterministic run.
 
     All branches run at once in the model, so the reported cost is one step and
@@ -170,7 +170,7 @@ def nd_solve(f, ground_truth: bool | None = None, cap: int | None = None) -> Run
     simulation in canonical order would examine: up to and including the
     first accepting assignment, or all 2^k when there is none.
     """
-    table = truth_table(f, cap)
+    table = truth_table(f)
     work = first_accepted(table) + 1 if table else 1 << f.k
     return _result("ND", f, table != 0, steps=1, transcript=(),
                    ground_truth=ground_truth, simulated_work=work)
@@ -199,8 +199,7 @@ def solve_with_A(f, oracle, ground_truth: bool | None = None,
                    transcript=tuple(transcript), ground_truth=ground_truth)
 
 
-def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
-                 cap: int | None = None) -> RunResult:
+def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None) -> RunResult:
     """Budgeted direct search with a single oracle fallback.
 
     Examines assignments in canonical order until a witness appears or the
@@ -212,7 +211,7 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None,
     where, is read from the truth table's lowest set bit.
     """
     _require_covered(f, oracle)
-    table = truth_table(f, cap)
+    table = truth_table(f)
     k = f.k
     limit = search_limit(budget, k)
     first = first_accepted(table) if table else limit
@@ -261,7 +260,7 @@ def _first_member_hit(members, i: int, k: int, total: int) -> int | None:
 
 
 def solve_with_C(f, oracle, ground_truth: bool | None = None,
-                 cap: int | None = None, max_queries: int | None = None) -> RunResult:
+                 max_queries: int | None = None) -> RunResult:
     """Input-query enumeration solver: ask about every assignment in canonical
     order, accepting on the first yes.
 
@@ -278,7 +277,7 @@ def solve_with_C(f, oracle, ground_truth: bool | None = None,
     budgeted staging; None scans the full space.
     """
     _require_covered(f, oracle)
-    k = check_enumerable(f.k, cap)
+    k = check_enumerable(f.k)
     total = 1 << k if max_queries is None else max(0, min(max_queries, 1 << k))
     members = _member_map(oracle)
     if members is not None and len(members) < total:

@@ -222,7 +222,7 @@ def _finish(kind, prov, corpus) -> OracleSet:
     return OracleSet(kind, prov, corpus.ids(), corpus.digest())
 
 
-def kappa_ids(corpus: Corpus, cap=None) -> frozenset[int]:
+def kappa_ids(corpus: Corpus) -> frozenset[int]:
     """Ids of problems whose pointwise complement is also in the corpus.
 
     Two problems are complements when they share an input length and disagree
@@ -232,7 +232,7 @@ def kappa_ids(corpus: Corpus, cap=None) -> frozenset[int]:
     tables: dict[tuple[int, int], list[int]] = {}
     masks: dict[int, tuple[int, int]] = {}
     for f in corpus.formulas:
-        table = truth_table(f, cap)
+        table = truth_table(f)
         tables.setdefault((f.k, table), []).append(f.id)
         masks[f.id] = (f.k, table)
     kappa = set()
@@ -243,7 +243,7 @@ def kappa_ids(corpus: Corpus, cap=None) -> frozenset[int]:
     return frozenset(kappa)
 
 
-def build_A(corpus: Corpus, cap=None) -> OracleSet:
+def build_A(corpus: Corpus) -> OracleSet:
     """Functional construction: one code per (problem, true-count block) that
     contains at least one accepting assignment.
 
@@ -256,7 +256,7 @@ def build_A(corpus: Corpus, cap=None) -> OracleSet:
     """
     prov: Provenance = {}
     for f in corpus.formulas:
-        table = truth_table(f, cap)
+        table = truth_table(f)
         firsts = sorted(
             (first_accepted(table & mask), t)
             for t, mask in enumerate(block_masks(f.k))
@@ -269,7 +269,7 @@ def build_A(corpus: Corpus, cap=None) -> OracleSet:
     return _finish("A", prov, corpus)
 
 
-def build_B(corpus: Corpus, cap=None) -> OracleSet:
+def build_B(corpus: Corpus) -> OracleSet:
     """Adversarial staged construction.
 
     At each stage the budgeted deterministic searcher runs against the members
@@ -281,7 +281,7 @@ def build_B(corpus: Corpus, cap=None) -> OracleSet:
     prov: Provenance = {}
     for f in corpus.formulas:
         budget = corpus.budget_for(f.id)
-        staged = solve_with_B(f, prov, budget, cap=cap)
+        staged = solve_with_B(f, prov, budget)
         if not staged.accepted:
             limit = search_limit(budget, f.k)
             if limit < (1 << f.k):
@@ -292,12 +292,12 @@ def build_B(corpus: Corpus, cap=None) -> OracleSet:
     return _finish("B", prov, corpus)
 
 
-def build_C(corpus: Corpus, cap=None) -> OracleSet:
+def build_C(corpus: Corpus) -> OracleSet:
     """Witness construction: exactly one accepting input code per satisfiable
     problem, the first in canonical order; rejected problems contribute nothing."""
     prov: Provenance = {}
     for f in corpus.formulas:
-        table = truth_table(f, cap)
+        table = truth_table(f)
         if table:
             e = first_accepted(table)
             code = input_code_at(f.id, e, f.k)
@@ -305,7 +305,7 @@ def build_C(corpus: Corpus, cap=None) -> OracleSet:
     return _finish("C", prov, corpus)
 
 
-def build_C_bar(corpus: Corpus, cap=None) -> OracleSet:
+def build_C_bar(corpus: Corpus) -> OracleSet:
     """Complement-side construction: every input code of every problem the
     nondeterministic machine rejects (no accepting assignment at all).
 
@@ -313,7 +313,7 @@ def build_C_bar(corpus: Corpus, cap=None) -> OracleSet:
     are computed."""
     prov: Provenance = {}
     for f in corpus.formulas:
-        if not truth_table(f, cap):
+        if not truth_table(f):
             note = (f.id, "step 2: all input codes of a rejected problem")
             prov.update(zip(input_codes(f.id, f.k), repeat(note)))
     return _finish("C_bar", prov, corpus)
@@ -326,7 +326,7 @@ def _first_with_k(corpus: Corpus, k: int):
     return None
 
 
-def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
+def build_D(corpus: Corpus) -> tuple[OracleSet, OracleSet]:
     """Interleaved double construction of a set and its complement side.
 
     Even stages (prefix rule): each assignment of the stage problem whose code
@@ -357,9 +357,9 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
                 )
             half = f.k // 2
             g = _first_with_k(corpus, half)
-            if g is None or truth_table(g, cap):
+            if g is None or truth_table(g):
                 continue
-            check_enumerable(f.k, cap)
+            check_enumerable(f.k)
             note = (f.id, f"step 5: half-prefix is an assignment of rejected problem {g.id}")
             for code in input_codes(f.id, f.k):
                 if code not in dbar_prov:
@@ -375,7 +375,7 @@ def build_D(corpus: Corpus, cap=None) -> tuple[OracleSet, OracleSet]:
                     "D stage %d: gate failed (lengths_ok=%s, p=%d, k=%d)", n, lengths_ok, p, f.k
                 )
                 continue
-            staged = solve_with_C(f, d_prov, cap=cap, max_queries=p)
+            staged = solve_with_C(f, d_prov, max_queries=p)
             for code, _answer in staged.transcript:
                 if code not in dbar_prov:
                     dbar_prov[code] = (f.id, "step 8: queried by the staged budgeted scanner")
@@ -411,7 +411,7 @@ def tower(n: int) -> int:
 E_STAGE_CAP = 3
 
 
-def build_E(corpus: Corpus, base: OracleSet, cap=None) -> OracleSet:
+def build_E(corpus: Corpus, base: OracleSet) -> OracleSet:
     """Conservative-plus-injections construction on top of a functional base.
 
     Starts from every member of the base set. Problems whose pointwise
@@ -435,7 +435,7 @@ def build_E(corpus: Corpus, base: OracleSet, cap=None) -> OracleSet:
     if base.corpus_hash != corpus.digest():
         raise ConfigurationError("base oracle was built over a different corpus")
     prov: Provenance = dict(base.provenance)
-    kappa = kappa_ids(corpus, cap)
+    kappa = kappa_ids(corpus)
     stages_done = 0
     for n, f in enumerate(corpus.formulas, start=1):
         if n > E_STAGE_CAP:
@@ -472,7 +472,7 @@ def build_E(corpus: Corpus, base: OracleSet, cap=None) -> OracleSet:
     return _finish("E", prov, corpus)
 
 
-def build_F(corpus: Corpus, cap=None) -> TwoSidedSet:
+def build_F(corpus: Corpus) -> TwoSidedSet:
     """Two-sided functional set, built as its two untagged sides.
 
     The np side holds the accepting-block codes, for the direct solver; the co
@@ -482,12 +482,12 @@ def build_F(corpus: Corpus, cap=None) -> TwoSidedSet:
     outcome the construction exists for. No code is tagged here: the tagged
     union is paired on first use (see TwoSidedSet).
     """
-    direct = build_A(corpus, cap)
+    direct = build_A(corpus)
     np_side = {code: (fid, f"np side, {note}") for code, (fid, note) in direct.provenance.items()}
     co_side = {
         input_code_at(f.id, 0, f.k): (
             f.id, "co side: sentinel for a problem with no accepting assignment")
-        for f in corpus.formulas if not truth_table(f, cap)
+        for f in corpus.formulas if not truth_table(f)
     }
     return TwoSidedSet(np_side, co_side, direct.corpus_ids, direct.corpus_hash)
 

@@ -31,13 +31,13 @@ from relativize.oracles import OracleSet
 # ---------------------------------------------------------------- assignments
 
 
-def enumerate_assignments(f, cap: int | None = None) -> Iterator[Assignment]:
+def enumerate_assignments(f) -> Iterator[Assignment]:
     """All 2^k assignments of f in canonical order.
 
     Deterministic and identical across every call; any problem object exposing
     `k` can be enumerated.
     """
-    k = check_enumerable(f.k, cap)
+    k = check_enumerable(f.k)
     for e in range(1 << k):
         yield assignment_from_index(e, k)
 
@@ -47,14 +47,14 @@ def true_count(a: Assignment) -> int:
     return sum(a)
 
 
-def partition(f, t: int, cap: int | None = None) -> list[Assignment]:
+def partition(f, t: int) -> list[Assignment]:
     """All assignments of f with exactly t true literals, in canonical order.
 
     The k+1 blocks for t = 0..k partition the full assignment space.
     """
     if not 0 <= t <= f.k:
         raise ValueError(f"true-count {t} out of range [0, {f.k}]")
-    return [a for a in enumerate_assignments(f, cap) if true_count(a) == t]
+    return [a for a in enumerate_assignments(f) if true_count(a) == t]
 
 
 # ---------------------------------------------------------------- formula operations

@@ -51,10 +51,11 @@ class TestSetSumSolvers:
         inst = SetSumInstance((2, 3), 2)
         assert set_sum_naive(inst)[0] is False
 
-    def test_naive_cap(self):
+    def test_naive_cap(self, monkeypatch):
         inst = SetSumInstance(tuple(range(8)), 0)
+        monkeypatch.setenv("RELATIVIZE_CAP", "6")
         with pytest.raises(CapacityError):
-            set_sum_naive(inst, cap=6)
+            set_sum_naive(inst)
 
     @given(instances_strategy())
     @settings(max_examples=100)

@@ -103,10 +103,11 @@ class TestEnumeration:
         f = F(1, default_literals(12), (((0, True),),))
         assert sum(1 for _ in enumerate_assignments(f)) == 4096
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         f = F(1, default_literals(6), (((0, True),),))
+        monkeypatch.setenv("RELATIVIZE_CAP", "5")
         with pytest.raises(CapacityError):
-            list(enumerate_assignments(f, cap=5))
+            list(enumerate_assignments(f))
 
     def test_two_calls_identical(self):
         f = F(1, default_literals(4), (((0, True),),))

@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +303,21 @@ class TestCap:
         assert err.startswith("error:") and "RELATIVIZE_CAP must be a non-negative integer" in err
         assert not (tmp_path / "a.json").exists()
 
+    @pytest.mark.parametrize("argv, out", [
+        (["suite", "--out-dir", "d"], "d"),
+        (["lambda", "--instances", "f.json", "--out", "c.csv"], "c.csv"),
+    ])
+    def test_cli_stops_at_a_low_cap(self, tmp_path, monkeypatch, capsys, argv, out):
+        # the suite's smallest k is 6 and the battery's one instance has r=8
+        (tmp_path / "f.json").write_text(json.dumps([{"S": list(range(8)), "M": 28}]),
+                                         encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RELATIVIZE_CAP", "5")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "RELATIVIZE_CAP" in captured.err
+        assert captured.out == "" and not (tmp_path / out).exists()
+
 
 class TestCli:
     def test_gen_corpus_and_build_and_solve(self, tmp_path, capsys):
@@ -410,6 +429,16 @@ class TestCli:
         assert "question battery" in out
         assert csv_path.is_file()
 
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        inst_path = tmp_path / "instances.json"
+        save_instances(gen_instances(seed=4, count=10, r_min=3, r_max=6), inst_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "relativize", "lambda",
+                               "--instances", str(inst_path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "question battery" in done.stdout and "RuntimeWarning" not in done.stderr
+
     def _suite_exit(self, tmp_path, doc):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "out")}),
@@ -442,6 +471,7 @@ class TestCli:
         ({"formulas_per_k": 1.5}, "'formulas_per_k' must be an integer"),
         ({"k_range": ["6", 6]}, "'k_range' must be a list of two integers"),
         ({"out_dir": 5}, "'out_dir' must be a string"),
+        ({"budget": [-1, 2]}, "'budget' must be a list of two non-negative integers"),
     ])
     def test_suite_rejects_config_value_of_wrong_type(self, tmp_path, capsys, bad, message):
         config_path = tmp_path / "config.json"
@@ -449,7 +479,7 @@ class TestCli:
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["suite", "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        assert err.startswith("error:") and f"{config_path}: {message}" in err
         assert not (tmp_path / "out").exists()
 
     DENSITY = "clause_density must be non-negative with a finite clause_density * k"

@@ -1,7 +1,11 @@
 """The package's public surface, pinned: adding or removing a public name
 means editing this list on purpose."""
 
+import inspect
+
 import relativize
+from relativize.encoding import input_code_at, input_codes
+from relativize.harness import SuiteRunner
 
 PUBLIC = [
     "AggregateReport", "Assignment", "Budget", "CapacityError", "ConfigurationError",
@@ -29,3 +33,17 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     missing = [name for name in relativize.__all__ if not hasattr(relativize, name)]
     assert missing == []
+
+
+def test_no_public_callable_takes_a_cap():
+    """The enumeration cap has one setting, RELATIVIZE_CAP: nothing takes it per call."""
+    public = {name: getattr(relativize, name) for name in relativize.__all__}
+    callables = {name: obj.__init__ if inspect.isclass(obj) else obj
+                 for name, obj in {**public, "SuiteRunner": SuiteRunner}.items()
+                 if inspect.isclass(obj) or inspect.isfunction(obj)}
+    assert len(callables) > 60
+    takes_cap = [name for name, fn in callables.items()
+                 if "cap" in inspect.signature(fn).parameters]
+    assert takes_cap == []
+    assert list(inspect.signature(input_code_at).parameters) == ["i", "e", "k"]
+    assert list(inspect.signature(input_codes).parameters) == ["i", "k", "stop"]

@@ -205,51 +205,57 @@ class TestTable:
 class TestCap:
     def test_cap_fires_before_the_table_is_built(self, monkeypatch):
         f = Formula(1, default_literals(6), (((0, True),),))
-        with pytest.raises(CapacityError):
-            truth_table(f, cap=5)
         monkeypatch.setenv("RELATIVIZE_CAP", "5")
+        with pytest.raises(CapacityError, match="RELATIVIZE_CAP"):
+            truth_table(f)
         with pytest.raises(CapacityError):
             brute_force_sat(f)
         assert "truth_table" not in vars(f)
 
-    def test_every_reader_checks_the_cap(self):
+    def test_every_reader_checks_the_cap(self, monkeypatch):
         f = Formula(1, default_literals(6), (((0, True),),))
         corpus = Corpus((f,), {1: clamped_budget(6)})
+        adversarial = build_B(corpus)
         readers = [
-            lambda: brute_force_sat(f, cap=5),
-            lambda: nd_solve(f, cap=5),
-            lambda: solve_with_B(f, build_B(corpus), clamped_budget(6), cap=5),
-            lambda: build_A(corpus, cap=5),
-            lambda: build_C(corpus, cap=5),
-            lambda: build_C_bar(corpus, cap=5),
-            lambda: build_F(corpus, cap=5),
-            lambda: kappa_ids(corpus, cap=5),
+            lambda: brute_force_sat(f),
+            lambda: nd_solve(f),
+            lambda: solve_with_B(f, adversarial, clamped_budget(6)),
+            lambda: build_A(corpus),
+            lambda: build_C(corpus),
+            lambda: build_C_bar(corpus),
+            lambda: build_F(corpus),
+            lambda: kappa_ids(corpus),
         ]
+        monkeypatch.setenv("RELATIVIZE_CAP", "5")
         for read in readers:
             with pytest.raises(CapacityError):
                 read()
 
-    def test_set_sum_cap(self):
+    def test_set_sum_cap(self, monkeypatch):
         p = SetSumProblem(1, SetSumInstance(tuple(range(8)), 28))
+        monkeypatch.setenv("RELATIVIZE_CAP", "7")
         with pytest.raises(CapacityError):
-            brute_force_sat(p, cap=7)
+            brute_force_sat(p)
 
-    def test_every_input_code_scan_checks_the_cap(self):
+    def test_every_input_code_scan_checks_the_cap(self, monkeypatch):
         f = Formula(1, default_literals(6), (((0, True), (0, False)),))
+        monkeypatch.setenv("RELATIVIZE_CAP", "5")
         with pytest.raises(CapacityError):
-            solve_with_C(f, frozenset(), cap=5)
+            solve_with_C(f, frozenset())
         with pytest.raises(CapacityError):
-            solve_with_C(f, frozenset(), cap=5, max_queries=1)
+            solve_with_C(f, frozenset(), max_queries=1)
         with pytest.raises(CapacityError):
-            build_C_bar(Corpus((f,), {1: clamped_budget(6)}), cap=5)
+            build_C_bar(Corpus((f,), {1: clamped_budget(6)}))
         # D's even stage scans the k=6 problem after reading only its k=3
         # half-length problem's table, so it checks the cap on its own
         half = Formula(1, default_literals(3), (((0, True),), ((0, False),)))
         even = Formula(2, default_literals(6), (((0, True),),))
         corpus = Corpus((half, even), {1: clamped_budget(3), 2: clamped_budget(6)})
-        build_D(corpus, cap=6)
+        monkeypatch.setenv("RELATIVIZE_CAP", "6")
+        build_D(corpus)
+        monkeypatch.setenv("RELATIVIZE_CAP", "5")
         with pytest.raises(CapacityError):
-            build_D(corpus, cap=5)
+            build_D(corpus)
 
 
 # ---------------------------------------------------------------- the readers
@@ -314,13 +320,14 @@ class TestInputCodes:
     @settings(max_examples=300, deadline=None)
     def test_index_code_is_the_tuple_code(self, ke, i, n):
         k, e = ke
-        assert input_code_at(i, e, k, n) == input_code(i, assignment(e, k), n).code
+        assert input_code_at(i, e, k) == input_code(i, assignment(e, k)).code
+        assert input_code(i, assignment(e, k), n).code == pair(i, pair((1 << k) | e, n))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_lazy_codes_in_canonical_order(self, k):
-        codes = [input_code(7, assignment(e, k), 2).code for e in range(1 << k)]
-        assert list(input_codes(7, k, n=2)) == codes
-        assert list(input_codes(7, k, stop=3, n=2)) == codes[:3]
+        codes = [input_code(7, assignment(e, k)).code for e in range(1 << k)]
+        assert list(input_codes(7, k)) == codes
+        assert list(input_codes(7, k, stop=3)) == codes[:3]
         assert list(input_codes(7, k, stop=0)) == []
 
     @given(problems(), st.data())
@@ -452,16 +459,15 @@ class TestScanTranscript:
             assert hash(a) == hash(tuple(a)) and a[:] == tuple(a)
         assert ScanTranscript(1, 2, 0, False) == () == ScanTranscript(2, 0, 0, False)
 
-    @given(st.integers(0, 12), st.integers(0, 3), st.integers(0, 1 << 40))
-    @example(12, 3, 1 << 40)
-    @example(0, 0, 0)
+    @given(st.integers(0, 12), st.integers(0, 1 << 40))
+    @example(12, 1 << 40)
+    @example(0, 0)
     @settings(max_examples=40, deadline=None)
-    def test_additive_codes_are_input_code_at(self, k, n, i):
+    def test_additive_codes_are_input_code_at(self, k, i):
         total = 1 << k
         for stop in (None, 0, 1, total // 2, total, total + 3):
             count = total if stop is None else min(stop, total)
-            assert list(input_codes(i, k, stop, n)) == [
-                input_code_at(i, e, k, n) for e in range(count)]
+            assert list(input_codes(i, k, stop)) == [input_code_at(i, e, k) for e in range(count)]
 
     def test_writer_streams_scans_byte_for_byte(self, tmp_path):
         f = craft_unsat(5, 3)
@@ -506,7 +512,7 @@ def member_scans(draw):
     members = {input_code_at(p.id, e, k) for e in own}
 
     def codes_of(i, j, n=0):
-        return st.integers(0, (1 << j) - 1).map(lambda e: input_code_at(i, e, j, n))
+        return st.integers(0, (1 << j) - 1).map(lambda e: pair(i, pair((1 << j) | e, n)))
 
     foreign = st.one_of(
         st.tuples(st.integers(0, 40).filter(lambda i: i != p.id), st.integers(0, 12)).flatmap(
