@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .encoding import pair
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, check_keys
 from .formula import Assignment, check_enumerable
 from .machine import (
-    Budget,
     RunResult,
     atomic_open,
     clamped_budget,
@@ -39,11 +38,13 @@ from .machine import (
 from .oracles import (
     Corpus,
     OracleSet,
+    SideView,
     build_B,
     build_C,
     build_C_bar,
     build_D,
     build_F,
+    crafted_d,
     tagged_view,
 )
 
@@ -125,11 +126,7 @@ class SetSumProblem:
 
 
 def _instance_from_entry(entry, where: str) -> SetSumInstance:
-    if not isinstance(entry, dict):
-        raise ConfigurationError(f"{where}: expected an object with keys 'S' and 'M'")
-    missing = [key for key in ("S", "M") if key not in entry]
-    if missing:
-        raise ConfigurationError(f"{where}: missing keys {missing}")
+    check_keys(entry, where, ("S", "M"))
     if not isinstance(entry["S"], list):
         raise ConfigurationError(f"{where}: 'S' must be a list")
     try:
@@ -182,6 +179,54 @@ def solve_lambda_with_oracle(index: int, inst: SetSumInstance, oracle,
     )
 
 
+# The one place a side label picks its solver, for the suite, `solve` and the
+# battery alike. It lives in this module because perfbench/run.py grades the
+# battery's runs by rebinding the solver names here: every run calls through
+# these names, so every run is seen.
+
+def sides_of(oracle) -> tuple:
+    """What the solvers query: F through its np and co views, in that
+    order, and every other set as itself."""
+    if oracle.kind == "F":
+        return tagged_view(oracle, 0), tagged_view(oracle, 1)
+    return (oracle,)
+
+
+def solve_side(side, problem, corpus: Corpus, truth: bool) -> RunResult:
+    """Run the solver that queries `side` on one problem, graded against
+    `truth`, the problem's satisfiability.
+
+    The side's label picks the solver: the block-query solver for A, E and
+    F[np], the budgeted one for B, the exhaustive input-code scan for C and
+    D. C_bar, D_bar and F[co] answer the complement question, so their
+    ground truth is `not truth`. ND (NO_ORACLE) is the nondeterministic
+    machine, which queries nothing.
+    """
+    label = side.kind
+    if label in ("A", "E", "F[np]"):
+        return solve_with_A(problem, side, ground_truth=truth)
+    if label == "B":
+        return solve_with_B(problem, side, corpus.budget_for(problem.id), ground_truth=truth)
+    if label in ("C", "D"):
+        return solve_with_C(problem, side, ground_truth=truth)
+    if label in ("C_bar", "D_bar", "F[co]"):
+        return solve_conp_with_C_bar(problem, side, ground_truth=not truth)
+    if label == "ND":
+        return nd_solve(problem, ground_truth=truth)
+    raise ConfigurationError(f"no solver queries oracle side {label!r}")
+
+
+# The side the ND runs query: the nondeterministic machine asks no oracle.
+NO_ORACLE = SideView("ND", frozenset())
+
+
+def _runs_by_label(sets, corpus: Corpus) -> dict[str, list[RunResult]]:
+    """Each side of each of `sets` run on every set-sum problem of `corpus`,
+    in corpus order, graded by direct evaluation and keyed by side label."""
+    return {side.kind: [solve_side(side, p, corpus, set_sum_direct(p.instance)) for p in corpus]
+            for oracle in sets for side in sides_of(oracle)}
+
+
 @dataclass(frozen=True)
 class QuestionRow:
     question: str
@@ -207,12 +252,9 @@ def _evidence(tag: str, r: RunResult) -> str:
     return f"{tag}:inst{r.formula_id}:r={r.k}:{r.verdict}:q={r.queries}:correct={r.correct}"
 
 
-def _problem_corpus(instances: list[SetSumInstance],
-                    budgets: dict[int, Budget] | None = None) -> Corpus:
+def _problem_corpus(instances: list[SetSumInstance]) -> Corpus:
     problems = tuple(SetSumProblem(i + 1, inst) for i, inst in enumerate(instances))
-    if budgets is None:
-        budgets = {p.id: clamped_budget(p.k) for p in problems}
-    return Corpus(problems, budgets)
+    return Corpus(problems, {p.id: clamped_budget(p.k) for p in problems})
 
 
 def lambda_report(instances: list[SetSumInstance]) -> LambdaReport:
@@ -225,13 +267,12 @@ def lambda_report(instances: list[SetSumInstance]) -> LambdaReport:
     pointed: the direct solver settles the class question with work r per
     instance, independent of every oracle built here.
     """
-    truths = [set_sum_direct(inst) for inst in instances]
     rows = []
 
     # Question 1: an oracle making the two analog classes coincide.
     functional = build_lambda_oracle(instances)
     q1_runs = [
-        solve_lambda_with_oracle(idx, inst, functional, ground_truth=truths[idx])
+        solve_lambda_with_oracle(idx, inst, functional, ground_truth=set_sum_direct(inst))
         for idx, inst in enumerate(instances)
     ]
     q1_ok = bool(q1_runs) and all(r.correct and r.queries == 1 for r in q1_runs)
@@ -244,17 +285,12 @@ def lambda_report(instances: list[SetSumInstance]) -> LambdaReport:
     # Question 2: an oracle separating them (deterministic side misled,
     # nondeterministic side untouched).
     corpus = _problem_corpus(instances)
-    adversarial = build_B(corpus)
-    det_runs = [
-        solve_with_B(p, adversarial, corpus.budget_for(p.id), ground_truth=truths[p.id - 1])
-        for p in corpus
-    ]
-    nd_runs = [nd_solve(p, ground_truth=truths[p.id - 1]) for p in corpus]
+    runs = _runs_by_label((build_B(corpus), NO_ORACLE), corpus)
     q2_ok = (
-        any(r.correct is False for r in det_runs)
-        and all(r.correct and r.queries == 0 for r in nd_runs)
+        any(r.correct is False for r in runs["B"])
+        and all(r.correct and r.queries == 0 for r in runs["ND"])
     )
-    evidence = [_evidence("B", r) for r in det_runs if r.correct is False][:5]
+    evidence = [_evidence("B", r) for r in runs["B"] if r.correct is False][:5]
     rows.append(QuestionRow(
         "Is there an oracle under which the analog classes differ?",
         "B", q2_ok, tuple(evidence),
@@ -262,53 +298,39 @@ def lambda_report(instances: list[SetSumInstance]) -> LambdaReport:
 
     # Question 3: an oracle breaking complementation closure (one query for the
     # complement side, exponential scanning for the direct side).
-    witness_set = build_C(corpus)
-    complement_set = build_C_bar(corpus)
-    c_runs = [solve_with_C(p, witness_set, ground_truth=truths[p.id - 1]) for p in corpus]
-    co_runs = [
-        solve_conp_with_C_bar(p, complement_set, ground_truth=not truths[p.id - 1])
-        for p in corpus
-    ]
+    runs = _runs_by_label((build_C(corpus), build_C_bar(corpus)), corpus)
     q3_ok = (
-        bool(c_runs)
-        and all(r.correct for r in c_runs)
-        and all(r.queries == (1 << r.k) for r in c_runs)
-        and all(r.correct and r.queries == 1 for r in co_runs)
+        bool(runs["C"])
+        and all(r.correct for r in runs["C"])
+        and all(r.queries == (1 << r.k) for r in runs["C"])
+        and all(r.correct and r.queries == 1 for r in runs["C_bar"])
     )
-    evidence = [_evidence("C", r) for r in c_runs[:3]] + [_evidence("C_bar", r) for r in co_runs[:2]]
+    evidence = ([_evidence("C", r) for r in runs["C"][:3]]
+                + [_evidence("C_bar", r) for r in runs["C_bar"][:2]])
     rows.append(QuestionRow(
         "Is there an oracle whose nondeterministic analog class is not closed "
         "under complementation?",
         "C", q3_ok, tuple(evidence),
     ))
 
-    # Question 4: an oracle separating the classes with both sides misleading.
-    # The shape (a half-length rejected problem feeding an even stage, then an
-    # odd stage whose gate fires) is crafted here; the construction itself is
-    # reused unchanged.
-    d_instances = [
-        SetSumInstance((3, 4), 0),                       # r=2, rejected, prefix target
-        SetSumInstance((1, 2, 3, 4), -1),                # r=4, rejected, even stage
-        SetSumInstance((1, 1, 1, 1, 1, 1, 1, 1, 1), 9),  # r=9, accepted, odd stage
-    ]
-    d_budgets = {1: clamped_budget(2), 2: clamped_budget(4), 3: Budget(1, 1)}
-    d_corpus = _problem_corpus(d_instances, d_budgets)
-    d_truths = {p.id: set_sum_direct(p.instance) for p in d_corpus}
-    d_set, dbar_set = build_D(d_corpus)
-    d_runs = [solve_with_C(p, d_set, ground_truth=d_truths[p.id]) for p in d_corpus]
-    dbar_runs = [
-        solve_conp_with_C_bar(p, dbar_set, ground_truth=not d_truths[p.id]) for p in d_corpus
-    ]
-    d_nd = [nd_solve(p, ground_truth=d_truths[p.id]) for p in d_corpus]
+    # Question 4: an oracle separating the classes with both sides misleading,
+    # on D's crafted shape: each problem is r ones, whose sum hits the target
+    # only where the shape has an accepted problem. The construction itself
+    # is reused unchanged.
+    d_corpus = crafted_d(lambda n, r, accepted:
+                         SetSumProblem(n, SetSumInstance((1,) * r, r if accepted else -1)))
+    runs = _runs_by_label((*build_D(d_corpus), NO_ORACLE), d_corpus)
     q4_ok = (
-        any(r.correct is False for r in d_runs)
-        and any(r.correct is False for r in dbar_runs)
-        and all(r.correct and r.queries == 0 for r in d_nd)
+        any(r.correct is False for r in runs["D"])
+        and any(r.correct is False for r in runs["D_bar"])
+        and all(r.correct and r.queries == 0 for r in runs["ND"])
     )
+    ks = ",".join(str(p.k) for p in d_corpus)
+    budgets = ",".join(f"({b.coefficient},{b.exponent})" for b in d_corpus.budgets.values())
     evidence = (
-        [_evidence("D", r) for r in d_runs if r.correct is False][:2]
-        + [_evidence("D_bar", r) for r in dbar_runs if r.correct is False][:2]
-        + ["crafted corpus: r=(2,4,9), budgets=((1,1),(1,1),(1,1))"]
+        [_evidence("D", r) for r in runs["D"] if r.correct is False][:2]
+        + [_evidence("D_bar", r) for r in runs["D_bar"] if r.correct is False][:2]
+        + [f"crafted corpus: r=({ks}), budgets=({budgets})"]
     )
     rows.append(QuestionRow(
         "Is there an oracle separating the analog classes while both the set "
@@ -317,22 +339,14 @@ def lambda_report(instances: list[SetSumInstance]) -> LambdaReport:
     ))
 
     # Question 5: an oracle making both sides polynomially answerable.
-    two_sided = build_F(corpus)
-    np_runs = [
-        solve_with_A(p, tagged_view(two_sided, 0), ground_truth=truths[p.id - 1]) for p in corpus
-    ]
-    co_side_runs = [
-        solve_conp_with_C_bar(p, tagged_view(two_sided, 1), ground_truth=not truths[p.id - 1])
-        for p in corpus
-    ]
+    runs = _runs_by_label((build_F(corpus),), corpus)
     q5_ok = (
-        bool(np_runs)
-        and all(r.correct and r.queries <= r.k + 1 for r in np_runs)
-        and all(r.correct and r.queries == 1 for r in co_side_runs)
+        bool(runs["F[np]"])
+        and all(r.correct and r.queries <= r.k + 1 for r in runs["F[np]"])
+        and all(r.correct and r.queries == 1 for r in runs["F[co]"])
     )
-    evidence = [_evidence("F[np]", r) for r in np_runs[:3]] + [
-        _evidence("F[co]", r) for r in co_side_runs[:2]
-    ]
+    evidence = ([_evidence("F[np]", r) for r in runs["F[np]"][:3]]
+                + [_evidence("F[co]", r) for r in runs["F[co]"][:2]])
     rows.append(QuestionRow(
         "Is there an oracle under which both a problem and its complement are "
         "answered in polynomially many queries?",

@@ -17,9 +17,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .analog import lambda_report, load_instances, render_lambda_table, write_lambda_csv
+from .analog import (
+    NO_ORACLE,
+    lambda_report,
+    load_instances,
+    render_lambda_table,
+    sides_of,
+    solve_side,
+    write_lambda_csv,
+)
 from .encoding import code_digit_limit, godel_number, unpair
-from .errors import CapacityError, ConfigurationError, OracleFileError
+from .errors import CapacityError, ConfigurationError, OracleFileError, check_keys
 from .formula import Formula, brute_force_sat, default_literals
 from .machine import (
     DEFAULT_BUDGET,
@@ -28,13 +36,8 @@ from .machine import (
     atomic_open,
     clamped_budget,
     code_text,
-    nd_solve,
     run_report,
     run_result_to_json,
-    solve_conp_with_C_bar,
-    solve_with_A,
-    solve_with_B,
-    solve_with_C,
     write_results_csv,
     write_results_jsonl,
 )
@@ -42,7 +45,6 @@ from .oracles import (
     KINDS,
     Corpus,
     OracleSet,
-    SideView,
     build_A,
     build_B,
     build_C,
@@ -50,10 +52,10 @@ from .oracles import (
     build_D,
     build_E,
     build_F,
+    crafted_d,
     kappa_ids,
     load_oracle,
     save_oracle,
-    tagged_view,
 )
 
 
@@ -121,18 +123,10 @@ def gen_corpus(config: ExperimentConfig) -> Corpus:
 
 
 def craft_d_corpus() -> Corpus:
-    """Three-problem corpus shaped for the interleaved double construction.
-
-    Position 1 (odd, gate must not fire) is also the half-length rejected
-    problem that position 2's prefixes resolve to; position 2 (even,
-    unsatisfiable, k=4) receives codes through the prefix rule; position 3
-    (odd, satisfiable, k=9, budget p(k)=9) fires the query-capture gate.
-    """
-    g = craft_unsat(1, 2)
-    f_even = craft_unsat(2, 4)
-    h = Formula(3, default_literals(9), (((0, True),),))
-    budgets = {1: clamped_budget(2), 2: clamped_budget(4), 3: Budget(1, 1)}
-    return Corpus((g, f_even, h), budgets)
+    """D's crafted corpus: a contradiction at each rejected position, one
+    unit clause at the accepted one."""
+    return crafted_d(lambda fid, k, accepted: Formula(fid, default_literals(k), (((0, True),),))
+                     if accepted else craft_unsat(fid, k))
 
 
 def craft_e_corpus() -> Corpus:
@@ -168,9 +162,6 @@ def save_corpus(corpus: Corpus, path) -> None:
         fh.write("\n")
 
 
-CORPUS_ENTRY_KEYS = ("id", "literals", "clauses")
-
-
 def _is_literal(value) -> bool:
     return (isinstance(value, list) and len(value) == 2 and _is_int(value[0])
             and isinstance(value[1], bool))
@@ -179,16 +170,7 @@ def _is_literal(value) -> bool:
 def _formula_from_entry(entry, where: str) -> Formula:
     """One corpus entry as a Formula, read strictly: `Formula` coerces its
     fields, so a value of the wrong JSON type is refused here first."""
-    if not isinstance(entry, dict):
-        raise ConfigurationError(
-            f"{where}: expected an object with keys {list(CORPUS_ENTRY_KEYS)}"
-        )
-    missing = [key for key in CORPUS_ENTRY_KEYS if key not in entry]
-    if missing:
-        raise ConfigurationError(f"{where}: missing keys {missing}")
-    unknown = sorted(set(entry) - {*CORPUS_ENTRY_KEYS, "budget"})
-    if unknown:  # a misspelt "budget" would otherwise fall back to the default
-        raise ConfigurationError(f"{where}: unknown keys {unknown}")
+    check_keys(entry, where, ("id", "literals", "clauses"), ("budget",))
     for key in ("literals", "clauses"):
         if not isinstance(entry[key], list):
             raise ConfigurationError(f"{where}: {key!r} must be a list")
@@ -225,6 +207,9 @@ def load_corpus(path, budget: Budget | None = None) -> Corpus:
     for n, entry in enumerate(doc):
         where = f"{path}: corpus entry {n}"
         f = _formula_from_entry(entry, where)
+        if f.id != n + 1:
+            raise ConfigurationError(
+                f"{where}: 'id' is {f.id}, not {n + 1}; corpus ids must be dense 1..n in order")
         formulas.append(f)
         stored = entry.get("budget", [])
         if "budget" in entry and not _is_budget(stored):
@@ -238,41 +223,6 @@ def load_corpus(path, budget: Budget | None = None) -> Corpus:
 
 
 # ---------------------------------------------------------------- the suite
-
-def _sides(oracle) -> tuple:
-    """What the solvers query: F through its np and co views, in that
-    order, and every other set as itself."""
-    if oracle.kind == "F":
-        return tagged_view(oracle, 0), tagged_view(oracle, 1)
-    return (oracle,)
-
-
-def _solve(side, problem, corpus: Corpus, truth: bool) -> RunResult:
-    """Run the solver that queries `side` on one problem, graded against
-    `truth`, the problem's satisfiability.
-
-    The side's label picks the solver: the block-query solver for A, E and
-    F[np], the budgeted one for B, the exhaustive input-code scan for C and
-    D. C_bar, D_bar and F[co] answer the complement question, so their
-    ground truth is `not truth`. ND (NO_ORACLE) is the nondeterministic
-    machine, which queries nothing.
-    """
-    label = side.kind
-    if label in ("A", "E", "F[np]"):
-        return solve_with_A(problem, side, ground_truth=truth)
-    if label == "B":
-        return solve_with_B(problem, side, corpus.budget_for(problem.id), ground_truth=truth)
-    if label in ("C", "D"):
-        return solve_with_C(problem, side, ground_truth=truth)
-    if label in ("C_bar", "D_bar", "F[co]"):
-        return solve_conp_with_C_bar(problem, side, ground_truth=not truth)
-    if label == "ND":
-        return nd_solve(problem, ground_truth=truth)
-    raise ConfigurationError(f"no solver queries oracle side {label!r}")
-
-
-# The side the ND runs query: the nondeterministic machine asks no oracle.
-NO_ORACLE = SideView("ND", frozenset())
 
 # What the suite checks on each run of a side: (holds(run, problem, corpus),
 # failure message after "<label>: "). B, D, D_bar and ND runs are judged as a
@@ -577,12 +527,12 @@ class SuiteRunner:
         built = c.build(corpus)
         runs = []
         for oracle in built.sets:
-            sides = _sides(oracle)
+            sides = sides_of(oracle)
             for f in corpus:
                 if built.on is not None and f.id not in built.on:
                     continue
                 for side in sides:
-                    r = _solve(side, f, corpus, truth[f.id])
+                    r = solve_side(side, f, corpus, truth[f.id])
                     runs.append(r)
                     for holds, message in RUN_RULES.get(side.kind, ()):
                         if not holds(r, f, corpus):
@@ -680,8 +630,15 @@ def _cmd_gen_corpus(args) -> int:
     return 0
 
 
+def _load_corpus_arg(args) -> Corpus:
+    """The --corpus file, every budget re-derived from --budget if given."""
+    if args.budget is not None and not _is_budget(args.budget):
+        raise ConfigurationError(f"--budget must be two non-negative integers, got {args.budget}")
+    return load_corpus(args.corpus, args.budget and Budget(*args.budget))
+
+
 def _cmd_build_oracle(args) -> int:
-    corpus = load_corpus(args.corpus, args.budget and Budget(*args.budget))
+    corpus = _load_corpus_arg(args)
     built = CONSTRUCTIONS[COVERED_BY.get(args.kind, args.kind)].build(corpus)
     oracle = next(s for s in built.sets if s.kind == args.kind)
     save_oracle(oracle, args.out)
@@ -690,11 +647,11 @@ def _cmd_build_oracle(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    corpus = load_corpus(args.corpus, args.budget and Budget(*args.budget))
+    corpus = _load_corpus_arg(args)
     oracle = load_oracle(args.oracle, corpus)
     f = corpus.by_id(args.formula)
     truth = brute_force_sat(f).satisfiable
-    runs = [_solve(side, f, corpus, truth) for side in _sides(oracle)]
+    runs = [solve_side(side, f, corpus, truth) for side in sides_of(oracle)]
     with code_digit_limit():
         text = code_text((f,))
         for r in runs:

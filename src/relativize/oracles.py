@@ -37,11 +37,12 @@ from .encoding import (
     pair,
     partition_code,
 )
-from .errors import ConfigurationError, OracleFileError
+from .errors import ConfigurationError, OracleFileError, check_keys
 from .formula import block_masks, check_enumerable, first_accepted, truth_table
 from .machine import (
     Budget,
     atomic_open,
+    clamped_budget,
     search_limit,
     solve_with_A,
     solve_with_B,
@@ -392,6 +393,20 @@ def build_D(corpus: Corpus) -> tuple[OracleSet, OracleSet]:
     )
 
 
+def crafted_d(problem) -> Corpus:
+    """The corpus shape D's two gates are sized for, its problem at position
+    n made by `problem(n, k, accepted)`. Position 1, rejected with k=2, is the
+    half-length problem position 2's prefixes resolve to; its own odd-stage
+    gate must not fire (p(2)^2 = 4 is not below 2^1). Position 2, rejected
+    with k=4, is an even stage that takes codes through the prefix rule.
+    Position 3, accepted with k=9 and p(9) = 9, fires the query-capture gate
+    (81 < 2^8)."""
+    shape = ((2, clamped_budget(2), False), (4, clamped_budget(4), False),
+             (9, Budget(1, 1), True))
+    return Corpus(tuple(problem(n, k, accepted) for n, (k, _, accepted) in enumerate(shape, 1)),
+                  {n: budget for n, (_, budget, _) in enumerate(shape, 1)})
+
+
 def tower(n: int) -> int:
     """Stage-threshold sequence: t(0) = 0, t(n) = 2^(2*t(n-1)).
 
@@ -539,14 +554,7 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise OracleFileError(f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(doc, dict):
-            raise OracleFileError(f"{path}: an oracle file holds a JSON object")
-        missing = [key for key in ORACLE_FILE_KEYS if key not in doc]
-        if missing:
-            raise OracleFileError(f"{path}: missing keys {missing}")
-        unknown = sorted(doc.keys() - set(ORACLE_FILE_KEYS))
-        if unknown:
-            raise OracleFileError(f"{path}: unknown keys {unknown}")
+        check_keys(doc, str(path), ORACLE_FILE_KEYS, error=OracleFileError)
         codes, notes = doc["members"], doc["provenance"]
         if not (isinstance(codes, list) and all(_is_decimal(code) for code in codes)):
             raise OracleFileError(f"{path}: 'members' must be a list of decimal strings")

@@ -11,7 +11,7 @@ transcripts, provenance text and insertion order included.
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from relativize import (
@@ -351,3 +351,24 @@ def ref_set_sum_naive(inst):
         if mask == full and subtotal == inst.target:
             verdict = True
     return verdict, examined
+
+
+# ---------------------------------------------------------------- fault injection
+
+
+def corrupted(solve, flips=(), inflates=()):
+    """`solve` with the verdict of its n-th call flipped for n in `flips`, and
+    k+2 queries added to it for n in `inflates`, counting calls from 0."""
+    calls = itertools.count()
+
+    def run(*args, **kwargs):
+        n, r = next(calls), solve(*args, **kwargs)
+        if n in flips:
+            accepted = not r.accepted
+            r = replace(r, accepted=accepted, correct=None if r.ground_truth is None
+                        else accepted == r.ground_truth)
+        if n in inflates:
+            r = replace(r, queries=r.queries + r.k + 2)
+        return r
+
+    return run

@@ -3,23 +3,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relativize import (
+    Budget,
     CapacityError,
     SetSumInstance,
     SetSumProblem,
     build_lambda_oracle,
+    craft_d_corpus,
     lambda_report,
     pair,
     set_sum_direct,
     set_sum_naive,
     solve_lambda_with_oracle,
 )
+from relativize import analog
 from relativize.analog import (
     load_instances,
     render_lambda_table,
     write_lambda_csv,
 )
 
-from reference import SET_SUM, ClassRegistry, default_registry, gen_instances, save_instances
+from reference import (
+    SET_SUM,
+    ClassRegistry,
+    corrupted,
+    default_registry,
+    gen_instances,
+    save_instances,
+)
 
 
 def instances_strategy():
@@ -149,9 +159,60 @@ class TestBattery:
         b = lambda_report(gen_instances(seed=7, count=15))
         assert a == b
 
+    def test_d_question_runs_on_the_suites_crafted_shape(self):
+        report = lambda_report(gen_instances(seed=3, count=5, r_min=3, r_max=5))
+        (d_row,) = [row for row in report.rows if row.oracle_kind == "D"]
+        assert d_row.evidence[-1] == "crafted corpus: r=(2,4,9), budgets=((1,1),(1,1),(1,1))"
+        corpus = craft_d_corpus()
+        assert [(f.k, corpus.budget_for(f.id)) for f in corpus] == [
+            (2, Budget(1, 1)), (4, Budget(1, 1)), (9, Budget(1, 1))]
+
     def test_omission_note_present(self):
         report = lambda_report(gen_instances(seed=3, count=5, r_min=3, r_max=5))
         assert "five questions" in report.omitted
+
+
+class TestBatteryFailureAttribution:
+    """Which rows turn NO with the solvers in relativize.analog corrupted on a
+    fixed call pattern. Over the n = 6 instances, nd_solve's calls 0..5 are
+    question 2's and 6..8 question 4's on D's crafted corpus; solve_with_C's
+    0..5 are C's and 6..8 D's; solve_conp_with_C_bar's 0..5 are C_bar's,
+    6..8 D_bar's and 9..14 F[co]'s."""
+
+    INSTANCES = gen_instances(seed=42, count=6, r_min=3, r_max=6)
+    ALL = {"A": True, "B": True, "C": True, "D": True, "F": True}
+
+    def _rows(self, monkeypatch, corruptions):
+        for name, pattern in corruptions.items():
+            monkeypatch.setattr(analog, name, corrupted(getattr(analog, name), **pattern))
+        return {row.oracle_kind: row.demonstrated for row in lambda_report(self.INSTANCES).rows}
+
+    def test_uncorrupted(self, monkeypatch):
+        assert self._rows(monkeypatch, {}) == self.ALL
+
+    @pytest.mark.parametrize("corruptions, failed", [
+        ({"solve_lambda_with_oracle": {"flips": {3}}}, "A"),
+        ({"nd_solve": {"flips": {0}}}, "B"),
+        ({"solve_with_C": {"inflates": {5}}}, "C"),
+        ({"solve_conp_with_C_bar": {"flips": {0}}}, "C"),
+        ({"nd_solve": {"flips": {6}}}, "D"),
+        ({"solve_with_A": {"inflates": {2}}}, "F"),
+        ({"solve_conp_with_C_bar": {"inflates": {14}}}, "F"),
+    ])
+    def test_each_question_fails_on_its_own_runs(self, monkeypatch, corruptions, failed):
+        assert self._rows(monkeypatch, corruptions) == {**self.ALL, failed: False}
+
+    def test_failures_and_rows_are_pinned(self, monkeypatch):
+        # Inflating D's and D_bar's queries breaks no claim of question 4,
+        # and flipping B's first verdict, a right one, leaves question 2
+        # with wrong verdicts to show.
+        rows = self._rows(monkeypatch, {
+            "nd_solve": {"flips": {6}},
+            "solve_with_C": {"inflates": {6, 7, 8}},
+            "solve_conp_with_C_bar": {"inflates": {6, 7, 8}, "flips": {9}},
+            "solve_with_B": {"flips": {0}},
+        })
+        assert rows == {"A": True, "B": True, "C": True, "D": False, "F": False}
 
 
 class TestSerialization:

@@ -1,9 +1,10 @@
+import ast
 import dataclasses
-import itertools
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from relativize import (
     Budget,
     ConfigurationError,
     ExperimentConfig,
+    SetSumInstance,
+    SetSumProblem,
     brute_force_sat,
     build_A,
     build_B,
@@ -25,6 +28,7 @@ from relativize import (
     craft_e_corpus,
     enumeration_cap,
     gen_corpus,
+    lambda_report,
     load_corpus,
     run_suite,
     save_corpus,
@@ -36,11 +40,11 @@ from relativize import (
     tagged_view,
 )
 from relativize.encoding import code_digit_limit
-from relativize import harness
+from relativize import analog, harness
 from relativize.harness import config_from_json, main
 from relativize.machine import atomic_open, run_result_to_json
 
-from reference import gen_instances, save_instances
+from reference import corrupted, gen_instances, save_instances
 
 SMALL = ExperimentConfig(seed=7, k_range=(6, 8), formulas_per_k=3, out_dir="unused")
 
@@ -213,24 +217,6 @@ class TestSuite:
         assert header == "oracle,formula_id,k,verdict,steps,queries,correct"
 
 
-def _corrupted(solve, flips=(), inflates=()):
-    """`solve` with the verdict of its n-th call flipped for n in `flips`, and
-    k+2 queries added to it for n in `inflates`, counting calls from 0."""
-    calls = itertools.count()
-
-    def run(*args, **kwargs):
-        n, r = next(calls), solve(*args, **kwargs)
-        if n in flips:
-            accepted = not r.accepted
-            r = dataclasses.replace(r, accepted=accepted, correct=None if r.ground_truth is None
-                                    else accepted == r.ground_truth)
-        if n in inflates:
-            r = dataclasses.replace(r, queries=r.queries + r.k + 2)
-        return r
-
-    return run
-
-
 # The failures the corrupted suite below reports, in the order it reports them.
 PINNED_FAILURES = [
     "ND: some verdict disagreed with ground truth",
@@ -253,7 +239,7 @@ class TestFailureAttribution:
 
     def _summary(self, tmp_path, monkeypatch, corruptions):
         for name, pattern in corruptions.items():
-            monkeypatch.setattr(harness, name, _corrupted(getattr(harness, name), **pattern))
+            monkeypatch.setattr(analog, name, corrupted(getattr(analog, name), **pattern))
         config = ExperimentConfig(**self.CONFIG, out_dir=str(tmp_path / "out"))
         status = run_suite(config)
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
@@ -277,6 +263,71 @@ class TestFailureAttribution:
         assert status == 1
         assert failures == ["ND: some verdict disagreed with ground truth"]
         assert rows == {"A": True, "B": False, "C": True, "D": True, "E": True, "F": True}
+
+
+def _battery_solvers() -> tuple[str, ...]:
+    """The solver names perfbench/run.py rebinds in relativize.analog to see
+    every run of the battery, read from its BATTERY_SOLVERS tuple."""
+    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    for node in ast.parse(run_py.read_text(encoding="utf-8")).body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and names == ["BATTERY_SOLVERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no BATTERY_SOLVERS")
+
+
+class TestSolverNamesInAnalog:
+    """Every run of the suite, of `solve` and of the battery calls its solver
+    through the names in relativize.analog, so rebinding them there, as the
+    benchmark does, sees every run."""
+
+    def _record(self, monkeypatch) -> list:
+        calls = []
+
+        def recording(name, solve):
+            def record(*args, **kwargs):
+                calls.append((name, args))
+                return solve(*args, **kwargs)
+            return record
+
+        for name in _battery_solvers():
+            monkeypatch.setattr(analog, name, recording(name, getattr(analog, name)))
+        return calls
+
+    def test_the_suite_runs_through_analog(self, tmp_path, monkeypatch):
+        calls = self._record(monkeypatch)
+        assert run_suite(dataclasses.replace(SMALL, out_dir=str(tmp_path))) == 0
+        rows = (tmp_path / "runs.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(calls) == len(rows) > 0
+
+    def test_solve_runs_through_analog(self, tmp_path, monkeypatch, capsys):
+        corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "f.json"
+        assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
+                     "--per-k", "1", "--out", str(corpus_path)]) == 0
+        assert main(["build-oracle", "--kind", "F", "--corpus", str(corpus_path),
+                     "--out", str(oracle_path)]) == 0
+        calls = self._record(monkeypatch)
+        assert main(["solve", "--oracle", str(oracle_path), "--formula", "2",
+                     "--corpus", str(corpus_path)]) == 0
+        assert [name for name, _ in calls] == ["solve_with_A", "solve_conp_with_C_bar"]
+
+    def test_the_battery_runs_through_analog(self, monkeypatch):
+        instances = gen_instances(seed=7, count=6, r_min=3, r_max=6)
+        n = len(instances)
+        calls = self._record(monkeypatch)
+        lambda_report(instances)
+        # question 1: n lambda runs; 2: n B and n ND; 3: n C and n C_bar;
+        # 4: 3 D, 3 D_bar and 3 ND on the crafted corpus; 5: n F[np], n F[co]
+        assert len(calls) == 7 * n + 9
+        assert Counter(name for name, _ in calls) == {
+            "solve_lambda_with_oracle": n, "solve_with_B": n, "nd_solve": n + 3,
+            "solve_with_C": n + 3, "solve_conp_with_C_bar": 2 * n + 3, "solve_with_A": n,
+        }
+        for name, args in calls:
+            if name == "solve_lambda_with_oracle":
+                assert type(args[0]) is int and isinstance(args[1], SetSumInstance)
+            else:
+                assert isinstance(args[0], SetSumProblem)
 
 
 class TestCap:
@@ -527,6 +578,7 @@ class TestCli:
         ([{"S": [], "M": 0}], "instance entry 0: malformed instance"),
         ([[1, 2]], "instance entry 0: expected an object"),
         ({"S": [1], "M": 1}, "a JSON array of instances"),
+        ([{"S": [1], "M": 1, "X": 2}], "instance entry 0: unknown keys ['X']"),
     ])
     def test_malformed_instance_file(self, tmp_path, capsys, doc, message):
         inst_path = tmp_path / "instances.json"
@@ -536,6 +588,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["build-oracle", "solve"])
+    @pytest.mark.parametrize("budget", [["-1", "2"], ["2", "-1"]])
+    def test_budget_option_must_be_naturals(self, tmp_path, capsys, command, budget):
+        corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "a.json"
+        assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
+                     "--per-k", "1", "--out", str(corpus_path)]) == 0
+        assert main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
+                     "--out", str(oracle_path)]) == 0
+        out = tmp_path / "b.json"
+        argv = {"build-oracle": ["build-oracle", "--kind", "A", "--out", str(out)],
+                "solve": ["solve", "--oracle", str(oracle_path), "--formula", "1"]}[command]
+        capsys.readouterr()
+        assert main([*argv, "--corpus", str(corpus_path), "--budget", *budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --budget must be two non-negative integers")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("doc, message", [
         ([{"S": [1.5, 2.9], "M": 3}], "instance entry 0: malformed instance"),
@@ -578,6 +647,8 @@ class TestCli:
         ({"id": 1, "literals": ["a"], "clauses": [[0, True]]}, "malformed formula"),
         ({"id": 1, "literals": ["a"], "clauses": [], "budgets": [1, 1]},
          "unknown keys ['budgets']"),
+        ({"id": 2, "literals": ["a"], "clauses": []},
+         "'id' is 2, not 1; corpus ids must be dense 1..n in order"),
     ])
     def test_malformed_corpus_entry(self, tmp_path, capsys, entry, message):
         corpus_path = tmp_path / "corpus.json"
