@@ -52,7 +52,6 @@ from .harness import (
 )
 from .machine import (
     DEFAULT_BUDGET,
-    AggregateReport,
     Budget,
     RunResult,
     ScanTranscript,
@@ -84,7 +83,7 @@ from .oracles import (
 )
 
 __all__ = [
-    "AggregateReport", "Assignment", "Budget", "CapacityError",
+    "Assignment", "Budget", "CapacityError",
     "ConfigurationError", "Corpus", "DEFAULT_BUDGET", "DimensionError",
     "ExperimentConfig", "Formula", "InputCode", "LambdaReport",
     "OracleFileError", "OracleSet", "RunResult", "SatVerdict",

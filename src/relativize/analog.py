@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .encoding import pair
-from .errors import ConfigurationError, DimensionError, check_keys
+from .errors import ConfigurationError, DimensionError, check_keys, read_json
 from .formula import Assignment, check_enumerable
 from .machine import (
     RunResult,
@@ -138,8 +138,7 @@ def _instance_from_entry(entry, where: str) -> SetSumInstance:
 def load_instances(path) -> list[SetSumInstance]:
     """Instance list from JSON: [{"S": [ints], "M": int}, ...]. A malformed
     file raises ConfigurationError naming the entry's position."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise ConfigurationError(f"{path}: an instance file holds a JSON array of instances")
     return [_instance_from_entry(entry, f"{path}: instance entry {n}")

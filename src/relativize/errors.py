@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the key check every input
-file's objects pass."""
+"""Exception types shared across the package, the reader every input file
+goes through, and the key check its objects pass."""
+
+import json
 
 
 class DimensionError(ValueError):
@@ -17,6 +19,16 @@ class ConfigurationError(ValueError):
 
 class OracleFileError(ValueError):
     """An oracle-set file is malformed or does not match the expected corpus."""
+
+
+def read_json(path, error: type[ValueError] = ConfigurationError):
+    """The JSON document in the UTF-8 file at `path`. A file that does not
+    parse raises `error` with a message that starts with `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
+        raise error(f"{path}: not readable as UTF-8 JSON ({exc})") from exc
 
 
 def check_keys(doc, where: str, required: tuple, optional: tuple = (),

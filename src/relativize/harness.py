@@ -27,7 +27,7 @@ from .analog import (
     write_lambda_csv,
 )
 from .encoding import code_digit_limit, godel_number, unpair
-from .errors import CapacityError, ConfigurationError, OracleFileError, check_keys
+from .errors import CapacityError, ConfigurationError, OracleFileError, check_keys, read_json
 from .formula import Formula, brute_force_sat, default_literals
 from .machine import (
     DEFAULT_BUDGET,
@@ -199,8 +199,7 @@ def load_corpus(path, budget: Budget | None = None) -> Corpus:
     preferred `budget` instead re-derives every budget from it, clamped per
     formula, as the default one does for an entry without a budget. A
     malformed file raises ConfigurationError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise ConfigurationError(f"{path}: a corpus file holds a JSON array of formulas")
     formulas, budgets = [], {}
@@ -464,8 +463,7 @@ def config_from_json(path) -> ExperimentConfig:
     """Read a config file; keys are those of CONFIG_KEYS, each optional, and
     a value of the wrong type is rejected, never coerced. Only the keys the
     file holds are passed on."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: a config file holds one JSON object")
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
@@ -565,7 +563,6 @@ class SuiteRunner:
         out.mkdir(parents=True, exist_ok=True)
         write_results_csv(self.results, out / "runs.csv")
         write_results_jsonl(self.results, out / "runs.jsonl", self.block_coded)
-        report = run_report(self.results)
         summary = {
             "config": {
                 "seed": self.config.seed,
@@ -576,24 +573,7 @@ class SuiteRunner:
                 "oracles": list(self.config.oracle_kinds),
             },
             "corpus": {"formulas": len(self.corpus), "hash": self.corpus.digest()},
-            "totals": {
-                "runs": report.total_runs,
-                "accepted": report.accepted_runs,
-                "incorrect": report.incorrect_runs,
-                "queries": report.queries_total,
-            },
-            "max_queries_by_k": report.max_queries_by_k,
-            "by_oracle": {
-                name: {
-                    "runs": stats.runs,
-                    "correct": stats.correct,
-                    "incorrect": stats.incorrect,
-                    "ungraded": stats.ungraded,
-                    "correctness_rate": stats.correctness_rate,
-                    "max_queries": stats.max_queries,
-                }
-                for name, stats in report.by_oracle.items()
-            },
+            **run_report(self.results),
             "conclusions": self._conclusions(),
             "failures": self.failures,
         }

@@ -307,63 +307,32 @@ def solve_conp_with_C_bar(f, oracle, ground_truth: bool | None = None) -> RunRes
                    transcript=((code, answer),), ground_truth=ground_truth)
 
 
-@dataclass(frozen=True)
-class OracleStats:
-    """Per-oracle tallies across a batch of runs."""
-
-    runs: int
-    correct: int
-    incorrect: int
-    ungraded: int
-    max_queries: int
-
-    @property
-    def correctness_rate(self) -> float:
-        graded = self.correct + self.incorrect
-        return self.correct / graded if graded else 0.0
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    """Batch summary: totals, per-oracle correctness, worst queries by k."""
-
-    total_runs: int
-    accepted_runs: int
-    incorrect_runs: int
-    queries_total: int
-    max_queries_by_k: dict[int, int]
-    by_oracle: dict[str, OracleStats]
-
-
-def run_report(results: list[RunResult]) -> AggregateReport:
-    """Aggregate a batch of runs into totals and per-oracle statistics."""
+def run_report(results: list[RunResult]) -> dict:
+    """Tally a batch of runs into summary.json's "totals", "max_queries_by_k"
+    (sorted by k) and "by_oracle" (sorted by label) blocks."""
+    totals = {"runs": len(results), "accepted": 0, "incorrect": 0, "queries": 0}
     max_by_k: dict[int, int] = {}
-    tallies: dict[str, list[int]] = {}
-    accepted = incorrect = queries_total = 0
+    by_oracle: dict[str, dict] = {}
     for r in results:
-        accepted += r.accepted
-        queries_total += r.queries
-        if r.correct is False:
-            incorrect += 1
+        totals["accepted"] += r.accepted
+        totals["queries"] += r.queries
         max_by_k[r.k] = max(max_by_k.get(r.k, 0), r.queries)
-        t = tallies.setdefault(r.oracle, [0, 0, 0, 0, 0])
-        t[0] += 1
+        t = by_oracle.setdefault(r.oracle, {"runs": 0, "correct": 0, "incorrect": 0,
+                                            "ungraded": 0, "max_queries": 0})
+        t["runs"] += 1
         if r.correct is True:
-            t[1] += 1
+            t["correct"] += 1
         elif r.correct is False:
-            t[2] += 1
+            t["incorrect"] += 1
+            totals["incorrect"] += 1
         else:
-            t[3] += 1
-        t[4] = max(t[4], r.queries)
-    by_oracle = {name: OracleStats(*t) for name, t in sorted(tallies.items())}
-    return AggregateReport(
-        total_runs=len(results),
-        accepted_runs=accepted,
-        incorrect_runs=incorrect,
-        queries_total=queries_total,
-        max_queries_by_k=dict(sorted(max_by_k.items())),
-        by_oracle=by_oracle,
-    )
+            t["ungraded"] += 1
+        t["max_queries"] = max(t["max_queries"], r.queries)
+    for t in by_oracle.values():
+        graded = t["correct"] + t["incorrect"]
+        t["correctness_rate"] = t["correct"] / graded if graded else 0.0
+    return {"totals": totals, "max_queries_by_k": dict(sorted(max_by_k.items())),
+            "by_oracle": dict(sorted(by_oracle.items()))}
 
 
 def run_result_to_json(r: RunResult, text=str) -> dict:
@@ -455,7 +424,7 @@ def write_results_jsonl(results: list[RunResult], path, problems=()) -> None:
 
 
 def write_results_csv(results: list[RunResult], path) -> None:
-    """The per-run table backing an AggregateReport."""
+    """The per-run table, one CSV row per run, written atomically."""
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["oracle", "formula_id", "k", "verdict", "steps", "queries", "correct"])

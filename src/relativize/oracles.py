@@ -37,7 +37,7 @@ from .encoding import (
     pair,
     partition_code,
 )
-from .errors import ConfigurationError, OracleFileError, check_keys
+from .errors import ConfigurationError, OracleFileError, check_keys, read_json
 from .formula import block_masks, check_enumerable, first_accepted, truth_table
 from .machine import (
     Budget,
@@ -549,11 +549,7 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     well.
     """
     with code_digit_limit():
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise OracleFileError(f"{path}: not valid JSON ({exc})") from exc
+        doc = read_json(path, OracleFileError)
         check_keys(doc, str(path), ORACLE_FILE_KEYS, error=OracleFileError)
         codes, notes = doc["members"], doc["provenance"]
         if not (isinstance(codes, list) and all(_is_decimal(code) for code in codes)):

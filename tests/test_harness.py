@@ -39,7 +39,7 @@ from relativize import (
     solve_with_C,
     tagged_view,
 )
-from relativize.encoding import code_digit_limit
+from relativize.encoding import CODE_DIGITS, code_digit_limit
 from relativize import analog, harness
 from relativize.harness import config_from_json, main
 from relativize.machine import atomic_open, run_result_to_json
@@ -588,6 +588,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe[]",
+                                         b"[" + b"1" * (CODE_DIGITS + 1) + b"]"],
+                             ids=["not-json", "not-utf-8", "int-past-digit-limit"])
+    @pytest.mark.parametrize("option", ["suite --config", "build-oracle --corpus",
+                                        "lambda --instances", "solve --oracle"],
+                             ids=["suite-config", "build-oracle-corpus", "lambda-instances",
+                                  "solve-oracle"])
+    def test_unreadable_input_file_is_named(self, tmp_path, capsys, option, content):
+        corpus_path, bad, out = tmp_path / "corpus.json", tmp_path / "bad.json", tmp_path / "out"
+        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
+                     "--out", str(corpus_path)]) == 0
+        bad.write_bytes(content)
+        argv = {
+            "suite --config": ["suite", "--config", str(bad), "--out-dir", str(out)],
+            "build-oracle --corpus": ["build-oracle", "--kind", "A", "--corpus", str(bad),
+                                      "--out", str(out)],
+            "lambda --instances": ["lambda", "--instances", str(bad), "--out", str(out)],
+            "solve --oracle": ["solve", "--oracle", str(bad), "--formula", "1",
+                               "--corpus", str(corpus_path)],
+        }[option]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: not readable as UTF-8 JSON (")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("command", ["build-oracle", "solve"])
     @pytest.mark.parametrize("budget", [["-1", "2"], ["2", "-1"]])

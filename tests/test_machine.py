@@ -186,8 +186,8 @@ class TestComplementSolver:
 class TestRunReport:
     def test_empty(self):
         report = run_report([])
-        assert report.total_runs == 0 and report.incorrect_runs == 0
-        assert report.by_oracle == {} and report.max_queries_by_k == {}
+        assert report["totals"]["runs"] == 0 and report["totals"]["incorrect"] == 0
+        assert report["by_oracle"] == {} and report["max_queries_by_k"] == {}
 
     def test_all_correct_band(self):
         corpus = small_corpus(seed=2)
@@ -197,8 +197,8 @@ class TestRunReport:
             for f in corpus
         ]
         report = run_report(runs)
-        assert report.by_oracle["A"].correctness_rate == 1.0
-        assert report.max_queries_by_k[5] <= 6
+        assert report["by_oracle"]["A"]["correctness_rate"] == 1.0
+        assert report["max_queries_by_k"][5] <= 6
 
     def test_dysfunction_lowers_the_rate(self):
         f = craft_unsat(1, 6)
@@ -206,5 +206,33 @@ class TestRunReport:
         oracle = build_B(corpus)
         runs = [solve_with_B(f, oracle, corpus.budget_for(1), ground_truth=False)]
         report = run_report(runs)
-        assert report.by_oracle["B"].correctness_rate < 1.0
-        assert report.incorrect_runs == 1
+        assert report["by_oracle"]["B"]["correctness_rate"] < 1.0
+        assert report["totals"]["incorrect"] == 1
+
+    def test_mixed_batch_is_pinned(self):
+        """A right and a wrong B run, two ungraded ND runs, and k 6 before k 3:
+        ND's runs are all ungraded, so its rate is 0.0, and both blocks come
+        out sorted although the batch lists ND first and k 6 first."""
+        unsat = craft_unsat(1, 6)
+        wide = Formula(2, ABC, WIDE.clauses)
+        corpus = Corpus((unsat, wide), {1: clamped_budget(6), 2: clamped_budget(3)})
+        oracle = build_B(corpus)
+        runs = [
+            nd_solve(unsat),
+            solve_with_B(unsat, oracle, corpus.budget_for(1), ground_truth=False),
+            solve_with_B(wide, oracle, corpus.budget_for(2), ground_truth=True),
+            nd_solve(wide),
+        ]
+        report = run_report(runs)
+        assert report == {
+            "totals": {"runs": 4, "accepted": 3, "incorrect": 1, "queries": 1},
+            "max_queries_by_k": {3: 0, 6: 1},
+            "by_oracle": {
+                "B": {"runs": 2, "correct": 1, "incorrect": 1, "ungraded": 0,
+                      "correctness_rate": 0.5, "max_queries": 1},
+                "ND": {"runs": 2, "correct": 0, "incorrect": 0, "ungraded": 2,
+                       "correctness_rate": 0.0, "max_queries": 0},
+            },
+        }
+        assert list(report["max_queries_by_k"]) == [3, 6]
+        assert list(report["by_oracle"]) == ["B", "ND"]

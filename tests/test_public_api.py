@@ -8,7 +8,7 @@ from relativize.encoding import input_code_at, input_codes
 from relativize.harness import SuiteRunner
 
 PUBLIC = [
-    "AggregateReport", "Assignment", "Budget", "CapacityError", "ConfigurationError",
+    "Assignment", "Budget", "CapacityError", "ConfigurationError",
     "Corpus", "DEFAULT_BUDGET", "DimensionError", "ExperimentConfig", "Formula",
     "InputCode", "LambdaReport", "OracleFileError", "OracleSet", "RunResult",
     "SatVerdict", "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView",
