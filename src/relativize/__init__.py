@@ -67,7 +67,6 @@ from .oracles import (
     Corpus,
     OracleSet,
     SideView,
-    TwoSidedSet,
     build_A,
     build_B,
     build_C,
@@ -87,7 +86,7 @@ __all__ = [
     "ConfigurationError", "Corpus", "DEFAULT_BUDGET", "DimensionError",
     "ExperimentConfig", "Formula", "InputCode", "LambdaReport",
     "OracleFileError", "OracleSet", "RunResult", "SatVerdict",
-    "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView", "TwoSidedSet",
+    "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView",
     "assignment_from_index", "assignment_index", "brute_force_sat", "build_A",
     "build_B", "build_C", "build_C_bar", "build_D", "build_E", "build_F",
     "build_lambda_oracle", "clamped_budget", "craft_all_true", "craft_d_corpus",

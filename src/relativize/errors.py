@@ -23,11 +23,12 @@ class OracleFileError(ValueError):
 
 def read_json(path, error: type[ValueError] = ConfigurationError):
     """The JSON document in the UTF-8 file at `path`. A file that does not
-    parse raises `error` with a message that starts with `path`."""
+    parse (not UTF-8, not JSON, an int past the digit limit, or nested too
+    deep for the parser) raises `error` with a message that starts with `path`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not readable as UTF-8 JSON ({exc})") from exc
 
 

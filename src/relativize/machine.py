@@ -229,13 +229,11 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None) ->
 
 def _member_map(oracle) -> dict | None:
     """The plain dict whose keys are exactly the oracle's members, if it has
-    one: an OracleSet's or a TwoSidedSet's provenance, or the oracle itself
-    (a construction's live map, like D's during its staged scans). Any other
-    container, a SideView or a test double among them, has none."""
-    if type(oracle) is dict:
-        return oracle
-    from .oracles import OracleSet, TwoSidedSet  # oracles imports this module
-    return oracle.provenance if type(oracle) in (OracleSet, TwoSidedSet) else None
+    one: an OracleSet's provenance, or the oracle itself (a construction's
+    live map, like D's during its staged scans). Only a real dict counts: a
+    built F's TaggedUnion, a SideView or a test double has none."""
+    members = getattr(oracle, "provenance", oracle)
+    return members if type(members) is dict else None
 
 
 def _first_member_hit(members, i: int, k: int, total: int) -> int | None:
@@ -266,15 +264,16 @@ def solve_with_C(f, oracle, ground_truth: bool | None = None,
 
     Worst case 2^k queries; that exponential scan is the whole point of the
     construction it pairs with. When the oracle holds its members as a plain
-    dict (an OracleSet's or TwoSidedSet's provenance, or a construction's
-    live map) with fewer members than the scan is long, the first yes is read
-    off the members (`_first_member_hit`); any other container, or a map at
-    least as large as the scan, is asked code by code through its `in`, each
-    code computed lazily from its assignment index. Either way the run is the
-    same: steps equal the queries the scan asks, the transcript is a
-    ScanTranscript of exactly those codes, and every count and report byte
-    is what the code-by-code scan gives. `max_queries` limits the scan for
-    budgeted staging; None scans the full space.
+    dict (an OracleSet's provenance, or a construction's live map) with
+    fewer members than the scan is long, the first yes is read off the
+    members (`_first_member_hit`); any other container, F's TaggedUnion
+    among them, or a map at least as large as the scan, is asked code by
+    code through its `in`, each code computed lazily from its assignment
+    index. Either way the run is the same: steps equal the queries the scan
+    asks, the transcript is a ScanTranscript of exactly those codes, and
+    every count and report byte is what the code-by-code scan gives.
+    `max_queries` limits the scan for budgeted staging; None scans the full
+    space.
     """
     _require_covered(f, oracle)
     k = check_enumerable(f.k)

@@ -11,11 +11,11 @@ wrong verdict. That map is the set: its keys are the members, held once.
 Two encodings appear as members: block codes (true-count paired with the
 problem's structural number) for A, E, and F's direct side; input codes
 (problem id, assignment, padding) for B, C, C_bar, D, D_bar, and F's
-complement side. A built F is held as those two untagged sides, and each side
-is queried as is. Tagging each code by pairing it with 0 or 1 only turns F
-into one set of naturals, the set an oracle file holds; that tagged union is
-computed when something reads it, and a loaded F, which has only the union,
-pairs per query instead.
+complement side. A built F is an OracleSet over those two untagged sides,
+each queried as is. Tagging each code by pairing it with 0 or 1 only turns F
+into one set of naturals, the set an oracle file holds; F's provenance map
+pairs or unpairs a code when something reads it, and a loaded F, which has
+only the tagged codes, pairs per query instead.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import hashlib
 import json
 import logging
 import math
-from collections.abc import Container, KeysView
+from collections.abc import Container, KeysView, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 
 from .encoding import (
@@ -36,6 +35,7 @@ from .encoding import (
     input_codes,
     pair,
     partition_code,
+    unpair,
 )
 from .errors import ConfigurationError, OracleFileError, check_keys, read_json
 from .formula import block_masks, check_enumerable, first_accepted, truth_table
@@ -60,10 +60,11 @@ Provenance = dict[int, tuple[int, str]]
 class OracleSet:
     """A finite set held as one map from each member code to its provenance,
     tagged with the construction that produced it and the corpus it was built
-    over. The members are the map's keys; `in` and `len` read the map."""
+    over. The members are the map's keys; `in` and `len` read the map. The
+    map is a plain dict, except for a built F's read-only TaggedUnion."""
 
     kind: str
-    provenance: Provenance
+    provenance: Mapping[int, tuple[int, str]]
     corpus_ids: frozenset[int]
     corpus_hash: str
 
@@ -101,61 +102,49 @@ class SideView:
         return (code if self.tag is None else pair(self.tag, code)) in self.members
 
 
-@dataclass(frozen=True, eq=False)
-class TwoSidedSet:
-    """F as its two untagged sides, each mapping a code to its provenance:
-    `np` holds A's block codes, `co` the sentinel input codes.
+class TaggedUnion(Mapping):
+    """F's provenance as its two untagged sides, `np` (A's block codes) and
+    `co` (the sentinel input codes), read as one map from each tagged code
+    pair(tag, c) to c's note in side `tag`.
 
-    Length and side queries (`tagged_view`) need no tagged code. `union`, the
-    OracleSet of pair(0, c) for the np side then pair(1, c) for the co side,
-    is computed on first use and kept on the instance; `members`,
-    `provenance`, membership of a tagged code, equality and `save_oracle`
-    read it.
+    A lookup unpairs the code; iteration and `items` pair each code of the np
+    side, then of the co side, as they go. No tagged code is kept.
     """
 
-    np: Provenance
-    co: Provenance
-    corpus_ids: frozenset[int]
-    corpus_hash: str
-    kind = "F"
+    def __init__(self, np: Provenance, co: Provenance):
+        self.sides = (np, co)
 
-    @cached_property
-    def union(self) -> OracleSet:
-        prov = {pair(tag, code): note
-                for tag, side in enumerate((self.np, self.co)) for code, note in side.items()}
-        return OracleSet(self.kind, prov, self.corpus_ids, self.corpus_hash)
+    def __getitem__(self, code: int) -> tuple[int, str]:
+        if isinstance(code, int) and code >= 0:
+            tag, untagged = unpair(code)
+            if tag < 2 and untagged in self.sides[tag]:
+                return self.sides[tag][untagged]
+        raise KeyError(code)
 
-    @property
-    def members(self) -> KeysView[int]:
-        return self.union.members
-
-    @property
-    def provenance(self) -> Provenance:
-        return self.union.provenance
-
-    def __contains__(self, code: int) -> bool:
-        return code in self.union
+    def __iter__(self):
+        return (code for code, _ in self.items())
 
     def __len__(self) -> int:
-        return len(self.np) + len(self.co)
+        return len(self.sides[0]) + len(self.sides[1])
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (OracleSet, TwoSidedSet)):
-            return self.union == getattr(other, "union", other)
-        return NotImplemented
+    def items(self):
+        """The (tagged code, note) pairs, walking the sides: `Mapping`'s own
+        view would unpair every code again to look it up."""
+        return ((pair(tag, code), note)
+                for tag, side in enumerate(self.sides) for code, note in side.items())
 
 
-def tagged_view(oracle: OracleSet | TwoSidedSet, tag: int) -> SideView:
+def tagged_view(oracle: OracleSet, tag: int) -> SideView:
     """One side of F as an oracle, labelled F[np] (tag 0) or F[co] (tag 1).
 
     A built F answers from the untagged side itself. An F read from a file
-    holds only the tagged union, so its view pairs each query with the tag:
+    holds only the tagged codes, so its view pairs each query with the tag:
     decoding every member on load would cost more than the few queries a
     `solve` asks.
     """
     label = f"{oracle.kind}[{'np' if tag == 0 else 'co'}]"
-    if isinstance(oracle, TwoSidedSet):
-        return SideView(label, {0: oracle.np, 1: oracle.co}.get(tag, {}), oracle.corpus_ids)
+    if isinstance(oracle.provenance, TaggedUnion):
+        return SideView(label, oracle.provenance.sides[tag], oracle.corpus_ids)
     return SideView(label, oracle.provenance, oracle.corpus_ids, tag)
 
 
@@ -487,15 +476,15 @@ def build_E(corpus: Corpus, base: OracleSet) -> OracleSet:
     return _finish("E", prov, corpus)
 
 
-def build_F(corpus: Corpus) -> TwoSidedSet:
+def build_F(corpus: Corpus) -> OracleSet:
     """Two-sided functional set, built as its two untagged sides.
 
     The np side holds the accepting-block codes, for the direct solver; the co
     side holds one sentinel per problem with no accepting assignment (its
     first canonical input code), for the one-query complement solver. Both
     sides answer correctly in polynomial queries, which is the behavioral
-    outcome the construction exists for. No code is tagged here: the tagged
-    union is paired on first use (see TwoSidedSet).
+    outcome the construction exists for. No code is tagged here: the set's
+    TaggedUnion pairs each code only when it is read.
     """
     direct = build_A(corpus)
     np_side = {code: (fid, f"np side, {note}") for code, (fid, note) in direct.provenance.items()}
@@ -504,10 +493,10 @@ def build_F(corpus: Corpus) -> TwoSidedSet:
             f.id, "co side: sentinel for a problem with no accepting assignment")
         for f in corpus.formulas if not truth_table(f)
     }
-    return TwoSidedSet(np_side, co_side, direct.corpus_ids, direct.corpus_hash)
+    return OracleSet("F", TaggedUnion(np_side, co_side), direct.corpus_ids, direct.corpus_hash)
 
 
-def save_oracle(oracle: OracleSet | TwoSidedSet, path) -> None:
+def save_oracle(oracle: OracleSet, path) -> None:
     """Write an oracle set as JSON, atomically (temp file, then rename).
     Codes are written as decimal strings, each turned into text once: the
     members are the provenance keys, as `load_oracle` demands."""

@@ -304,6 +304,31 @@ def ref_solve_with_C(p, oracle, ground_truth=None, max_queries=None):
     return result(False, limit)
 
 
+def ref_solve_with_A(p, oracle, ground_truth=None):
+    """One query per true-count block of `partition`, in order, accepting on
+    the first yes."""
+    transcript = []
+    for block in (partition(p, t) for t in range(p.k + 1)):
+        code = partition_code(p, true_count(block[0]))
+        answer = code in oracle
+        transcript.append((code, answer))
+        if answer:
+            break
+    accepted = transcript[-1][1]
+    correct = None if ground_truth is None else accepted == ground_truth
+    return RunResult(oracle.kind, p.id, p.k, accepted, len(transcript), len(transcript),
+                     tuple(transcript), ground_truth, correct)
+
+
+def ref_solve_conp_with_C_bar(p, oracle, ground_truth=None):
+    """The one query, the input code of assignment 0, as the verdict."""
+    code = input_code(p.id, assignment(0, p.k)).code
+    answer = code in oracle
+    correct = None if ground_truth is None else answer == ground_truth
+    return RunResult(oracle.kind, p.id, p.k, answer, 1, 1, ((code, answer),), ground_truth,
+                     correct)
+
+
 def ref_build_D(corpus):
     """The per-assignment loop version of build_D, staged scans included."""
     d_members, d_prov, dbar_members, dbar_prov = set(), {}, set(), {}

@@ -590,8 +590,10 @@ class TestCli:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("content", [b"not json", b"\xff\xfe[]",
-                                         b"[" + b"1" * (CODE_DIGITS + 1) + b"]"],
-                             ids=["not-json", "not-utf-8", "int-past-digit-limit"])
+                                         b"[" + b"1" * (CODE_DIGITS + 1) + b"]",
+                                         b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-json", "not-utf-8", "int-past-digit-limit",
+                                  "nested-too-deep"])
     @pytest.mark.parametrize("option", ["suite --config", "build-oracle --corpus",
                                         "lambda --instances", "solve --oracle"],
                              ids=["suite-config", "build-oracle-corpus", "lambda-instances",

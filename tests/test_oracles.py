@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from collections.abc import KeysView
 
 import pytest
 
@@ -325,6 +326,16 @@ class TestBuildF:
         sentinel = pair(1, input_code(2, (False, False, False)).code)
         assert np_codes | {sentinel} == oracle.members
 
+    def test_only_tagged_codes_are_members(self, tmp_path):
+        corpus = seeded_corpus(seed=53)
+        built = build_F(corpus)
+        save_oracle(built, tmp_path / "f.json")
+        loaded = load_oracle(tmp_path / "f.json", corpus)
+        code = next(iter(built.provenance.sides[0]))
+        for probe in (code, pair(0, code), pair(2, code), -1, 1.5, "x", None):
+            assert (probe in built) == (probe in loaded) == (probe == pair(0, code))
+            assert built.provenance.get(probe) == loaded.provenance.get(probe)
+
     def test_both_sides_match_brute_force(self):
         corpus = seeded_corpus(seed=53)
         oracle = build_F(corpus)
@@ -392,7 +403,7 @@ class TestDeterminismAndFiles:
         f = build_F(corpus)
         save_oracle(f, tmp_path / "f.json")
         oracles = [build(corpus) for build in (build_A, build_B, build_C, build_C_bar)]
-        oracles += [d, dbar, build_E(craft_e_corpus(), build_A(craft_e_corpus())), f, f.union,
+        oracles += [d, dbar, build_E(craft_e_corpus(), build_A(craft_e_corpus())),
                     load_oracle(tmp_path / "f.json", corpus),
                     build_lambda_oracle(gen_instances(seed=5, count=6))]
         for oracle in oracles:
@@ -402,6 +413,11 @@ class TestDeterminismAndFiles:
             (owner,) = gc.get_referents(oracle.members)
             assert owner is oracle.provenance
             assert oracle.members.mapping == oracle.provenance
+        # a built F's members are a keys view of its provenance map, which
+        # holds each member once, untagged, on its side
+        assert f.members and type(f.members) is KeysView
+        assert [r for r in gc.get_referents(f.members) if r is not KeysView] == [f.provenance]
+        assert f.members == f.provenance.keys() and len(f.members) == len(f)
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -12,7 +12,7 @@ PUBLIC = [
     "Corpus", "DEFAULT_BUDGET", "DimensionError", "ExperimentConfig", "Formula",
     "InputCode", "LambdaReport", "OracleFileError", "OracleSet", "RunResult",
     "SatVerdict", "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView",
-    "TwoSidedSet", "assignment_from_index", "assignment_index", "brute_force_sat",
+    "assignment_from_index", "assignment_index", "brute_force_sat",
     "build_A", "build_B", "build_C", "build_C_bar", "build_D", "build_E", "build_F",
     "build_lambda_oracle", "clamped_budget", "craft_all_true", "craft_d_corpus",
     "craft_e_corpus", "craft_unsat", "decode_input_code", "default_literals",

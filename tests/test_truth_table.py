@@ -54,6 +54,7 @@ from relativize import (
     kappa_ids,
     lambda_report,
     load_corpus,
+    load_oracle,
     nd_solve,
     pair,
     partition_code,
@@ -84,7 +85,7 @@ from relativize.machine import (
     search_limit,
     write_results_jsonl,
 )
-from relativize.oracles import OracleSet, TwoSidedSet
+from relativize.oracles import OracleSet, TaggedUnion
 
 from reference import (
     accepting,
@@ -102,6 +103,8 @@ from reference import (
     ref_kappa_ids,
     ref_nd_solve,
     ref_set_sum_naive,
+    ref_solve_conp_with_C_bar,
+    ref_solve_with_A,
     ref_solve_with_B,
     ref_solve_with_C,
 )
@@ -538,7 +541,7 @@ class TestMemberScan:
         oracle = {
             "set": OracleSet("C", notes, frozenset({p.id}), ""),
             "live": notes,  # as D's staged scan passes its map so far
-            "two-sided": TwoSidedSet(notes, {}, frozenset({p.id}), ""),
+            "two-sided": OracleSet("F", TaggedUnion(notes, {}), frozenset({p.id}), ""),
         }[container]
         truth = bool(accepting(p))
         got = solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
@@ -552,7 +555,8 @@ class TestMemberScan:
     def test_maps_smaller_than_the_scan_are_not_probed(self, container, monkeypatch):
         def oracle(notes):
             return {"set": OracleSet("C", notes, frozenset({3}), ""), "live": notes,
-                    "two-sided": TwoSidedSet(notes, {}, frozenset({3}), "")}[container]
+                    "two-sided": OracleSet("F", TaggedUnion(notes, {}), frozenset({3}), "")
+                    }[container]
 
         hit = {input_code_at(3, 9, 4): (3, "note")}
         small = oracle(hit)
@@ -566,9 +570,15 @@ class TestMemberScan:
                                 lambda self, code: asked.append(code) or contains(self, code))
         f = craft_unsat(3, 4)
         r = solve_with_C(f, small)
-        assert scanned == asked == []
-        # a two-sided set holds the tagged codes pair(0, c), so nothing hits
-        assert r.queries == (16 if container == "two-sided" else 10)
+        if container == "two-sided":
+            # F's map is no dict, so even a small F is asked code by code; it
+            # holds the tagged codes pair(0, c), so nothing hits
+            assert r.queries == 16 and scanned == [(3, 4, 16)]
+            assert asked == [code for code, _ in r.transcript]
+            scanned.clear()
+            asked.clear()
+        else:
+            assert scanned == asked == [] and r.queries == 10
         r = solve_with_C(f, large)
         assert scanned == [(3, 4, 16)]
         assert asked == ([] if container == "live" else [code for code, _ in r.transcript])
@@ -866,6 +876,40 @@ class TestTwoSidedF:
             want = SideView(("F[np]", "F[co]")[tag], ref.members, ref.corpus_ids, tag)
             assert (view.kind, view.corpus_ids) == (want.kind, want.corpus_ids)
             assert {c for c in probes if c in view} == {c for c in probes if c in want}
+
+    @given(corpora(), d_corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_side_solvers_match_the_per_query_loops(self, tmp_path_factory, corpus, d_corpus):
+        # each set the block solver or the complement solver queries, F's
+        # views over a built F and over the same F read back from its file
+        # included, run against the per-query loop on the reference set
+        f = build_F(corpus)
+        path = tmp_path_factory.mktemp("f") / "f.json"
+        save_oracle(f, path)
+        loaded, ref_f = load_oracle(path, corpus), ref_build_F(corpus)
+        e = build_E(corpus, build_A(corpus))
+        ref_np, ref_co = (SideView(("F[np]", "F[co]")[tag], ref_f.provenance, ref_f.corpus_ids,
+                                   tag) for tag in (0, 1))
+        block_pairs = [(build_A(corpus), ref_build_A(corpus)), (e, e),
+                       (tagged_view(f, 0), ref_np), (tagged_view(loaded, 0), ref_np)]
+        co_pairs = [(build_C_bar(corpus), ref_build_C_bar(corpus)),
+                    (tagged_view(f, 1), ref_co), (tagged_view(loaded, 1), ref_co)]
+        for p in corpus:
+            truth = bool(accepting(p))
+            for got, want in block_pairs:
+                assert solve_with_A(p, got, ground_truth=truth) == ref_solve_with_A(
+                    p, want, ground_truth=truth)
+            for got, want in co_pairs:
+                assert solve_conp_with_C_bar(p, got, ground_truth=not truth) == (
+                    ref_solve_conp_with_C_bar(p, want, ground_truth=not truth))
+            # F's claim: both sides answer correctly
+            assert ref_solve_with_A(p, ref_np, ground_truth=truth).correct
+            assert ref_solve_conp_with_C_bar(p, ref_co, ground_truth=not truth).correct
+        d_bar, ref_d_bar = build_D(d_corpus)[1], ref_build_D(d_corpus)[1]
+        for p in d_corpus:
+            truth = not accepting(p)
+            assert solve_conp_with_C_bar(p, d_bar, ground_truth=truth) == (
+                ref_solve_conp_with_C_bar(p, ref_d_bar, ground_truth=truth))
 
     def test_queries_compute_no_tagged_code(self, paired):
         runner = SuiteRunner(ExperimentConfig(seed=11, k_range=(6, 8), formulas_per_k=2,
