@@ -6,7 +6,8 @@ simulated during a stage queries the members placed so far, in the map the
 construction keeps them in; nothing joins it while that machine runs. Every
 member carries provenance (problem id plus the construction step responsible),
 so the dysfunction demonstrations can point at the exact code that caused a
-wrong verdict. That map is the set: its keys are the members, held once.
+wrong verdict. That map is the set: its keys are the members, held once, or,
+for C_bar, computed from the rule that places them.
 
 Two encodings appear as members: block codes (true-count paired with the
 problem's structural number) for A, E, and F's direct side; input codes
@@ -26,7 +27,6 @@ import logging
 import math
 from collections.abc import Container, KeysView, Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .encoding import (
     code_digit_limit,
@@ -61,7 +61,8 @@ class OracleSet:
     """A finite set held as one map from each member code to its provenance,
     tagged with the construction that produced it and the corpus it was built
     over. The members are the map's keys; `in` and `len` read the map. The
-    map is a plain dict, except for a built F's read-only TaggedUnion."""
+    map is a plain dict, except for two read-only rules: a built C_bar's
+    RejectedInputs and a built F's TaggedUnion."""
 
     kind: str
     provenance: Mapping[int, tuple[int, str]]
@@ -134,6 +135,43 @@ class TaggedUnion(Mapping):
                 for tag, side in enumerate(self.sides) for code, note in side.items())
 
 
+class RejectedInputs(Mapping):
+    """C_bar's provenance as a rule over the rejected problems, `{id: k}` in
+    corpus order, read as one map from each of their input codes (padding 0)
+    to the problem's note.
+
+    A lookup unpairs the code twice; iteration and `items` compute each
+    problem's codes in canonical order as they go. No code is kept.
+    """
+
+    NOTE = "step 2: all input codes of a rejected problem"
+
+    def __init__(self, rejected: dict[int, int]):
+        self.rejected = rejected
+
+    def __getitem__(self, code: int) -> tuple[int, str]:
+        if isinstance(code, int) and code >= 0:
+            i, rest = unpair(code)
+            k = self.rejected.get(i)
+            if k is not None:
+                framed, n = unpair(rest)
+                if n == 0 and framed >> k == 1:
+                    return i, self.NOTE
+        raise KeyError(code)
+
+    def __iter__(self):
+        return (code for code, _ in self.items())
+
+    def __len__(self) -> int:
+        return sum(1 << k for k in self.rejected.values())
+
+    def items(self):
+        """The (code, note) pairs, problem by problem: `Mapping`'s own view
+        would decode every code again to look it up."""
+        return ((code, (i, self.NOTE))
+                for i, k in self.rejected.items() for code in input_codes(i, k))
+
+
 def tagged_view(oracle: OracleSet, tag: int) -> SideView:
     """One side of F as an oracle, labelled F[np] (tag 0) or F[co] (tag 1).
 
@@ -161,10 +199,11 @@ class Corpus:
     witness, accepting blocks, complement pairs) from each problem's truth
     table, a 2^k-bit integer built once per problem instance, on first use.
     What stays exponential is exponential by design: C's 2^k-query scan, the
-    C_bar side's all-input-codes membership, and D's even-stage walk over
-    every input code of the stage problem. Those input codes are computed
-    straight from assignment indices (`input_code_at`, `input_codes`), never
-    through assignment tuples.
+    C_bar side's all-input-codes membership (2^k codes per rejected problem,
+    held as a rule that decodes a query rather than as the codes), and D's
+    even-stage walk over every input code of the stage problem. Those input
+    codes are computed straight from assignment indices (`input_code_at`,
+    `input_codes`), never through assignment tuples.
     """
 
     formulas: tuple
@@ -299,14 +338,11 @@ def build_C_bar(corpus: Corpus) -> OracleSet:
     """Complement-side construction: every input code of every problem the
     nondeterministic machine rejects (no accepting assignment at all).
 
-    Reading the truth table checks the enumeration cap before the 2^k codes
-    are computed."""
-    prov: Provenance = {}
-    for f in corpus.formulas:
-        if not truth_table(f):
-            note = (f.id, "step 2: all input codes of a rejected problem")
-            prov.update(zip(input_codes(f.id, f.k), repeat(note)))
-    return _finish("C_bar", prov, corpus)
+    The set is held as the rule RejectedInputs over those problems' ids and
+    literal counts, so none of the 2^k codes per problem is computed here.
+    Reading each truth table still checks the enumeration cap."""
+    rejected = {f.id: f.k for f in corpus.formulas if not truth_table(f)}
+    return _finish("C_bar", RejectedInputs(rejected), corpus)
 
 
 def _first_with_k(corpus: Corpus, k: int):

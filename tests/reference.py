@@ -272,8 +272,8 @@ def ref_solve_with_B(p, oracle, budget, ground_truth=None):
 
     def result(accepted, steps, transcript):
         correct = None if ground_truth is None else accepted == ground_truth
-        return RunResult(oracle.kind, p.id, p.k, accepted, steps, len(transcript),
-                         tuple(transcript), ground_truth, correct)
+        return RunResult(getattr(oracle, "kind", "oracle"), p.id, p.k, accepted, steps,
+                         len(transcript), tuple(transcript), ground_truth, correct)
 
     for e in range(limit):
         if p.accepts(assignment(e, p.k)):
@@ -304,20 +304,22 @@ def ref_solve_with_C(p, oracle, ground_truth=None, max_queries=None):
     return result(False, limit)
 
 
-def ref_solve_with_A(p, oracle, ground_truth=None):
+def ref_solve_with_A(p, oracle, ground_truth=None, max_queries=None):
     """One query per true-count block of `partition`, in order, accepting on
-    the first yes."""
+    the first yes; at most `max_queries` blocks when it is given."""
     transcript = []
     for block in (partition(p, t) for t in range(p.k + 1)):
+        if max_queries is not None and len(transcript) == max_queries:
+            break
         code = partition_code(p, true_count(block[0]))
         answer = code in oracle
         transcript.append((code, answer))
         if answer:
             break
-    accepted = transcript[-1][1]
+    accepted = bool(transcript) and transcript[-1][1]
     correct = None if ground_truth is None else accepted == ground_truth
-    return RunResult(oracle.kind, p.id, p.k, accepted, len(transcript), len(transcript),
-                     tuple(transcript), ground_truth, correct)
+    return RunResult(getattr(oracle, "kind", "oracle"), p.id, p.k, accepted, len(transcript),
+                     len(transcript), tuple(transcript), ground_truth, correct)
 
 
 def ref_solve_conp_with_C_bar(p, oracle, ground_truth=None):
@@ -327,6 +329,56 @@ def ref_solve_conp_with_C_bar(p, oracle, ground_truth=None):
     correct = None if ground_truth is None else answer == ground_truth
     return RunResult(oracle.kind, p.id, p.k, answer, 1, 1, ((code, answer),), ground_truth,
                      correct)
+
+
+def ref_build_B(corpus):
+    """The per-assignment loop version of build_B: each stage's budgeted
+    search runs against the members so far."""
+    members, prov = set(), {}
+    for f in corpus:
+        budget = corpus.budget_for(f.id)
+        if ref_solve_with_B(f, frozenset(members), budget).accepted:
+            continue
+        limit = search_limit(budget, f.k)
+        if limit < 1 << f.k:
+            code = input_code(f.id, assignment(limit, f.k)).code
+            members.add(code)
+            prov[code] = (
+                f.id, f"step 2: next unexamined assignment (index {limit}) after staged reject")
+    return ref_finish("B", members, prov, corpus)
+
+
+# t(0..4) of E's stage thresholds t(n) = 2^(2 t(n-1)); E runs stages 1..3 only.
+TOWER = (0, 1, 4, 256, 2**512)
+
+
+def ref_build_E(corpus, base):
+    """The per-query loop version of build_E over `base`: the threshold chain
+    with 2^t(n-1) < k <= 2^t(n) in place of t(n-1) < log2(k) <= t(n), and
+    each stage's capped block scan against the members so far."""
+    members, prov = set(base.members), dict(base.provenance)
+    kappa = ref_kappa_ids(corpus)
+    for n, f in enumerate(corpus, start=1):
+        if n > 3:
+            break
+        if f.id in kappa:
+            continue
+        lo, mid, hi = TOWER[n - 1:n + 2]
+        budget = corpus.budget_for(f.id)
+        p_k = budget.steps(f.k)
+        chain = 1 << lo < f.k <= 1 << mid and mid <= p_k < hi
+        if not (chain and budget.steps(mid) >= 2**mid):
+            continue
+        staged = ref_solve_with_A(f, frozenset(members), max_queries=p_k)
+        if staged.accepted or staged.queries > f.k:
+            continue
+        t = staged.queries
+        code = partition_code(f, t)
+        if code not in members:
+            members.add(code)
+            prov[code] = (
+                f.id, f"step 7: injected block t={t}, the next unevaluated after a capped reject")
+    return ref_finish("E", members, prov, corpus)
 
 
 def ref_build_D(corpus):

@@ -402,7 +402,7 @@ class TestDeterminismAndFiles:
         d, dbar = build_D(craft_d_corpus())
         f = build_F(corpus)
         save_oracle(f, tmp_path / "f.json")
-        oracles = [build(corpus) for build in (build_A, build_B, build_C, build_C_bar)]
+        oracles = [build(corpus) for build in (build_A, build_B, build_C)]
         oracles += [d, dbar, build_E(craft_e_corpus(), build_A(craft_e_corpus())),
                     load_oracle(tmp_path / "f.json", corpus),
                     build_lambda_oracle(gen_instances(seed=5, count=6))]
@@ -418,6 +418,19 @@ class TestDeterminismAndFiles:
         assert f.members and type(f.members) is KeysView
         assert [r for r in gc.get_referents(f.members) if r is not KeysView] == [f.provenance]
         assert f.members == f.provenance.keys() and len(f.members) == len(f)
+        # a built C_bar's members are a keys view of its rule, which keeps no
+        # code: the only data it refers to is its {id: k} dict
+        c_bar = build_C_bar(corpus)
+        assert c_bar.members and type(c_bar.members) is KeysView
+        assert [r for r in gc.get_referents(c_bar.members) if r is not KeysView] == [
+            c_bar.provenance]
+        rejected = {p.id: p.k for p in corpus if not brute_force_sat(p).satisfiable}
+        rule = c_bar.provenance
+        # its one attribute, or the instance dict holding it, by interpreter
+        (held,) = [r for r in gc.get_referents(rule) if not isinstance(r, type)]
+        assert held is rule.rejected or held is vars(rule)
+        assert vars(rule) == {"rejected": rejected}
+        assert len(c_bar) == sum(1 << k for k in rejected.values()) > len(rejected)
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "broken.json"

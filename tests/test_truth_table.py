@@ -2,7 +2,8 @@
 code against a per-assignment reference, and every cached code (block codes,
 canonical keys, F's tagged members, the report writer's decimal memo and its
 block-code text computed from the problem) against a fresh computation. A built F answers through its untagged sides,
-checked against tagged views over the reference F. C's lazy scan transcript
+checked against tagged views over the reference F, and a built C_bar's rule
+answers as the reference's dict of codes. C's lazy scan transcript
 reads as the reference's tuple of (code, answer) pairs, and the report writer
 streams it to the same bytes.
 
@@ -77,7 +78,7 @@ from relativize.encoding import (
     input_codes,
 )
 from relativize.formula import block_masks, literal_masks
-from relativize.harness import SuiteRunner, main
+from relativize.harness import SuiteRunner, craft_all_true, main
 from relativize.machine import (
     RunResult,
     ScanTranscript,
@@ -85,7 +86,7 @@ from relativize.machine import (
     search_limit,
     write_results_jsonl,
 )
-from relativize.oracles import OracleSet, TaggedUnion
+from relativize.oracles import OracleSet, RejectedInputs, TaggedUnion
 
 from reference import (
     accepting,
@@ -95,9 +96,11 @@ from reference import (
     partition,
     ref_brute_force,
     ref_build_A,
+    ref_build_B,
     ref_build_C,
     ref_build_C_bar,
     ref_build_D,
+    ref_build_E,
     ref_build_F,
     ref_finish,
     ref_kappa_ids,
@@ -141,10 +144,13 @@ budgets = st.builds(Budget, st.integers(0, 3), st.integers(0, 3))
 
 
 @st.composite
-def corpora(draw, max_size=4):
+def corpora(draw, max_size=4, budget=None, ks=None):
+    """Corpora of up to `max_size` problems, k drawn from `ks` if given, each
+    budget drawn from `budget` or, when it is None, clamped to the problem's k."""
     size = draw(st.integers(0, max_size))
-    members = tuple(draw(problems(pid)) for pid in range(1, size + 1))
-    return Corpus(members, {p.id: clamped_budget(p.k) for p in members})
+    members = tuple(draw(problems(pid, ks)) for pid in range(1, size + 1))
+    return Corpus(members, {p.id: clamped_budget(p.k) if budget is None else draw(budget)
+                            for p in members})
 
 
 @st.composite
@@ -295,6 +301,30 @@ class TestReaders:
             assert got == want
             assert list(got.provenance.items()) == list(want.provenance.items())
         assert kappa_ids(corpus) == ref_kappa_ids(corpus)
+
+    @given(corpora(budget=budgets))
+    @settings(max_examples=80, deadline=None)
+    def test_build_B(self, corpus):
+        got, want = build_B(corpus), ref_build_B(corpus)
+        assert got == want
+        assert list(got.provenance.items()) == list(want.provenance.items())
+
+    # small k, so stage 1 (k = 2) and stage 2 (k >= 3) both fire; the example
+    # misses stage 1's budget gate by one, p(t(1)) = 2^t(1) - 1
+    @given(corpora(budget=budgets, ks=st.integers(1, 5)))
+    @example(Corpus((craft_unsat(1, 2),), {1: Budget(1, 0)}))
+    @settings(max_examples=80, deadline=None)
+    def test_build_E(self, corpus):
+        got, want = build_E(corpus, build_A(corpus)), ref_build_E(corpus, ref_build_A(corpus))
+        assert got == want
+        assert list(got.provenance.items()) == list(want.provenance.items())
+
+    def test_build_E_crafted_injects(self):
+        corpus = craft_e_corpus()
+        got, want = build_E(corpus, build_A(corpus)), ref_build_E(corpus, ref_build_A(corpus))
+        assert got == want
+        assert list(got.provenance.items()) == list(want.provenance.items())
+        assert any(note.startswith("step 7") for _, note in got.provenance.values())
 
     def test_blocks_in_order_of_first_accepting_index(self):
         # accepted: index 3 (a, b; block t=2) and index 4 (c; block t=1)
@@ -887,10 +917,10 @@ class TestTwoSidedF:
         path = tmp_path_factory.mktemp("f") / "f.json"
         save_oracle(f, path)
         loaded, ref_f = load_oracle(path, corpus), ref_build_F(corpus)
-        e = build_E(corpus, build_A(corpus))
+        e, ref_e = build_E(corpus, build_A(corpus)), ref_build_E(corpus, ref_build_A(corpus))
         ref_np, ref_co = (SideView(("F[np]", "F[co]")[tag], ref_f.provenance, ref_f.corpus_ids,
                                    tag) for tag in (0, 1))
-        block_pairs = [(build_A(corpus), ref_build_A(corpus)), (e, e),
+        block_pairs = [(build_A(corpus), ref_build_A(corpus)), (e, ref_e),
                        (tagged_view(f, 0), ref_np), (tagged_view(loaded, 0), ref_np)]
         co_pairs = [(build_C_bar(corpus), ref_build_C_bar(corpus)),
                     (tagged_view(f, 1), ref_co), (tagged_view(loaded, 1), ref_co)]
@@ -948,3 +978,52 @@ class TestTwoSidedF:
             runs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
             assert [r["oracle"] for r in runs] == ["F[np]", "F[co]"]
             assert all(r["correct"] is True for r in runs)
+
+
+# ---------------------------------------------------------------- C_bar's rule
+
+
+class TestRejectedInputs:
+    @staticmethod
+    def corpus():
+        """Rejected problems at k 1, 3, 5 and 6 around satisfiable ones."""
+        problems = [craft_unsat(1, 3), craft_all_true(2, 3), craft_unsat(3, 5),
+                    craft_unsat(4, 1), craft_all_true(5, 4), craft_unsat(6, 6)]
+        return Corpus(tuple(problems), {p.id: clamped_budget(p.k) for p in problems})
+
+    def test_answers_as_the_reference_dict(self):
+        corpus = self.corpus()
+        rule, ref = build_C_bar(corpus).provenance, ref_build_C_bar(corpus).provenance
+        assert isinstance(rule, RejectedInputs) and len(rule) == len(ref) == 8 + 32 + 2 + 64
+        candidates = {x + d for x in ref for d in (-1, 0, 1)}
+        for p in corpus:
+            for k in (p.k - 1, p.k, p.k + 1):
+                for e in range(1 << k):
+                    a = assignment(e, k)
+                    candidates.add(input_code(p.id, a).code)
+                    candidates.add(input_code(p.id, a, 1).code)
+                    for i in (0, len(corpus) + 1):
+                        candidates.add(input_code(i, a).code)
+        candidates |= {-1, "5", 5.0}
+        assert sum(x in ref for x in candidates) == len(ref) < len(candidates) // 4
+        for x in candidates:
+            assert (x in rule) == (x in ref)
+            assert rule.get(x) == ref.get(x)
+
+    def test_walks_and_saves_without_a_lookup(self, tmp_path, monkeypatch):
+        corpus = self.corpus()
+        built, ref = build_C_bar(corpus), ref_build_C_bar(corpus)
+        plain = OracleSet("C_bar", dict(built.provenance.items()), built.corpus_ids,
+                          built.corpus_hash)
+
+        def no_lookup(self, code):
+            raise AssertionError(f"looked up {code}")
+
+        monkeypatch.setattr(RejectedInputs, "__getitem__", no_lookup)
+        assert list(built.provenance.items()) == list(ref.provenance.items())
+        assert list(built.provenance) == list(ref.provenance)
+        save_oracle(built, tmp_path / "rule.json")
+        monkeypatch.undo()
+        save_oracle(plain, tmp_path / "plain.json")
+        assert (tmp_path / "rule.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert built == plain == ref == load_oracle(tmp_path / "rule.json", corpus)
