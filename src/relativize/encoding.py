@@ -152,6 +152,23 @@ def input_code_at(i: int, e: int, k: int) -> int:
     return pair(i, pair((1 << k) | e, 0))
 
 
+def input_index(code) -> tuple[int, int, int] | None:
+    """(i, k, e) when `code` is input_code_at(i, e, k), else None: for
+    anything that is not a natural, a padding other than 0, or an empty frame.
+
+    The one decoder of input codes the solvers and constructions use;
+    decode_input_code stays as the reference that takes any padding.
+    """
+    if not isinstance(code, int) or code < 0:
+        return None
+    i, rest = unpair(code)
+    framed, n = unpair(rest)
+    if n or not framed:
+        return None
+    k = framed.bit_length() - 1
+    return i, k, framed ^ (1 << k)
+
+
 def input_codes(i: int, k: int, stop: int | None = None):
     """Lazily, input_code_at(i, e, k) for e = 0, 1, ..., stop - 1 in
     canonical order, never past the 2^k assignments there are (all of them

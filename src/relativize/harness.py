@@ -26,7 +26,7 @@ from .analog import (
     solve_side,
     write_lambda_csv,
 )
-from .encoding import code_digit_limit, godel_number, unpair
+from .encoding import code_digit_limit, partition_code
 from .errors import CapacityError, ConfigurationError, OracleFileError, check_keys, read_json
 from .formula import Formula, brute_force_sat, default_literals
 from .machine import (
@@ -349,9 +349,8 @@ def _build_E(corpus: Corpus) -> Built:
 
 def _check_E(check, corpus, built, runs) -> dict:
     (oracle,), kappa, base = built
-    kappa_godels = {godel_number(f) for f in corpus if f.id in kappa}
-    e_kappa = {c for c in oracle.members if unpair(c)[1] in kappa_godels}
-    a_kappa = {c for c in base.members if unpair(c)[1] in kappa_godels}
+    blocks = {partition_code(f, t) for f in corpus if f.id in kappa for t in range(f.k + 1)}
+    e_kappa, a_kappa = oracle.members & blocks, base.members & blocks
     check(e_kappa == a_kappa, "E: complement-paired problems gained or lost codes")
     injected = [
         code for code, (fid, note) in oracle.provenance.items()

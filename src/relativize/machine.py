@@ -24,7 +24,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import index
 
 from .encoding import (block_code_texts, code_digit_limit, input_code_at, input_codes,
-                       partition_code, unpair)
+                       input_index, partition_code)
 from .errors import ConfigurationError
 from .formula import check_enumerable, first_accepted, truth_table
 
@@ -63,8 +63,8 @@ def clamped_budget(k: int, preferred: Budget = DEFAULT_BUDGET) -> Budget:
 def search_limit(budget: Budget, k: int) -> int:
     """Assignments a budgeted search may examine: min(p(k), 2^k).
 
-    Builders and solvers both derive "the next unexamined assignment" from
-    this, so it lives in exactly one place.
+    Only the solvers use it: a staged construction reads the next unexamined
+    assignment off its staged run instead of working it out again.
     """
     return min(budget.steps(k), 1 << k)
 
@@ -240,21 +240,13 @@ def _first_member_hit(members, i: int, k: int, total: int) -> int | None:
     """The least e < total with input_code_at(i, e, k) among `members`, found
     by decoding the members instead of probing the total codes.
 
-    input_code_at(i, e, k) = pair(i, pair(2^k + e, 0)) grows with e, so only
-    a member between the codes of e = 0 and e = total - 1 can be one, and
-    such a member is one iff it unpairs to (i, (framed, 0)): framed is then
-    2^k + e for an e < total.
+    input_code_at(i, e, k) grows with e, so only a member between the codes
+    of e = 0 and e = total - 1 can be one, and such a member is one iff
+    `input_index` decodes it to problem i: its e is then below total.
     """
     lo, hi = input_code_at(i, 0, k), input_code_at(i, total - 1, k)
-    first = None
-    for code in members:
-        if lo <= code <= hi:
-            owner, rest = unpair(code)
-            if owner == i:
-                framed, n = unpair(rest)
-                if n == 0 and (first is None or framed < first):
-                    first = framed
-    return None if first is None else first - (1 << k)
+    decoded = (input_index(code) for code in members if lo <= code <= hi)
+    return min((e for owner, _, e in filter(None, decoded) if owner == i), default=None)
 
 
 def solve_with_C(f, oracle, ground_truth: bool | None = None,

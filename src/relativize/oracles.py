@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 from collections.abc import Container, KeysView, Mapping
 from dataclasses import dataclass, field
 
 from .encoding import (
     code_digit_limit,
-    decode_input_code,
     input_code_at,
     input_codes,
+    input_index,
     pair,
     partition_code,
     unpair,
@@ -43,13 +42,10 @@ from .machine import (
     Budget,
     atomic_open,
     clamped_budget,
-    search_limit,
     solve_with_A,
     solve_with_B,
     solve_with_C,
 )
-
-logger = logging.getLogger(__name__)
 
 KINDS = ("A", "B", "C", "C_bar", "D", "D_bar", "E", "F")
 
@@ -140,8 +136,10 @@ class RejectedInputs(Mapping):
     corpus order, read as one map from each of their input codes (padding 0)
     to the problem's note.
 
-    A lookup unpairs the code twice; iteration and `items` compute each
-    problem's codes in canonical order as they go. No code is kept.
+    A lookup decodes the code by `input_index`: it is a member iff it
+    decodes to a rejected id and that problem's k. Iteration and `items`
+    compute each problem's codes in canonical order as they go. No code is
+    kept.
     """
 
     NOTE = "step 2: all input codes of a rejected problem"
@@ -150,13 +148,9 @@ class RejectedInputs(Mapping):
         self.rejected = rejected
 
     def __getitem__(self, code: int) -> tuple[int, str]:
-        if isinstance(code, int) and code >= 0:
-            i, rest = unpair(code)
-            k = self.rejected.get(i)
-            if k is not None:
-                framed, n = unpair(rest)
-                if n == 0 and framed >> k == 1:
-                    return i, self.NOTE
+        hit = input_index(code)
+        if hit is not None and self.rejected.get(hit[0]) == hit[1]:
+            return hit[0], self.NOTE
         raise KeyError(code)
 
     def __iter__(self):
@@ -304,20 +298,19 @@ def build_B(corpus: Corpus) -> OracleSet:
     At each stage the budgeted deterministic searcher runs against the members
     placed so far; if it rejects, the code of the next unexamined assignment
     joins the set -- whether or not that assignment satisfies the problem.
-    Acceptance at a stage adds nothing, and a search that covered the whole
-    space leaves nothing unexamined to add.
+    That code is the one the rejecting run asked the oracle about, and its
+    index is the run's steps. Acceptance at a stage adds nothing, and a
+    search that covered the whole space asked nothing, so it adds nothing.
     """
     prov: Provenance = {}
     for f in corpus.formulas:
-        budget = corpus.budget_for(f.id)
-        staged = solve_with_B(f, prov, budget)
-        if not staged.accepted:
-            limit = search_limit(budget, f.k)
-            if limit < (1 << f.k):
-                prov[input_code_at(f.id, limit, f.k)] = (
-                    f.id,
-                    f"step 2: next unexamined assignment (index {limit}) after staged reject",
-                )
+        staged = solve_with_B(f, prov, corpus.budget_for(f.id))
+        if not staged.accepted and staged.transcript:
+            ((code, _no),) = staged.transcript
+            prov[code] = (
+                f.id,
+                f"step 2: next unexamined assignment (index {staged.steps}) after staged reject",
+            )
     return _finish("B", prov, corpus)
 
 
@@ -391,27 +384,18 @@ def build_D(corpus: Corpus) -> tuple[OracleSet, OracleSet]:
                 if code not in dbar_prov:
                     d_prov[code] = note
         else:
-            lengths_ok = all(
-                decode_input_code(code).k < n for code in dbar_prov
-            )
-            budget = corpus.budget_for(f.id)
-            p = budget.steps(f.k)
-            if not (lengths_ok and p * p < (1 << (f.k - 1))):
-                logger.debug(
-                    "D stage %d: gate failed (lengths_ok=%s, p=%d, k=%d)", n, lengths_ok, p, f.k
-                )
+            p = corpus.budget_for(f.id).steps(f.k)
+            if not (all(input_index(code)[1] < n for code in dbar_prov)
+                    and p * p < (1 << (f.k - 1))):
                 continue
             staged = solve_with_C(f, d_prov, max_queries=p)
             for code, _answer in staged.transcript:
                 if code not in dbar_prov:
                     dbar_prov[code] = (f.id, "step 8: queried by the staged budgeted scanner")
-            if not staged.accepted:
-                limit = search_limit(budget, f.k)
-                if limit < (1 << f.k):
-                    d_prov[input_code_at(f.id, limit, f.k)] = (
-                        f.id,
-                        f"step 8: next unqueried assignment (index {limit}) after staged reject",
-                    )
+            e = staged.queries
+            if not staged.accepted and e < (1 << f.k):
+                d_prov[input_code_at(f.id, e, f.k)] = (
+                    f.id, f"step 8: next unqueried assignment (index {e}) after staged reject")
     return (
         _finish("D", d_prov, corpus),
         _finish("D_bar", dbar_prov, corpus),
@@ -468,36 +452,19 @@ def build_E(corpus: Corpus, base: OracleSet) -> OracleSet:
     on log2(k) confine stages 1, 2 and 3 to k = 2, k = 3..16 and k >= 17,
     and problems of different k never share a block code.
 
-    Stages beyond E_STAGE_CAP (3) are skipped because t(E_STAGE_CAP + 2) is
-    not representable; the construction stops cleanly and logs how many
-    stages ran.
+    Only the problems at positions 1..E_STAGE_CAP (3) get a stage, because
+    t(E_STAGE_CAP + 2) is not representable; the rest keep the base's codes.
     """
     if base.corpus_hash != corpus.digest():
         raise ConfigurationError("base oracle was built over a different corpus")
     prov: Provenance = dict(base.provenance)
     kappa = kappa_ids(corpus)
-    stages_done = 0
-    for n, f in enumerate(corpus.formulas, start=1):
-        if n > E_STAGE_CAP:
-            logger.info(
-                "E construction: stage cap %d reached, %d of %d stages completed",
-                E_STAGE_CAP, stages_done, len(corpus),
-            )
-            break
-        stages_done = n
-        if f.id in kappa:
-            logger.debug("E stage %d: problem %d has its complement in the corpus", n, f.id)
-            continue
+    for n, f in enumerate(corpus.formulas[:E_STAGE_CAP], start=1):
         lo, mid, hi = tower(n - 1), tower(n), tower(n + 1)
         budget = corpus.budget_for(f.id)
         p_k = budget.steps(f.k)
-        size_log = math.log2(f.k)
-        chain = (lo < size_log, size_log <= mid, mid <= p_k, p_k < hi)
-        if not all(chain):
-            logger.debug("E stage %d: threshold chain failed, clauses=%s", n, chain)
-            continue
-        if budget.steps(mid) < 2**mid:
-            logger.debug("E stage %d: budget below 2^t(n) at the threshold", n)
+        if (f.id in kappa or not lo < math.log2(f.k) <= mid <= p_k < hi
+                or budget.steps(mid) < 2**mid):
             continue
         staged = solve_with_A(f, prov, max_queries=p_k)
         if staged.accepted or staged.queries >= f.k + 1:
@@ -554,7 +521,9 @@ ORACLE_FILE_KEYS = ("kind", "members", "corpus_hash", "corpus_ids", "provenance"
 
 
 def _is_decimal(code) -> bool:
-    return isinstance(code, str) and code.isascii() and code.isdigit()
+    """A code as `save_oracle` writes it: decimal digits, no leading zero."""
+    return (isinstance(code, str) and code.isascii() and code.isdigit()
+            and (code == "0" or code[0] != "0"))
 
 
 def _is_note(entry) -> bool:
@@ -567,18 +536,22 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     document validates, so a corrupted file never yields a partial set.
 
     The document must hold exactly the keys `save_oracle` writes, its members
-    must be decimal strings, and they must be the provenance keys: a member
-    without provenance, or provenance without a member, is refused. Corpus
-    ids must be integers and provenance entries [integer, string] pairs;
-    nothing is coerced. With a corpus given, a hash mismatch is rejected as
-    well.
+    must be decimal strings without leading zeros, each listed once, and they
+    must be the provenance keys: a member without provenance, or provenance
+    without a member, is refused. So no two spellings of one code can merge.
+    Corpus ids must be distinct integers and provenance entries [integer,
+    string] pairs; nothing is coerced. With a corpus given, a hash mismatch
+    is rejected as well.
     """
     with code_digit_limit():
         doc = read_json(path, OracleFileError)
         check_keys(doc, str(path), ORACLE_FILE_KEYS, error=OracleFileError)
         codes, notes = doc["members"], doc["provenance"]
         if not (isinstance(codes, list) and all(_is_decimal(code) for code in codes)):
-            raise OracleFileError(f"{path}: 'members' must be a list of decimal strings")
+            raise OracleFileError(
+                f"{path}: 'members' must be a list of decimal strings without leading zeros")
+        if len(set(codes)) < len(codes):
+            raise OracleFileError(f"{path}: 'members' lists a code more than once")
         if not (isinstance(notes, dict) and notes.keys() == set(codes)):
             raise OracleFileError(f"{path}: 'members' differ from the 'provenance' keys")
         if not all(_is_note(entry) for entry in notes.values()):
@@ -586,6 +559,8 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
         ids = doc["corpus_ids"]
         if not (isinstance(ids, list) and all(type(i) is int for i in ids)):
             raise OracleFileError(f"{path}: 'corpus_ids' must be a list of integers")
+        if len(set(ids)) < len(ids):
+            raise OracleFileError(f"{path}: 'corpus_ids' lists an id more than once")
         try:
             prov = {int(code): tuple(entry) for code, entry in notes.items()}
         except ValueError as exc:

@@ -12,6 +12,7 @@ import relativize
 from relativize import (
     Formula,
     assignment_from_index,
+    assignment_index,
     decode_input_code,
     default_literals,
     godel_number,
@@ -20,6 +21,7 @@ from relativize import (
     partition_code,
     unpair,
 )
+from relativize.encoding import input_code_at, input_index
 
 ABC = ("a", "b", "c")
 
@@ -145,6 +147,47 @@ class TestInputCode:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             decode_input_code(pair(3, pair(0, 5)))
+
+
+def reference_index(code):
+    """input_index by way of decode_input_code: (i, k, e) at padding 0."""
+    try:
+        ic = decode_input_code(code)
+    except ValueError:  # an empty frame
+        return None
+    if ic.padding_length:
+        return None
+    return ic.machine_index, ic.k, assignment_index(ic.assignment())
+
+
+class TestInputIndex:
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.lists(st.booleans(), max_size=16).map(tuple),
+        st.integers(min_value=0, max_value=1000) | st.just(0),
+    )
+    @settings(max_examples=300)
+    def test_decodes_exactly_the_padding_0_codes(self, i, a, n):
+        code = input_code(i, a, n).code
+        want = (i, len(a), assignment_index(a)) if n == 0 else None
+        assert input_index(code) == reference_index(code) == want
+        if want is not None:
+            assert input_code_at(i, want[2], want[1]) == code
+
+    @given(st.integers(min_value=0, max_value=2**80)
+           | st.builds(lambda i, n: pair(i, pair(0, n)), st.integers(0, 10**6),
+                       st.integers(0, 10**6)))
+    @settings(max_examples=300)
+    def test_any_natural_as_the_reference_reads_it(self, code):
+        got = input_index(code)
+        assert got == reference_index(code)
+        if got is not None:
+            i, k, e = got
+            assert input_code_at(i, e, k) == code
+
+    @pytest.mark.parametrize("code", [-1, "5", None, 5.0])
+    def test_non_naturals_decode_to_none(self, code):
+        assert input_index(code) is None
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

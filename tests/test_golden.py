@@ -4,14 +4,35 @@ kinds.
 
 Any change to a construction, a solver, an encoding or a report format that
 moves a single byte of runs.csv, runs.jsonl or summary.json fails here; a PR
-that changes a format on purpose updates these pins and says so.
+that changes a format on purpose updates these pins and says so. The pins are
+also met with every construction and solver rebound to its per-assignment
+loop, so they were not merely recorded from the code they check.
 """
 
 import hashlib
 
 import pytest
 
-from relativize import ExperimentConfig, run_suite
+from relativize import ExperimentConfig, analog, harness, lambda_report, run_suite
+
+from reference import (
+    gen_instances,
+    ref_brute_force,
+    ref_build_A,
+    ref_build_B,
+    ref_build_C,
+    ref_build_C_bar,
+    ref_build_D,
+    ref_build_E,
+    ref_build_F,
+    ref_kappa_ids,
+    ref_nd_solve,
+    ref_set_sum_naive,
+    ref_solve_conp_with_C_bar,
+    ref_solve_with_A,
+    ref_solve_with_B,
+    ref_solve_with_C,
+)
 
 PINNED = {
     "runs.csv": "b7e65032c7fd7433d56ba5a61991789248034acc64213d42fa39b9fc4bfdbbc9",
@@ -41,9 +62,57 @@ GATES = {
 }
 
 
+def digests(out, **fields) -> dict:
+    """Run the suite into `out` and hash its pinned reports."""
+    assert run_suite(ExperimentConfig(out_dir=str(out), **fields)) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED}
+
+
 @pytest.mark.parametrize("fields, pinned", list(GATES.values()), ids=list(GATES))
 def test_default_suite_reports_are_byte_identical(tmp_path, fields, pinned):
-    assert run_suite(ExperimentConfig(out_dir=str(tmp_path), **fields)) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in pinned}
-    assert digests == pinned
+    assert digests(tmp_path, **fields) == pinned
+
+
+# The suite on the references: each name, in its module, rebound to its loop
+# in tests/reference.py. The suite builds and grades through harness's names
+# and runs every solver through analog's.
+SUITE_REFERENCES = {
+    harness: {"build_A": ref_build_A, "build_B": ref_build_B, "build_C": ref_build_C,
+              "build_C_bar": ref_build_C_bar, "build_D": ref_build_D, "build_E": ref_build_E,
+              "build_F": ref_build_F, "kappa_ids": ref_kappa_ids,
+              "brute_force_sat": ref_brute_force},
+    analog: {"nd_solve": ref_nd_solve, "solve_with_A": ref_solve_with_A,
+             "solve_with_B": ref_solve_with_B, "solve_with_C": ref_solve_with_C,
+             "solve_conp_with_C_bar": ref_solve_conp_with_C_bar},
+}
+
+# The battery builds its sets and counts its naive work through analog's names.
+BATTERY_REFERENCES = {"build_B": ref_build_B, "build_C": ref_build_C,
+                      "build_C_bar": ref_build_C_bar, "build_D": ref_build_D,
+                      "build_F": ref_build_F, "set_sum_naive": ref_set_sum_naive}
+
+
+def test_the_references_give_the_same_reports(tmp_path, monkeypatch):
+    """The suite and the battery, rerun with every construction, kappa_ids,
+    the ground truth and every solver rebound to its per-assignment loop,
+    give the same bytes and the same report as the fast paths.
+
+    The two runs still share `gen_corpus`, the encodings (`input_code`,
+    `partition_code`), `RUN_RULES`, the report writers and question 1's
+    solver (`build_lambda_oracle`, `solve_lambda_with_oracle`). The loops'
+    transcripts are plain tuples, so the writer takes its generic path, not
+    `_write_scan`'s.
+    """
+    seed_7 = {"seed": 7, "k_range": (3, 9),
+              "oracle_kinds": ExperimentConfig().oracle_kinds[::-1]}
+    fast = digests(tmp_path / "fast", **seed_7)
+    battery = lambda_report(gen_instances(3, 12))
+    for module, references in SUITE_REFERENCES.items():
+        for name, reference in references.items():
+            monkeypatch.setattr(module, name, reference)
+    fields, pinned = GATES["seed-0-k-3-8"]
+    assert digests(tmp_path / "seed-0", **fields) == pinned
+    assert digests(tmp_path / "seed-7", **seed_7) == fast
+    for name, reference in BATTERY_REFERENCES.items():
+        monkeypatch.setattr(analog, name, reference)
+    assert lambda_report(gen_instances(3, 12)) == battery

@@ -475,6 +475,13 @@ class TestDeterminismAndFiles:
         (lambda doc: set_first_note(doc, [True, "step 1"]), "'provenance' entries must be"),
         (lambda doc: set_first_note(doc, ["1", "step 1"]), "'provenance' entries must be"),
         (lambda doc: set_first_note(doc, [1, "step 1", 2]), "'provenance' entries must be"),
+        (lambda doc: doc["members"].append(doc["members"][0]),
+         "'members' lists a code more than once"),
+        (lambda doc: doc.update(members=["7", "007", "7"],
+                                provenance={"7": [1, "a"], "007": [2, "b"]}),
+         "'members' must be a list of decimal strings without leading zeros"),
+        (lambda doc: doc["corpus_ids"].append(doc["corpus_ids"][0]),
+         "'corpus_ids' lists an id more than once"),
     ])
     def test_file_is_read_strictly(self, tmp_path, edit, message):
         corpus = seeded_corpus(seed=83)
@@ -484,8 +491,9 @@ class TestDeterminismAndFiles:
         assert doc["members"]
         edit(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(OracleFileError, match=re.escape(message)):
+        with pytest.raises(OracleFileError, match=re.escape(message)) as err:
             load_oracle(path, corpus)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestKappa:
