@@ -85,40 +85,28 @@ def partition_code(f, t: int) -> int:
     return codes[t]
 
 
-def block_code_texts(problems):
-    """A function from code to its decimal text if it is one of the block
-    codes cached on `problems`, else None; it alone holds what it computes.
+def block_code_text(f, t: int) -> str:
+    """Decimal text of partition_code(f, t), for use inside `code_digit_limit()`.
 
     Before Python 3.12, int-to-decimal time grows with the square of the
-    length. So g is converted once per problem, and each code pair(t, g) is
-    computed in base 10 as g(g+1)/2 + g + t*g + t(t+1)/2 (Brent & Zimmermann,
-    *Modern Computer Arithmetic*, section 1.7), exactly: rounding raises.
+    length. So g's decimal, and g(g+1)/2 + g, are computed once per problem
+    instance and cached on it beside its block codes, and the code
+    pair(t, g) is computed in base 10 as g(g+1)/2 + g + t*g + t(t+1)/2
+    (Brent & Zimmermann, *Modern Computer Arithmetic*, section 1.7),
+    exactly: rounding raises.
     """
     import decimal as dec  # here, not at the top: 2.5 ms off every package import
 
     x = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN,
                     traps=[dec.InvalidOperation, dec.DivisionByZero, dec.Overflow,
                            dec.Inexact, dec.Rounded])
-    blocks = {}
-    for p in problems:
-        cache = vars(p)
-        for t, code in enumerate(cache.get("_block_codes", ())):
-            blocks[code] = cache["_godel_number"], t
-    bases: dict[int, tuple] = {}
-
-    def text(code: int) -> str | None:
-        hit = blocks.get(code)
-        if hit is None:
-            return None
-        g, t = hit
-        base = bases.get(g)
-        if base is None:
-            d = x.create_decimal(str(g))
-            base = bases[g] = d, x.add(x.divide(x.multiply(d, x.add(d, 1)), 2), d)
-        d, first = base
-        return str(x.add(x.add(first, x.multiply(d, t)), t * (t + 1) // 2))
-
-    return text
+    cache = vars(f)
+    base = cache.get("_block_base")
+    if base is None:
+        d = x.create_decimal(str(godel_number(f)))
+        base = cache["_block_base"] = d, x.add(x.divide(x.multiply(d, x.add(d, 1)), 2), d)
+    d, first = base
+    return str(x.add(x.add(first, x.multiply(d, t)), t * (t + 1) // 2))
 
 
 @dataclass(frozen=True)

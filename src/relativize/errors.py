@@ -24,10 +24,23 @@ class OracleFileError(ValueError):
 def read_json(path, error: type[ValueError] = ConfigurationError):
     """The JSON document in the UTF-8 file at `path`. A file that does not
     parse (not UTF-8, not JSON, an int past the digit limit, or nested too
-    deep for the parser) raises `error` with a message that starts with `path`."""
+    deep for the parser), or that has an object repeating a key, raises
+    `error` with a message that starts with `path`: the parser alone would
+    keep a repeated key's last value."""
+
+    def unique_keys(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise error(f"{path}: repeated key {key!r} in a JSON object")
+        return doc
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
+    except error:
+        raise
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not readable as UTF-8 JSON ({exc})") from exc
 

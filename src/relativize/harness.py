@@ -35,7 +35,6 @@ from .machine import (
     RunResult,
     atomic_open,
     clamped_budget,
-    code_text,
     run_report,
     run_result_to_json,
     write_results_csv,
@@ -493,10 +492,6 @@ class SuiteRunner:
         self.failed_rows: set[str] = set()
         self.evidence: dict[str, dict] = {}
         self.corpus = gen_corpus(config)
-        # The problems whose block codes the runs query, so the report
-        # writer can print those codes from them: this corpus and each
-        # crafted one.
-        self.block_coded = list(self.corpus)
         self.truth = {f.id: brute_force_sat(f).satisfiable for f in self.corpus}
 
     def fail(self, row: str, message: str) -> None:
@@ -516,11 +511,8 @@ class SuiteRunner:
         side's RUN_RULES, then make the kind-level checks. Returns the
         kind's evidence."""
         corpus = self.corpus if c.corpus is None else c.corpus()
-        if corpus is self.corpus:
-            truth = self.truth
-        else:  # a crafted corpus: the runs may query its block codes
-            self.block_coded.extend(corpus)
-            truth = {f.id: brute_force_sat(f).satisfiable for f in corpus}
+        truth = self.truth if corpus is self.corpus else {
+            f.id: brute_force_sat(f).satisfiable for f in corpus}
         built = c.build(corpus)
         runs = []
         for oracle in built.sets:
@@ -561,7 +553,7 @@ class SuiteRunner:
         out = Path(self.config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_results_csv(self.results, out / "runs.csv")
-        write_results_jsonl(self.results, out / "runs.jsonl", self.block_coded)
+        write_results_jsonl(self.results, out / "runs.jsonl")
         summary = {
             "config": {
                 "seed": self.config.seed,
@@ -632,9 +624,8 @@ def _cmd_solve(args) -> int:
     truth = brute_force_sat(f).satisfiable
     runs = [solve_side(side, f, corpus, truth) for side in sides_of(oracle)]
     with code_digit_limit():
-        text = code_text((f,))
         for r in runs:
-            print(json.dumps(run_result_to_json(r, text)))
+            print(json.dumps(run_result_to_json(r)))
     return 0
 
 

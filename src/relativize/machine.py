@@ -4,8 +4,10 @@ nondeterministic solver, and exact per-run accounting.
 Step accounting follows the input-sets-examined convention: a deterministic
 solver's steps count the assignments it examined (or the encodings it
 prepared), each oracle query costs one query and is answered instantaneously,
-and a run's transcript reads as every (code, answer) pair in order; an
-input-code scan's is held as the four numbers that determine it. The
+and a run's transcript reads as every (code, answer) pair in order. A scan's
+is held lazily: an input-code scan's as the four numbers that determine it, a
+block scan's as its problem, how many blocks it asked and whether it hit,
+and each prints its own codes. The
 nondeterministic solver explores all branches at once in the model, so its
 model-level cost is a single step and it never enters the query state; the
 work done to simulate it is recorded separately and never conflated with the
@@ -20,10 +22,11 @@ import os
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, compress, count, islice, repeat
 from operator import index
 
-from .encoding import (block_code_texts, code_digit_limit, input_code_at, input_codes,
+from .encoding import (block_code_text, code_digit_limit, input_code_at, input_codes,
                        input_index, partition_code)
 from .errors import ConfigurationError
 from .formula import check_enumerable, first_accepted, truth_table
@@ -113,6 +116,7 @@ class ScanTranscript(Sequence):
     stops at its first yes, so every answer is no but the last, which is yes
     iff the scan hit. It reads as the tuple of those pairs: the same len,
     iteration, indexing and slicing, equality either way round, and hash.
+    `texts()` is the decimal text of each code, for the report writer.
     (A plain class: a dataclass would add a millisecond to every import.)
     """
 
@@ -123,6 +127,12 @@ class ScanTranscript(Sequence):
 
     def codes(self):
         return input_codes(self.problem_id, self.k, self.queries)
+
+    def texts(self):
+        return map(str, self.codes())
+
+    def _code(self, e: int) -> int:
+        return input_code_at(self.problem_id, e, self.k)
 
     def __len__(self) -> int:
         return self.queries
@@ -139,7 +149,7 @@ class ScanTranscript(Sequence):
             e += self.queries
         if not 0 <= e < self.queries:
             raise IndexError("transcript index out of range")
-        return input_code_at(self.problem_id, e, self.k), self.hit and e == self.queries - 1
+        return self._code(e), self.hit and e == self.queries - 1
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, ScanTranscript)):
@@ -148,6 +158,28 @@ class ScanTranscript(Sequence):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
+
+
+class BlockScan(ScanTranscript):
+    """The transcript of a block scan, which holds its problem: it asks
+    partition_code(problem, t) for t = 0, 1, ... in turn and stops at its
+    first yes. Its texts come from the problem's cached decimal base
+    (`block_code_text`), not from str() of each code."""
+
+    __slots__ = ("problem",)
+
+    def __init__(self, problem, queries: int, hit: bool):
+        super().__init__(problem.id, problem.k, queries, hit)
+        self.problem = problem
+
+    def codes(self):
+        return map(self._code, range(self.queries))
+
+    def texts(self):
+        return map(partial(block_code_text, self.problem), range(self.queries))
+
+    def _code(self, t: int) -> int:
+        return partition_code(self.problem, t)
 
 
 def _label(oracle) -> str:
@@ -181,22 +213,17 @@ def solve_with_A(f, oracle, ground_truth: bool | None = None,
     """Block-query solver: ask the oracle about each true-count block in turn.
 
     Accepts on the first yes, rejects once all k+1 blocks answered no. No
-    assignment is ever examined directly, so steps = queries <= k + 1.
-    `max_queries` caps the scan for budgeted staging; None scans every block.
+    assignment is ever examined directly, so steps = queries <= k + 1, and
+    the transcript is a BlockScan of exactly those blocks. `max_queries`
+    caps the scan for budgeted staging; None scans every block.
     """
     _require_covered(f, oracle)
     blocks = f.k + 1
-    limit = blocks if max_queries is None else min(max_queries, blocks)
-    transcript = []
-    accepted = False
-    for t in range(limit):
-        code = partition_code(f, t)
-        accepted = code in oracle
-        transcript.append((code, accepted))
-        if accepted:
-            break
-    return _result(_label(oracle), f, accepted, steps=len(transcript),
-                   transcript=tuple(transcript), ground_truth=ground_truth)
+    limit = blocks if max_queries is None else max(0, min(max_queries, blocks))
+    hit = next((t for t in range(limit) if partition_code(f, t) in oracle), None)
+    queries = limit if hit is None else hit + 1
+    return _result(_label(oracle), f, hit is not None, steps=queries,
+                   transcript=BlockScan(f, queries, hit is not None), ground_truth=ground_truth)
 
 
 def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None) -> RunResult:
@@ -326,8 +353,8 @@ def run_report(results: list[RunResult]) -> dict:
             "by_oracle": dict(sorted(by_oracle.items()))}
 
 
-def run_result_to_json(r: RunResult, text=str) -> dict:
-    """JSON-safe view of a run; `text` turns codes into decimal strings."""
+def run_result_to_json(r: RunResult) -> dict:
+    """JSON-safe view of a run, each code as its decimal string."""
     return {
         "oracle": r.oracle,
         "formula_id": r.formula_id,
@@ -335,7 +362,7 @@ def run_result_to_json(r: RunResult, text=str) -> dict:
         "verdict": r.verdict,
         "steps": r.steps,
         "queries": r.queries,
-        "transcript": [[text(code), answer] for code, answer in r.transcript],
+        "transcript": [[str(code), answer] for code, answer in r.transcript],
         "ground_truth": r.ground_truth,
         "correct": r.correct,
         "simulated_work": r.simulated_work,
@@ -358,54 +385,28 @@ def atomic_open(path, newline: str | None = None):
         raise
 
 
-# Input codes stay far below this width and convert cheaply; block codes run
-# to thousands of bits.
-_MEMO_BITS = 1024
-
-
-def code_text(problems=()):
-    """A code -> decimal text function, for use inside `code_digit_limit()`.
-    A code wider than _MEMO_BITS is turned into text once: by
-    `block_code_texts(problems)` if it is one of their block codes, else by
-    `str`."""
-    memo: dict[int, str] = {}
-    from_problem = block_code_texts(problems)
-
-    def text(code: int) -> str:
-        if code.bit_length() <= _MEMO_BITS:
-            return str(code)
-        s = memo.get(code)
-        if s is None:
-            s = memo[code] = from_problem(code) or str(code)
-        return s
-
-    return text
-
-
 def _write_scan(fh, t: ScanTranscript) -> None:
     """Write a scan transcript as JSON, [["c",false],...,["c",true]], from its
-    code stream a batch at a time: every answer is false but the last."""
+    code texts a batch at a time: every answer is false but the last."""
     if not t.queries:
         fh.write("[]")
         return
-    codes, sep = map(str, t.codes()), '",false],["'
+    codes, sep = t.texts(), '",false],["'
     fh.write('[["' + next(codes))
     while batch := sep.join(islice(codes, 4096)):
         fh.write(sep + batch)
     fh.write('",true]]' if t.hit else '",false]]')
 
 
-def write_results_jsonl(results: list[RunResult], path, problems=()) -> None:
-    """One JSON line per run, written atomically. Codes go through one
-    `code_text(problems)`, which lives only for the call: pass the problems
-    whose block codes the runs queried. Any results list is written right;
-    a scan transcript is streamed into its line by `_write_scan`."""
+def write_results_jsonl(results: list[RunResult], path) -> None:
+    """One JSON line per run, written atomically. A scan transcript, C's or
+    A's, is streamed into its line from its `texts()` by `_write_scan`; a
+    plain tuple's codes go through str."""
     with code_digit_limit(), atomic_open(path) as fh:
-        text = code_text(problems)
         for r in results:
             t = r.transcript
             if not isinstance(t, ScanTranscript):
-                fh.write(json.dumps(run_result_to_json(r, text), separators=(",", ":")) + "\n")
+                fh.write(json.dumps(run_result_to_json(r), separators=(",", ":")) + "\n")
                 continue
             line = json.dumps(run_result_to_json(replace(r, transcript=())), separators=(",", ":"))
             head, tail = line.split('"transcript":[]')

@@ -618,6 +618,32 @@ class TestCli:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("option, content, key", [
+        ("suite --config", '{"seed": 1, "seed": 2}', "seed"),
+        ("build-oracle --corpus", '[{"id": 1, "literals": ["a"], "clauses": [], "id": 1}]', "id"),
+        ("lambda --instances", '[{"S": [1], "M": 1, "M": 2}]', "M"),
+        ("solve --oracle", '{"kind": "A", "provenance": {"7": [1, "a"], "7": [2, "b"]}}', "7"),
+    ], ids=["suite-config", "build-oracle-corpus", "lambda-instances", "solve-oracle"])
+    def test_repeated_key_is_refused(self, tmp_path, capsys, option, content, key):
+        # the parser alone would keep the last value: seed 2, target 2, ...
+        corpus_path, bad, out = tmp_path / "corpus.json", tmp_path / "bad.json", tmp_path / "out"
+        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
+                     "--out", str(corpus_path)]) == 0
+        bad.write_text(content, encoding="utf-8")
+        argv = {
+            "suite --config": ["suite", "--config", str(bad), "--out-dir", str(out)],
+            "build-oracle --corpus": ["build-oracle", "--kind", "A", "--corpus", str(bad),
+                                      "--out", str(out)],
+            "lambda --instances": ["lambda", "--instances", str(bad), "--out", str(out)],
+            "solve --oracle": ["solve", "--oracle", str(bad), "--formula", "1",
+                               "--corpus", str(corpus_path)],
+        }[option]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: repeated key {key!r} in a JSON object\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("command", ["build-oracle", "solve"])
     @pytest.mark.parametrize("budget", [["-1", "2"], ["2", "-1"]])
     def test_budget_option_must_be_naturals(self, tmp_path, capsys, command, budget):

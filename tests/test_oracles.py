@@ -302,6 +302,26 @@ class TestBuildE:
             build_E(corpus, build_A(corpus))
             assert scanned == ([n] if k in ks else []), k
 
+    def test_third_stage_scans_its_problem(self, monkeypatch):
+        # Positions 1..3 meet their stage's chain at k = 2, 4 and 17; the
+        # k = 4 problem misses stage 2's budget gate, p(t(2)) = 4 < 2^4, so
+        # only stages 1 and 3 scan, and a stage cap below 3 drops the k = 17
+        # scan.
+        scanned = []
+
+        def spy(f, oracle, **kwargs):
+            scanned.append((f.id, f.k))
+            return solve_with_A(f, oracle, **kwargs)
+
+        monkeypatch.setattr(oracles, "solve_with_A", spy)
+        corpus = Corpus(
+            (craft_unsat(1, 2), Formula(2, default_literals(4), (((0, True),),)),
+             Formula(3, default_literals(17), (((0, True),),))),
+            {1: Budget(2, 0), 2: Budget(1, 1), 3: Budget(1, 32)},
+        )
+        build_E(corpus, build_A(corpus))
+        assert scanned == [(1, 2), (3, 17)]
+
     def test_stagewise_monotone(self):
         corpus = craft_e_corpus()
         members = []
@@ -492,6 +512,20 @@ class TestDeterminismAndFiles:
         edit(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(OracleFileError, match=re.escape(message)) as err:
+            load_oracle(path, corpus)
+        assert str(err.value).startswith(f"{path}: ")
+
+
+    def test_repeated_key_is_refused(self, tmp_path):
+        # the parser alone would keep the last: {7: (2, "b")}
+        corpus = seeded_corpus(seed=83)
+        path = tmp_path / "a.json"
+        save_oracle(build_A(corpus), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc.update(members=["7"], provenance={"7": [1, "a"]})
+        text = json.dumps(doc).replace('{"7": [1, "a"]}', '{"7": [1, "a"], "7": [2, "b"]}')
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(OracleFileError, match=re.escape("repeated key '7'")) as err:
             load_oracle(path, corpus)
         assert str(err.value).startswith(f"{path}: ")
 

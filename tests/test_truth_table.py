@@ -1,11 +1,11 @@
 """Differential tests: every truth-table read and every index-native input
 code against a per-assignment reference, and every cached code (block codes,
-canonical keys, F's tagged members, the report writer's decimal memo and its
-block-code text computed from the problem) against a fresh computation. A built F answers through its untagged sides,
-checked against tagged views over the reference F, and a built C_bar's rule
-answers as the reference's dict of codes. C's lazy scan transcript
-reads as the reference's tuple of (code, answer) pairs, and the report writer
-streams it to the same bytes.
+canonical keys, F's tagged members, and block-code text computed from the
+problem's decimal base) against a fresh computation. A built F answers
+through its untagged sides, checked against tagged views over the reference
+F, and a built C_bar's rule answers as the reference's dict of codes. C's and
+A's lazy scan transcripts read as the reference's tuples of (code, answer)
+pairs, and the report writer streams them to the same bytes.
 
 The references (`reference.py`) walk the 2^k assignments one by one through
 `accepts` (which is `evaluate` for formulas), building each assignment there
@@ -72,7 +72,7 @@ from relativize import (
 from relativize import machine
 from relativize.analog import _problem_corpus
 from relativize.encoding import (
-    block_code_texts,
+    block_code_text,
     code_digit_limit,
     input_code_at,
     input_codes,
@@ -80,9 +80,9 @@ from relativize.encoding import (
 from relativize.formula import block_masks, literal_masks
 from relativize.harness import SuiteRunner, craft_all_true, main
 from relativize.machine import (
+    BlockScan,
     RunResult,
     ScanTranscript,
-    code_text,
     search_limit,
     write_results_jsonl,
 )
@@ -428,6 +428,29 @@ def slices(n):
     return st.builds(slice, bound, bound, st.none() | st.integers(-3, 3).filter(bool))
 
 
+def assert_reads_as_reference(got, want, data):
+    """`got`, a run with a lazy scan transcript, equals and hashes as the
+    reference run `want` either way round, and its transcript reads as
+    `want`'s tuple: len, iteration, every index, a drawn slice, IndexError
+    past either end, and inequality to any other tuple."""
+    assert got == want and want == got and hash(got) == hash(want)
+    t, ref = got.transcript, want.transcript
+    assert isinstance(t, ScanTranscript) and type(ref) is tuple
+    assert t == ref and ref == t and not t != ref and not ref != t
+    assert len(t) == len(ref) and list(t) == list(ref) and hash(t) == hash(ref)
+    assert all(t[e] == ref[e] for e in range(-len(ref), len(ref)))
+    for e in (len(ref), -len(ref) - 1):
+        with pytest.raises(IndexError):
+            t[e]
+    cut = data.draw(slices(len(ref)))
+    assert t[cut] == ref[cut] and type(t[cut]) is tuple
+    if ref:
+        flipped = ref[:-1] + ((ref[-1][0], not ref[-1][1]),)
+        assert t != flipped and flipped != t and not t == flipped
+        assert t != ref[:-1] and ref[:-1] != t
+    assert t != list(ref) and list(ref) != t  # a tuple never equals a list
+
+
 class TestScanTranscript:
     @given(scans(), st.data())
     @settings(max_examples=120, deadline=None)
@@ -436,22 +459,28 @@ class TestScanTranscript:
         truth = bool(accepting(p))
         got = solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
         want = ref_solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
-        assert got == want and want == got and hash(got) == hash(want)
-        t, ref = got.transcript, want.transcript
-        assert isinstance(t, ScanTranscript) and type(ref) is tuple
-        assert t == ref and ref == t and not t != ref and not ref != t
-        assert len(t) == len(ref) and list(t) == list(ref) and hash(t) == hash(ref)
-        assert all(t[e] == ref[e] for e in range(-len(ref), len(ref)))
-        for e in (len(ref), -len(ref) - 1):
-            with pytest.raises(IndexError):
-                t[e]
-        cut = data.draw(slices(len(ref)))
-        assert t[cut] == ref[cut] and type(t[cut]) is tuple
-        if ref:
-            flipped = ref[:-1] + ((ref[-1][0], not ref[-1][1]),)
-            assert t != flipped and flipped != t and not t == flipped
-            assert t != ref[:-1] and ref[:-1] != t
-        assert t != list(ref) and list(ref) != t  # a tuple never equals a list
+        assert_reads_as_reference(got, want, data)
+
+    @given(corpora(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_block_scan_reads_as_the_reference_tuple(self, tmp_path_factory, corpus, data):
+        # A, E and an F read back from its file, and a set of some of the
+        # problem's own block codes, so a hit can sit at any block
+        path = tmp_path_factory.mktemp("f") / "f.json"
+        save_oracle(build_F(corpus), path)
+        a = build_A(corpus)
+        built = (a, build_E(corpus, a), tagged_view(load_oracle(path, corpus), 0))
+        for p in corpus:
+            truth = bool(accepting(p))
+            blocks = data.draw(st.sets(st.integers(0, p.k), max_size=2))
+            for oracle in (*built, frozenset(partition_code(p, t) for t in blocks)):
+                cap = data.draw(st.none() | st.integers(-2, p.k + 3))
+                got = solve_with_A(p, oracle, ground_truth=truth, max_queries=cap)
+                # a negative cap asks nothing, as a cap of 0 does
+                want = ref_solve_with_A(p, oracle, ground_truth=truth,
+                                        max_queries=None if cap is None else max(cap, 0))
+                assert type(got.transcript) is BlockScan and got.transcript.problem is p
+                assert_reads_as_reference(got, want, data)
 
     @pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
     @pytest.mark.parametrize("live", [False, True])
@@ -523,7 +552,7 @@ class TestScanTranscript:
         results.append(dataclasses.replace(scan, transcript=tuple(scan.transcript)))
         assert {r.oracle for r in results} >= {"C", "C_bar", "D", "D_bar", "E"}
         assert sum(isinstance(r.transcript, ScanTranscript) for r in results) > 9 * 6
-        write_results_jsonl(results, tmp_path / "got.jsonl", [f])
+        write_results_jsonl(results, tmp_path / "got.jsonl")
         ref_write_results_jsonl(results, tmp_path / "want.jsonl")
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
 
@@ -659,8 +688,9 @@ def ref_digest(corpus):
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
-# Codes on both sides of the width at which write_results_jsonl starts to
-# memoize, plus block-code-sized ones; drawn with repeats across runs.
+# Small codes, codes just past 1,024 bits, codes past the interpreter's
+# default 4,300-digit conversion guard, and block-code-sized ones, in plain
+# tuples the writer prints through str; drawn with repeats across runs.
 code_pool = st.one_of(
     st.integers(0, 1 << 64),
     st.integers(-3, 3).map(lambda d: (1 << 1024) + d),
@@ -757,24 +787,26 @@ class TestCachedCodes:
     def test_block_code_text_is_str_of_the_pairing(self, p):
         limit = sys.get_int_max_str_digits()
         g = godel_number(p)
-        codes = [partition_code(p, t) for t in range(p.k + 1)]
         cached = dict(vars(p))
         with code_digit_limit():
-            text = block_code_texts([p])
-            assert [text(code) for code in codes] == [str(pair(t, g)) for t in range(p.k + 1)]
-            assert text(codes[-1] + 1) is None and text(g) is None
-            by_writer = code_text([p])
-            assert [by_writer(code) for code in codes] == [str(code) for code in codes]
+            want = [str(pair(t, g)) for t in range(p.k + 1)]
+            assert [block_code_text(p, t) for t in range(p.k + 1)] == want
+            assert list(BlockScan(p, p.k + 1, False).texts()) == want
         assert sys.get_int_max_str_digits() == limit
-        assert vars(p) == cached  # nothing new on the instance
+        # the one thing added to the instance: g's decimal and g(g+1)/2 + g
+        added = {key: v for key, v in vars(p).items() if key not in cached}
+        assert list(added) == ["_block_base"]
+        d, first = added["_block_base"]
+        assert (d, first) == (g, g * (g + 1) // 2 + g)
 
     def test_block_code_text_traps_a_precision_shortfall(self, monkeypatch):
         f = Formula(1, default_literals(6), (((0, True), (3, False)), ((5, True),)))
         code = partition_code(f, 1)
-        assert block_code_texts([f])(code) == str(code)
+        assert block_code_text(f, 1) == str(code)
+        fresh = dataclasses.replace(f)  # no decimal base cached on it
         monkeypatch.setattr(decimal, "MAX_PREC", 20)  # far fewer digits than g has
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
-            block_code_texts([f])(code)
+            block_code_text(fresh, 1)
 
     def test_write_results_jsonl_prints_block_codes_from_problems(self, tmp_path, monkeypatch):
         corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(11, 12), formulas_per_k=2))
@@ -792,51 +824,36 @@ class TestCachedCodes:
             results.append(solve_conp_with_C_bar(p, tagged_view(f, 1)))
         results += [solve_with_A(p, e) for p in crafted]
         assert vars(twin)["_block_codes"] == vars(first)["_block_codes"]
+        assert max(code for r in results for code, _ in r.transcript).bit_length() > 14_300
         ref_write_results_jsonl(results, tmp_path / "want.jsonl")
 
         printed = []
 
-        def counting(problems):
-            text = block_code_texts(problems)
+        def counting(problem, t):
+            printed.append((problem.id, t))
+            return block_code_text(problem, t)
 
-            def counted(code):
-                s = text(code)
-                printed.append(s is not None)
-                return s
-            return counted
-
-        monkeypatch.setattr(machine, "block_code_texts", counting)
+        monkeypatch.setattr(machine, "block_code_text", counting)
         limit = sys.get_int_max_str_digits()
-        everything = [*corpus, *crafted]
-        # all of them; every other one (the rest fall back to str); only the
-        # twin of a queried problem (its codes are shared); none
-        for problems in (everything, everything[::2], [twin], ()):
-            printed.clear()
-            write_results_jsonl(results, tmp_path / "got.jsonl", problems)
-            assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
-            assert sys.get_int_max_str_digits() == limit
-            assert any(printed) == bool(problems) and all(printed) == (problems is everything)
+        write_results_jsonl(results, tmp_path / "got.jsonl")
+        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert sys.get_int_max_str_digits() == limit
+        # every block code, and nothing else, is printed from its problem
+        assert printed == [(r.formula_id, t) for r in results if r.oracle != "F[co]"
+                           for t in range(r.queries)]
 
-    def test_suite_passes_every_problem_whose_block_codes_it_queried(self, tmp_path,
-                                                                     monkeypatch):
-        passed = []
-
-        def recording(problems):
-            passed.append(list(problems))
-            return block_code_texts(passed[-1])
-
-        monkeypatch.setattr(machine, "block_code_texts", recording)
+    def test_suite_block_runs_hold_their_problems(self, tmp_path):
         runner = SuiteRunner(ExperimentConfig(seed=3, k_range=(6, 7), formulas_per_k=2,
                                               oracle_kinds=("A", "E", "F"),
                                               out_dir=str(tmp_path)))
         runner.run()
-        runner.write_reports()
-        [problems] = passed
-        blocks = {code for p in problems for code in vars(p).get("_block_codes", ())}
-        queried = [code for r in runner.results if r.oracle in ("A", "E", "F[np]")
-                   for code, _ in r.transcript]
-        assert {r.oracle for r in runner.results} >= {"A", "E", "F[np]"}
-        assert queried and set(queried) <= blocks
+        assert {r.oracle for r in runner.results} == {"ND", "A", "E", "F[np]", "F[co]"}
+        for r in runner.results:
+            t = r.transcript
+            if r.oracle in ("A", "E", "F[np]"):
+                assert type(t) is BlockScan and (t.problem.id, t.problem.k) == (r.formula_id, r.k)
+            else:
+                assert type(t) is tuple
 
     def test_write_results_jsonl_on_suite_runs(self, tmp_path):
         corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(11, 12), formulas_per_k=2))
