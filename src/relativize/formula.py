@@ -68,15 +68,18 @@ def literal_masks(k: int) -> tuple[tuple[int, int], ...]:
 
     Entry j is (negative, positive): bit e of the positive mask is set iff
     literal j is true in assignment e, i.e. 2^j zeros then 2^j ones, repeated.
-    Built by one multiplication per literal, never by a 2^k loop.
+    Built from one period by doubling, k - j - 1 shift-and-ORs per literal;
+    no division and no 2^k loop.
     """
     width = 1 << k
     full = (1 << width) - 1
     masks = []
     for j in range(k):
         run = 1 << j
-        period = (1 << (2 * run)) - 1
-        positive = (((1 << run) - 1) << run) * (full // period)
+        positive, span = ((1 << run) - 1) << run, 2 * run
+        while span < width:
+            positive |= positive << span
+            span *= 2
         masks.append((full ^ positive, positive))
     return tuple(masks)
 

@@ -306,10 +306,11 @@ def ref_solve_with_C(p, oracle, ground_truth=None, max_queries=None):
 
 def ref_solve_with_A(p, oracle, ground_truth=None, max_queries=None):
     """One query per true-count block of `partition`, in order, accepting on
-    the first yes; at most `max_queries` blocks when it is given."""
+    the first yes; at most `max_queries` blocks when it is given, so none
+    when it is below 1."""
     transcript = []
     for block in (partition(p, t) for t in range(p.k + 1)):
-        if max_queries is not None and len(transcript) == max_queries:
+        if max_queries is not None and len(transcript) >= max_queries:
             break
         code = partition_code(p, true_count(block[0]))
         answer = code in oracle
@@ -419,15 +420,39 @@ def ref_build_D(corpus):
 
 
 def ref_set_sum_naive(inst):
-    """The per-subset sum loop."""
-    full = (1 << inst.r) - 1
-    verdict, examined = False, 0
-    for mask in range(1 << inst.r):
+    """The assumed only-known method, walked: every subset summed in
+    canonical bitmask order, accepting only if the full subset (the last
+    mask) hits the target.
+
+    The masks are walked as a binary counter with one running subtotal: going
+    from mask - 1 to mask sets bit j, the lowest bit of mask, and clears the
+    j bits below it, so the subtotal moves by values[j] minus the sum of
+    values[:j]. Each subset gets its own subtotal in O(1) time and memory.
+    """
+    r = check_enumerable(inst.r)
+    step, below = [], 0
+    for v in inst.values:
+        step.append(v - below)
+        below += v
+    subtotal, examined = 0, 1  # the empty subset, mask 0
+    for mask in range(1, 1 << r):
+        subtotal += step[(mask & -mask).bit_length() - 1]
         examined += 1
-        subtotal = sum(v for j, v in enumerate(inst.values) if (mask >> j) & 1)
-        if mask == full and subtotal == inst.target:
-            verdict = True
-    return verdict, examined
+    return subtotal == inst.target, examined
+
+
+def ref_literal_masks(k):
+    """Each literal's (negative, positive) mask by one multiplication: a
+    period of 2^j zeros then 2^j ones times full // period repeats it."""
+    width = 1 << k
+    full = (1 << width) - 1
+    masks = []
+    for j in range(k):
+        run = 1 << j
+        period = (1 << (2 * run)) - 1
+        positive = (((1 << run) - 1) << run) * (full // period)
+        masks.append((full ^ positive, positive))
+    return tuple(masks)
 
 
 # ---------------------------------------------------------------- fault injection

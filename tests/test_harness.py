@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -233,7 +234,8 @@ class TestFailureAttribution:
     corrupted on a fixed call pattern. The runs go A, B, C, C_bar, D, E, F
     over 12 seeded problems, so solve_with_A's calls 0..11 are A's, 12..13
     E's and 14..25 F[np]'s; solve_conp_with_C_bar's 0..11 are C_bar's and
-    12..14 D_bar's, which no per-run rule checks."""
+    12..14 D_bar's, which no per-run rule checks. nd_solve's 0..11 and
+    solve_with_C's 0..11 are the seeded ND and C runs."""
 
     CONFIG = dict(seed=7, k_range=(6, 7), formulas_per_k=2)
 
@@ -264,16 +266,42 @@ class TestFailureAttribution:
         assert failures == ["ND: some verdict disagreed with ground truth"]
         assert rows == {"A": True, "B": False, "C": True, "D": True, "E": True, "F": True}
 
+    def test_an_nd_run_that_queries_fails_b(self, tmp_path, monkeypatch):
+        # The nondeterministic machine never enters the query state.
+        status, failures, rows = self._summary(tmp_path, monkeypatch,
+                                               {"nd_solve": {"inflates": {0}}})
+        assert status == 1
+        assert failures == ["ND: a run entered the query state"]
+        assert rows == {"A": True, "B": False, "C": True, "D": True, "E": True, "F": True}
+
+    def test_a_rejected_c_scan_off_2_to_the_k_fails_c(self, tmp_path, monkeypatch):
+        # solve_with_C's call 2 is C's scan of formula 3, the first rejected
+        # problem at k = 6; k = 7's is formula 9, so the doubling breaks too.
+        status, failures, rows = self._summary(tmp_path, monkeypatch,
+                                               {"solve_with_C": {"inflates": {2}}})
+        assert status == 1
+        assert failures == [
+            "C: rejected formula 3 used 72 queries, expected 2^k",
+            "C: query count did not double from k=6 to k=7",
+        ]
+        assert rows == {"A": True, "B": True, "C": False, "D": True, "E": True, "F": True}
+
+
+def _perfbench_constant(file: str, name: str):
+    """The literal value that perfbench/<file> assigns to `name`, read with
+    ast so the benchmark's code is not imported."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / file
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and targets == [name]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/{file} defines no {name}")
+
 
 def _battery_solvers() -> tuple[str, ...]:
     """The solver names perfbench/run.py rebinds in relativize.analog to see
-    every run of the battery, read from its BATTERY_SOLVERS tuple."""
-    run_py = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
-    for node in ast.parse(run_py.read_text(encoding="utf-8")).body:
-        names = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
-        if isinstance(node, ast.Assign) and names == ["BATTERY_SOLVERS"]:
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/run.py defines no BATTERY_SOLVERS")
+    every run of the battery."""
+    return _perfbench_constant("run.py", "BATTERY_SOLVERS")
 
 
 class TestSolverNamesInAnalog:
@@ -328,6 +356,18 @@ class TestSolverNamesInAnalog:
                 assert type(args[0]) is int and isinstance(args[1], SetSumInstance)
             else:
                 assert isinstance(args[0], SetSumProblem)
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name)
+    for module, names in _perfbench_constant("spans.py", "TRACED").items() for name in names])
+def test_every_traced_name_is_a_callable_of_its_module(module, name):
+    # perfbench/spans.py wraps these names; a dotted one is a method, reached
+    # through its class
+    owner = importlib.import_module(f"relativize.{module}")
+    for part in name.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
 
 
 class TestCap:
