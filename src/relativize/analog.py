@@ -113,8 +113,14 @@ class SetSumProblem:
         return 1 << ((1 << self.k) - 1) if set_sum_direct(self.instance) else 0
 
     def canonical_key(self) -> str:
-        return json.dumps(["setsum", list(self.instance.values), self.instance.target],
-                          separators=(",", ":"))
+        """Deterministic structural serialization. Cached on the instance."""
+        cache = vars(self)
+        key = cache.get("_canonical_key")
+        if key is None:
+            key = cache["_canonical_key"] = json.dumps(
+                ["setsum", list(self.instance.values), self.instance.target],
+                separators=(",", ":"))
+        return key
 
 
 def _instance_from_entry(entry, where: str) -> SetSumInstance:

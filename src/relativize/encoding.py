@@ -85,15 +85,17 @@ def partition_code(f, t: int) -> int:
     return codes[t]
 
 
-def block_code_text(f, t: int) -> str:
-    """Decimal text of partition_code(f, t), for use inside `code_digit_limit()`.
+def block_code_texts(f, stop: int):
+    """Lazily, the decimal text of partition_code(f, t) for t = 0, 1, ...,
+    stop - 1, for use inside `code_digit_limit()`.
 
     Before Python 3.12, int-to-decimal time grows with the square of the
-    length. So g's decimal, and g(g+1)/2 + g, are computed once per problem
-    instance and cached on it beside its block codes, and the code
-    pair(t, g) is computed in base 10 as g(g+1)/2 + g + t*g + t(t+1)/2
-    (Brent & Zimmermann, *Modern Computer Arithmetic*, section 1.7),
-    exactly: rounding raises.
+    length. So g's decimal, and pair(0, g) = g(g+1)/2 + g, are computed once
+    per problem instance and cached on it beside its block codes; each later
+    code is the one before plus g + t, added in base 10, as pair(t, g) =
+    pair(t-1, g) + g + t (Brent & Zimmermann, *Modern Computer Arithmetic*,
+    section 1.7). One exact decimal context serves the whole run of codes:
+    rounding raises.
     """
     import decimal as dec  # here, not at the top: 2.5 ms off every package import
 
@@ -105,8 +107,11 @@ def block_code_text(f, t: int) -> str:
     if base is None:
         d = x.create_decimal(str(godel_number(f)))
         base = cache["_block_base"] = d, x.add(x.divide(x.multiply(d, x.add(d, 1)), 2), d)
-    d, first = base
-    return str(x.add(x.add(first, x.multiply(d, t)), t * (t + 1) // 2))
+    d, code = base
+    for t in range(stop):
+        if t:
+            code = x.add(code, x.add(d, t))
+        yield str(code)
 
 
 @dataclass(frozen=True)

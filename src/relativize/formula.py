@@ -34,17 +34,15 @@ DEFAULT_ENUMERATION_CAP = 20
 def enumeration_cap() -> int:
     """Active cap on literal counts for exhaustive work (RELATIVIZE_CAP overrides).
 
-    A RELATIVIZE_CAP that is not a non-negative integer is a ConfigurationError."""
+    A RELATIVIZE_CAP that is not a non-empty string of ASCII digits is a
+    ConfigurationError: `int` alone would also read "1_0", " 7 ", "+8" and
+    non-ASCII digits."""
     raw = os.environ.get("RELATIVIZE_CAP")
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = -1
-    if cap < 0:
+    if not (raw.isascii() and raw.isdigit()):
         raise ConfigurationError(f"RELATIVIZE_CAP must be a non-negative integer, got {raw!r}")
-    return cap
+    return int(raw)
 
 
 def check_enumerable(k: int) -> int:

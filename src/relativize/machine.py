@@ -22,11 +22,10 @@ import os
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import chain, compress, count, islice, repeat
 from operator import index
 
-from .encoding import (block_code_text, code_digit_limit, input_code_at, input_codes,
+from .encoding import (block_code_texts, code_digit_limit, input_code_at, input_codes,
                        input_index, partition_code)
 from .errors import ConfigurationError
 from .formula import check_enumerable, first_accepted, truth_table
@@ -163,8 +162,9 @@ class ScanTranscript(Sequence):
 class BlockScan(ScanTranscript):
     """The transcript of a block scan, which holds its problem: it asks
     partition_code(problem, t) for t = 0, 1, ... in turn and stops at its
-    first yes. Its texts come from the problem's cached decimal base
-    (`block_code_text`), not from str() of each code."""
+    first yes. Its texts are not str() of each code: `block_code_texts`
+    starts from the problem's cached decimal base and adds g + t to step to
+    each later code."""
 
     __slots__ = ("problem",)
 
@@ -176,7 +176,7 @@ class BlockScan(ScanTranscript):
         return map(self._code, range(self.queries))
 
     def texts(self):
-        return map(partial(block_code_text, self.problem), range(self.queries))
+        return block_code_texts(self.problem, self.queries)
 
     def _code(self, t: int) -> int:
         return partition_code(self.problem, t)

@@ -26,6 +26,7 @@ import json
 import math
 from collections.abc import Container, KeysView, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .encoding import (
     code_digit_limit,
@@ -189,6 +190,11 @@ class Corpus:
     on them. Any problem family exposing id, k, accepts, canonical_key and
     truth_table works, not just CNF formulas.
 
+    A corpus does not change once made: the problems are held as a tuple
+    and the budgets as a read-only view of a copy of the dict passed in. So
+    `digest()`, which every built set carries, is computed once per corpus,
+    on first use, and cached on the instance.
+
     The constructions read every exhaustive answer (has a witness, first
     witness, accepting blocks, complement pairs) from each problem's truth
     table, a 2^k-bit integer built once per problem instance, on first use.
@@ -201,10 +207,11 @@ class Corpus:
     """
 
     formulas: tuple
-    budgets: dict[int, Budget] = field(default_factory=dict)
+    budgets: Mapping[int, Budget] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "formulas", tuple(self.formulas))
+        object.__setattr__(self, "budgets", MappingProxyType(dict(self.budgets)))
         ids = [f.id for f in self.formulas]
         if ids != list(range(1, len(ids) + 1)):
             raise ValueError("corpus ids must be dense 1..n in order")
@@ -232,13 +239,19 @@ class Corpus:
         return frozenset(f.id for f in self.formulas)
 
     def digest(self) -> str:
-        """Stable hash over problem structure and budgets."""
-        doc = [
-            [f.id, f.canonical_key(), self.budgets[f.id].coefficient, self.budgets[f.id].exponent]
-            for f in self.formulas
-        ]
-        blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        """Stable hash over problem structure and budgets. Cached on the
+        instance: nothing it hashes can change."""
+        cache = vars(self)
+        digest = cache.get("_digest")
+        if digest is None:
+            doc = [
+                [f.id, f.canonical_key(), self.budgets[f.id].coefficient,
+                 self.budgets[f.id].exponent]
+                for f in self.formulas
+            ]
+            blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+            digest = cache["_digest"] = hashlib.sha256(blob).hexdigest()
+        return digest
 
 
 def _finish(kind, prov, corpus) -> OracleSet:

@@ -13,6 +13,7 @@ import pytest
 from relativize import (
     Budget,
     ConfigurationError,
+    Corpus,
     ExperimentConfig,
     SetSumInstance,
     SetSumProblem,
@@ -40,8 +41,8 @@ from relativize import (
     solve_with_C,
     tagged_view,
 )
-from relativize.encoding import CODE_DIGITS, code_digit_limit
-from relativize import analog, harness
+from relativize.encoding import CODE_DIGITS, code_digit_limit, partition_code
+from relativize import analog, harness, oracles
 from relativize.harness import config_from_json, main
 from relativize.machine import atomic_open, run_result_to_json
 
@@ -286,6 +287,73 @@ class TestFailureAttribution:
         ]
         assert rows == {"A": True, "B": True, "C": False, "D": True, "E": True, "F": True}
 
+    def test_a_budget_not_below_2_to_the_k_fails_b(self, tmp_path, monkeypatch):
+        # formula 1 (k = 6, satisfiable) gets p(k) = 6^6: its search covers
+        # the whole space, so its runs stay correct
+        def seeded_with_a_big_budget(config):
+            corpus = gen_corpus(config)
+            return Corpus(corpus.formulas, {**corpus.budgets, 1: Budget(1, 6)})
+
+        monkeypatch.setattr(harness, "gen_corpus", seeded_with_a_big_budget)
+        status, failures, rows = self._summary(tmp_path, monkeypatch, {})
+        assert status == 1
+        assert failures == ["B: budget p(k)=46656 not below 2^k for formula 1"]
+        assert rows == {"A": True, "B": False, "C": True, "D": True, "E": True, "F": True}
+
+    def test_b_wrong_only_where_no_step_2_member_answered_fails_b(self, tmp_path, monkeypatch):
+        # solve_with_B's calls 2 and 8 are B's wrong runs, on formulas 3 and 9,
+        # each misled by a step-2 member; flipped, they are right. Call 0
+        # accepted formula 1 without a query, so flipped it is wrong with no
+        # member to trace it to.
+        status, failures, rows = self._summary(tmp_path, monkeypatch,
+                                               {"solve_with_B": {"flips": {0, 2, 8}}})
+        assert status == 1
+        assert failures == ["B: no wrong verdict traceable to a step-2 member"]
+        assert rows == {"A": True, "B": False, "C": True, "D": True, "E": True, "F": True}
+
+    def test_d_with_no_wrong_step_5_run_fails_d(self, tmp_path, monkeypatch):
+        # solve_with_C's call 13 is D's run on crafted formula 2, the one a
+        # step-5 member misleads
+        status, failures, rows = self._summary(tmp_path, monkeypatch,
+                                               {"solve_with_C": {"flips": {13}}})
+        assert status == 1
+        assert failures == ["D: no wrong verdict traceable to a step-5 member"]
+        assert rows == {"A": True, "B": True, "C": True, "D": False, "E": True, "F": True}
+
+    def test_d_bar_with_no_wrong_step_8_run_fails_d(self, tmp_path, monkeypatch):
+        # solve_conp_with_C_bar's call 14 is D_bar's run on crafted formula 3,
+        # the one a step-8 member misleads; D_bar's other two runs are wrong
+        # too, but on a no answer
+        status, failures, rows = self._summary(tmp_path, monkeypatch,
+                                               {"solve_conp_with_C_bar": {"flips": {14}}})
+        assert status == 1
+        assert failures == ["D_bar: no wrong verdict traceable to a step-8 member"]
+        assert rows == {"A": True, "B": True, "C": True, "D": False, "E": True, "F": True}
+
+    def test_e_gaining_a_complement_paired_code_fails_e(self, tmp_path, monkeypatch):
+        # craft_e_corpus's formulas 2 and 3 are a complement pair; E gains the
+        # code of formula 2's block 0, which A does not hold. Formula 2 is
+        # satisfiable, so its run stays correct.
+        def build_E_with_a_planted_code(corpus, base):
+            e = oracles.build_E(corpus, base)
+            code = partition_code(corpus.by_id(2), 0)
+            assert code not in base
+            return dataclasses.replace(e, provenance={**e.provenance, code: (2, "planted")})
+
+        monkeypatch.setattr(harness, "build_E", build_E_with_a_planted_code)
+        status, failures, rows = self._summary(tmp_path, monkeypatch, {})
+        assert status == 1
+        assert failures == ["E: complement-paired problems gained or lost codes"]
+        assert rows == {"A": True, "B": True, "C": True, "D": True, "E": False, "F": True}
+
+    def test_e_without_an_injection_fails_e(self, tmp_path, monkeypatch):
+        # with no stage to run, E is its base
+        monkeypatch.setattr(oracles, "E_STAGE_CAP", 0)
+        status, failures, rows = self._summary(tmp_path, monkeypatch, {})
+        assert status == 1
+        assert failures == ["E: no injection happened on the crafted corpus"]
+        assert rows == {"A": True, "B": True, "C": True, "D": True, "E": False, "F": True}
+
 
 def _perfbench_constant(file: str, name: str):
     """The literal value that perfbench/<file> assigns to `name`, read with
@@ -379,7 +447,7 @@ class TestCap:
         monkeypatch.delenv("RELATIVIZE_CAP", raising=False)
         assert enumeration_cap() == 20
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "", "1_0", " 7 ", "+8", "\u0663"])
     def test_env_must_be_a_non_negative_integer(self, tmp_path, monkeypatch, capsys, value):
         corpus_path = tmp_path / "corpus.json"
         assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",

@@ -20,6 +20,7 @@ import hashlib
 import itertools
 import json
 import sys
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -59,6 +60,8 @@ from relativize import (
     nd_solve,
     pair,
     partition_code,
+    run_suite,
+    save_corpus,
     save_oracle,
     set_sum_direct,
     set_sum_naive,
@@ -70,10 +73,10 @@ from relativize import (
     truth_table,
     unpair,
 )
-from relativize import machine
+from relativize import machine, oracles
 from relativize.analog import _problem_corpus
 from relativize.encoding import (
-    block_code_text,
+    block_code_texts,
     code_digit_limit,
     input_code_at,
     input_codes,
@@ -685,16 +688,17 @@ def ref_write_results_jsonl(results, path):
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def fresh_canonical_key(f):
-    clauses = sorted(tuple(sorted(clause)) for clause in f.clauses)
-    return json.dumps([clauses, list(f.literals)], separators=(",", ":"))
+def fresh_canonical_key(p):
+    if isinstance(p, SetSumProblem):
+        return json.dumps(["setsum", list(p.instance.values), p.instance.target],
+                          separators=(",", ":"))
+    clauses = sorted(tuple(sorted(clause)) for clause in p.clauses)
+    return json.dumps([clauses, list(p.literals)], separators=(",", ":"))
 
 
 def ref_digest(corpus):
-    keys = [fresh_canonical_key(f) if isinstance(f, Formula) else f.canonical_key()
-            for f in corpus]
-    doc = [[f.id, key, corpus.budget_for(f.id).coefficient, corpus.budget_for(f.id).exponent]
-           for f, key in zip(corpus, keys)]
+    doc = [[f.id, fresh_canonical_key(f), corpus.budget_for(f.id).coefficient,
+            corpus.budget_for(f.id).exponent] for f in corpus]
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
@@ -800,7 +804,8 @@ class TestCachedCodes:
         cached = dict(vars(p))
         with code_digit_limit():
             want = [str(pair(t, g)) for t in range(p.k + 1)]
-            assert [block_code_text(p, t) for t in range(p.k + 1)] == want
+            assert [list(block_code_texts(p, stop)) for stop in range(p.k + 2)] == [
+                want[:stop] for stop in range(p.k + 2)]
             assert list(BlockScan(p, p.k + 1, False).texts()) == want
         assert sys.get_int_max_str_digits() == limit
         # the one thing added to the instance: g's decimal and g(g+1)/2 + g
@@ -812,11 +817,25 @@ class TestCachedCodes:
     def test_block_code_text_traps_a_precision_shortfall(self, monkeypatch):
         f = Formula(1, default_literals(6), (((0, True), (3, False)), ((5, True),)))
         code = partition_code(f, 1)
-        assert block_code_text(f, 1) == str(code)
+        assert list(block_code_texts(f, 2))[1] == str(code)
         fresh = dataclasses.replace(f)  # no decimal base cached on it
         monkeypatch.setattr(decimal, "MAX_PREC", 20)  # far fewer digits than g has
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
-            block_code_text(fresh, 1)
+            list(block_code_texts(fresh, 2))
+
+    def test_stepped_texts_of_a_wide_problem_are_str_of_the_pairing(self):
+        # g past 14,300 bits: more than the interpreter's default 4,300-digit
+        # conversion guard allows for its square, pair(t, g)
+        k = 20
+        clauses = tuple(((j % k, j % 2 == 0), ((j + 7) % k, j % 3 == 0), ((j + 13) % k, True))
+                        for j in range(400))
+        f = Formula(1, default_literals(k), clauses)
+        g = godel_number(f)
+        assert g.bit_length() > 14_300
+        with code_digit_limit():
+            want = [str(pair(t, g)) for t in range(k + 1)]
+            assert list(block_code_texts(f, k + 1)) == want
+            assert list(block_code_texts(dataclasses.replace(f), k + 1)) == want
 
     def test_write_results_jsonl_prints_block_codes_from_problems(self, tmp_path, monkeypatch):
         corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(11, 12), formulas_per_k=2))
@@ -839,11 +858,12 @@ class TestCachedCodes:
 
         printed = []
 
-        def counting(problem, t):
-            printed.append((problem.id, t))
-            return block_code_text(problem, t)
+        def counting(problem, stop):
+            for t, text in enumerate(block_code_texts(problem, stop)):
+                printed.append((problem.id, t))
+                yield text
 
-        monkeypatch.setattr(machine, "block_code_text", counting)
+        monkeypatch.setattr(machine, "block_code_texts", counting)
         limit = sys.get_int_max_str_digits()
         write_results_jsonl(results, tmp_path / "got.jsonl")
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
@@ -889,11 +909,67 @@ class TestCachedCodes:
         twin = dataclasses.replace(f)
         assert "_canonical_key" not in vars(twin) and twin.canonical_key() == key
 
+    @given(set_sum_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_set_sum_canonical_key_is_cached_per_instance(self, p):
+        key = fresh_canonical_key(p)
+        assert p.canonical_key() == key
+        assert p.canonical_key() is p.canonical_key()
+        twin = dataclasses.replace(p)
+        assert "_canonical_key" not in vars(twin) and twin.canonical_key() == key
+
     @given(corpora())
     @settings(max_examples=60, deadline=None)
     def test_corpus_digest_unchanged(self, corpus):
         assert corpus.digest() == ref_digest(corpus)
         assert corpus.digest() == ref_digest(corpus)
+        assert corpus.digest() is corpus.digest()
+
+    def test_corpus_digest_survives_a_file_round_trip(self, tmp_path):
+        corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(6, 8), formulas_per_k=2))
+        digest = corpus.digest()
+        save_corpus(corpus, tmp_path / "corpus.json")
+        loaded = load_corpus(tmp_path / "corpus.json")
+        assert "_digest" not in vars(loaded)
+        assert loaded.digest() == loaded.digest() == digest == ref_digest(loaded)
+
+    def test_budgets_are_frozen_at_construction(self):
+        formulas = (craft_unsat(1, 3), craft_all_true(2, 4))
+        budgets = {1: Budget(1, 1), 2: Budget(2, 0)}
+        corpus = Corpus(formulas, budgets)
+        digest = corpus.digest()
+        with pytest.raises(TypeError):
+            corpus.budgets[1] = Budget(3, 3)
+        budgets[1] = Budget(3, 3)
+        del budgets[2]
+        assert corpus.budgets == {1: Budget(1, 1), 2: Budget(2, 0)}
+        assert {**corpus.budgets} == corpus.budgets
+        assert corpus.digest() == digest == ref_digest(Corpus(formulas, corpus.budgets))
+        assert ref_digest(Corpus(formulas, {1: Budget(3, 3), 2: Budget(2, 0)})) != digest
+
+    def test_each_corpus_is_hashed_once(self, tmp_path, monkeypatch):
+        blobs = []
+
+        def sha256(blob):
+            blobs.append(blob)
+            return hashlib.sha256(blob)
+
+        monkeypatch.setattr(oracles, "hashlib", types.SimpleNamespace(sha256=sha256))
+        instances = gen_instances(seed=7, count=6, r_min=3, r_max=6)
+        lambda_report(instances)
+        # the battery's problem corpus, then D's crafted one: five sets are
+        # built over the first and two over the second
+        assert len(blobs) == len(set(blobs)) == 2
+        assert hashlib.sha256(blobs[0]).hexdigest() == ref_digest(_problem_corpus(instances))
+        blobs.clear()
+        config = ExperimentConfig(seed=3, k_range=(6, 7), formulas_per_k=2,
+                                  out_dir=str(tmp_path))
+        assert run_suite(config) == 0
+        # the seeded corpus, D's crafted one and E's
+        assert len(blobs) == len(set(blobs)) == 3
+        assert {hashlib.sha256(blob).hexdigest() for blob in blobs} == {
+            ref_digest(gen_corpus(config)), ref_digest(craft_d_corpus()),
+            ref_digest(craft_e_corpus())}
 
 
 # ---------------------------------------------------------------- F's sides
