@@ -33,6 +33,7 @@ class Mutant(NamedTuple):
 
 
 HARNESS = "src/relativize/harness.py"
+MACHINE = "src/relativize/machine.py"
 ATTRIBUTION = "tests/test_harness.py::TestFailureAttribution::"
 CACHED = "tests/test_truth_table.py::TestCachedCodes::"
 
@@ -75,9 +76,18 @@ MUTANTS = (
            "(lambda r, f, corpus: r.ground_truth or r.queries == 1 << f.k,",
            "(lambda r, f, corpus: True,",
            (ATTRIBUTION + "test_a_rejected_c_scan_off_2_to_the_k_fails_c",)),
+    Mutant("A's per-run budget rule", HARNESS,
+           "or r.steps <= corpus.budget_for(f.id).steps(f.k) + f.k + 1,", "or True,",
+           (ATTRIBUTION + "test_an_accepting_a_run_over_its_budget_fails_a",)),
     Mutant("E's per-run correctness rule", HARNESS,
            '"E": ((lambda r, f, corpus: r.correct is True,', '"E": ((lambda r, f, corpus: True,',
            (ATTRIBUTION + "test_failures_and_rows_are_pinned",)),
+    Mutant("the block-scan text key without the answer", MACHINE,
+           "key = (id(t.problem), t.queries, t.hit)", "key = (id(t.problem), t.queries)",
+           (CACHED + "test_write_results_jsonl_matches_plain_str",)),
+    Mutant("the block-scan text key on the problem's id", MACHINE,
+           "key = (id(t.problem), t.queries, t.hit)", "key = (t.problem.id, t.queries, t.hit)",
+           (CACHED + "test_write_results_jsonl_matches_plain_str",)),
     Mutant("the budgets freeze", "src/relativize/oracles.py",
            "MappingProxyType(dict(self.budgets))", "dict(self.budgets)",
            (CACHED + "test_budgets_are_frozen_at_construction",)),

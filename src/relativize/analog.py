@@ -93,14 +93,18 @@ def set_sum_naive(inst: SetSumInstance) -> tuple[bool, int]:
 
 @dataclass(frozen=True)
 class SetSumProblem:
-    """Set-sum instance adapted to the oracle-construction surface."""
+    """Set-sum instance adapted to the oracle-construction surface.
+
+    `k`, the instance's r, is read once, at construction, and kept on the
+    instance beside its fields, not as one: equality, hash, repr and
+    `dataclasses.replace` see only `id` and `instance`.
+    """
 
     id: int
     instance: SetSumInstance
 
-    @property
-    def k(self) -> int:
-        return self.instance.r
+    def __post_init__(self):
+        object.__setattr__(self, "k", self.instance.r)
 
     def accepts(self, a: Assignment) -> bool:
         if len(a) != self.k:

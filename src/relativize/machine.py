@@ -21,7 +21,7 @@ import json
 import os
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import index
 
@@ -385,34 +385,75 @@ def atomic_open(path, newline: str | None = None):
         raise
 
 
+# One report line: the head fields, the transcript, then the tail fields.
+_HEAD = ('{"oracle":%s,"formula_id":%d,"k":%d,"verdict":"%s","steps":%d,"queries":%d,'
+         '"transcript":')
+_TAIL = ',"ground_truth":%s,"correct":%s,"simulated_work":%s}\n'
+_LINE = _HEAD + "%s" + _TAIL
+# Only for bool-or-None fields: 1 == True, so a count must never be looked up here.
+_JSON_WORD = {True: "true", False: "false", None: "null"}
+_NO_THEN = '",false],["'
+_LAST = {True: '",true]]', False: '",false]]'}
+
+
 def _write_scan(fh, t: ScanTranscript) -> None:
-    """Write a scan transcript as JSON, [["c",false],...,["c",true]], from its
-    code texts a batch at a time: every answer is false but the last."""
+    """Write an input-code scan's transcript as JSON, [["c",false],...,
+    ["c",true]], from its code texts a batch at a time: every answer is
+    false but the last. A rejected k = 20 scan is 2^20 codes, so its text is
+    never built whole."""
     if not t.queries:
         fh.write("[]")
         return
-    codes, sep = t.texts(), '",false],["'
+    codes = t.texts()
     fh.write('[["' + next(codes))
-    while batch := sep.join(islice(codes, 4096)):
-        fh.write(sep + batch)
-    fh.write('",true]]' if t.hit else '",false]]')
+    while batch := _NO_THEN.join(islice(codes, 4096)):
+        fh.write(_NO_THEN + batch)
+    fh.write(_LAST[t.hit])
+
+
+def _block_scan_text(t: BlockScan) -> str:
+    """A block scan's transcript as one JSON string: at most k + 1 codes."""
+    return '[["' + _NO_THEN.join(t.texts()) + _LAST[t.hit] if t.queries else "[]"
+
+
+def _plain_text(t) -> str:
+    """A plain tuple of (code, answer) pairs as JSON, each code through str."""
+    return "[" + ",".join('["%s",%s]' % (code, "true" if answer else "false")
+                          for code, answer in t) + "]"
 
 
 def write_results_jsonl(results: list[RunResult], path) -> None:
-    """One JSON line per run, written atomically. A scan transcript, C's or
-    A's, is streamed into its line from its `texts()` by `_write_scan`; a
-    plain tuple's codes go through str."""
+    """One JSON line per run, written atomically, each from one template:
+    the head fields, the transcript, then the tail fields.
+
+    An input-code scan (C's, D's) is streamed into its line by `_write_scan`.
+    A block scan (A's, E's, F[np]'s) is turned into text once per (problem
+    object, queries, hit) within the call, from its `texts()`: F[np]'s runs
+    reuse the texts of A's identical scans. A plain tuple's codes go
+    through str.
+    """
+    blocks: dict[tuple, str] = {}
     with code_digit_limit(), atomic_open(path) as fh:
         for r in results:
             t = r.transcript
-            if not isinstance(t, ScanTranscript):
-                fh.write(json.dumps(run_result_to_json(r), separators=(",", ":")) + "\n")
+            work = "null" if r.simulated_work is None else r.simulated_work
+            fields = (json.dumps(r.oracle), r.formula_id, r.k, r.verdict, r.steps, r.queries)
+            tail = (_JSON_WORD[r.ground_truth], _JSON_WORD[r.correct], work)
+            if isinstance(t, BlockScan):
+                # the problem object, by identity: `results` holds each one
+                # for the whole call, so no id is reused within it
+                key = (id(t.problem), t.queries, t.hit)
+                text = blocks.get(key)
+                if text is None:
+                    text = blocks[key] = _block_scan_text(t)
+            elif isinstance(t, ScanTranscript):
+                fh.write(_HEAD % fields)
+                _write_scan(fh, t)
+                fh.write(_TAIL % tail)
                 continue
-            line = json.dumps(run_result_to_json(replace(r, transcript=())), separators=(",", ":"))
-            head, tail = line.split('"transcript":[]')
-            fh.write(head + '"transcript":')
-            _write_scan(fh, t)
-            fh.write(tail + "\n")
+            else:
+                text = _plain_text(t)
+            fh.write(_LINE % (*fields, text, *tail))
 
 
 def write_results_csv(results: list[RunResult], path) -> None:

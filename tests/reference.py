@@ -458,9 +458,11 @@ def ref_literal_masks(k):
 # ---------------------------------------------------------------- fault injection
 
 
-def corrupted(solve, flips=(), inflates=()):
-    """`solve` with the verdict of its n-th call flipped for n in `flips`, and
-    k+2 queries added to it for n in `inflates`, counting calls from 0."""
+def corrupted(solve, flips=(), inflates=(), overruns=()):
+    """`solve` with the verdict of its n-th call flipped for n in `flips`,
+    k+2 queries added to it for n in `inflates`, and 2^k + k + 2 steps, more
+    than any budget below 2^k allows, for n in `overruns`, counting calls
+    from 0."""
     calls = itertools.count()
 
     def run(*args, **kwargs):
@@ -471,6 +473,8 @@ def corrupted(solve, flips=(), inflates=()):
                         else accepted == r.ground_truth)
         if n in inflates:
             r = replace(r, queries=r.queries + r.k + 2)
+        if n in overruns:
+            r = replace(r, steps=r.steps + (1 << r.k) + r.k + 2)
         return r
 
     return run

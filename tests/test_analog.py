@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,19 @@ class TestProblemAdapter:
         a = SetSumProblem(1, SetSumInstance((1, 2), 3))
         b = SetSumProblem(2, SetSumInstance((1, 2), 4))
         assert a.canonical_key() != b.canonical_key()
+
+    def test_k_is_read_once_and_stays_out_of_the_fields(self):
+        p = SetSumProblem(1, SetSumInstance((4, 5, 6), 15))
+        assert p.k == 3 and vars(p)["k"] == 3
+        assert [f.name for f in dataclasses.fields(p)] == ["id", "instance"]
+        assert repr(p) == ("SetSumProblem(id=1, instance=SetSumInstance(values=(4, 5, 6), "
+                           "target=15))")
+        twin = SetSumProblem(1, SetSumInstance((4, 5, 6), 15))
+        assert twin == p and hash(twin) == hash(p)
+        assert p != SetSumProblem(2, SetSumInstance((4, 5, 6), 15))
+        assert dataclasses.replace(p, instance=SetSumInstance((1,), 1)).k == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.k = 4
 
 
 class TestRegistry:

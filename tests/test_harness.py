@@ -275,6 +275,14 @@ class TestFailureAttribution:
         assert failures == ["ND: a run entered the query state"]
         assert rows == {"A": True, "B": False, "C": True, "D": True, "E": True, "F": True}
 
+    def test_an_accepting_a_run_over_its_budget_fails_a(self, tmp_path, monkeypatch):
+        # solve_with_A's call 0 is A's run on formula 1, which is satisfiable
+        status, failures, rows = self._summary(tmp_path, monkeypatch,
+                                               {"solve_with_A": {"overruns": {0}}})
+        assert status == 1
+        assert failures == ["A: accepting run on formula 1 exceeded p(k)+k+1"]
+        assert rows == {"A": False, "B": True, "C": True, "D": True, "E": True, "F": True}
+
     def test_a_rejected_c_scan_off_2_to_the_k_fails_c(self, tmp_path, monkeypatch):
         # solve_with_C's call 2 is C's scan of formula 3, the first rejected
         # problem at k = 6; k = 7's is formula 9, so the doubling breaks too.

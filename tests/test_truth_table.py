@@ -5,7 +5,8 @@ problem's decimal base) against a fresh computation. A built F answers
 through its untagged sides, checked against tagged views over the reference
 F, and a built C_bar's rule answers as the reference's dict of codes. C's and
 A's lazy scan transcripts read as the reference's tuples of (code, answer)
-pairs, and the report writer streams them to the same bytes.
+pairs, and the report writer, which streams input-code scans and prints each
+distinct block scan once per call, writes the reference's bytes.
 
 The references (`reference.py`) walk the 2^k assignments one by one through
 `accepts` (which is `evaluate` for formulas), building each assignment there
@@ -713,21 +714,58 @@ code_pool = st.one_of(
 )
 
 
+LABELS = st.sampled_from(("A", "E", "F[np]", "F[co]", "C", "D", "ND")) | st.text(max_size=4)
+
+
 @st.composite
 def run_results(draw):
+    """Up to 6 runs, each holding a plain tuple of codes from `code_pool`, an
+    input-code scan or a block scan, and maybe two more block scans: one
+    scanned again as far with the other answer, and another problem scanned
+    as far with the same answer. The block scans are over problems that all
+    have id 1 and a `dataclasses.replace` twin of the first. Work counts
+    include 0 and 1, ground truths None."""
     pool = draw(st.lists(code_pool, min_size=1, max_size=6))
+    first = draw(problems(ks=st.integers(1, 12)))
+    scanned = [first, dataclasses.replace(first),
+               *draw(st.lists(problems(ks=st.integers(1, 12)), max_size=2))]
+
+    def plain():
+        return tuple((draw(st.sampled_from(pool)), draw(st.booleans()))
+                     for _ in range(draw(st.integers(0, 8))))
+
+    def input_scan():
+        k = draw(st.integers(1, 13))
+        queries = draw(st.integers(0, 3) | st.integers(0, 1 << k))
+        return ScanTranscript(draw(st.integers(1, 5)), k, queries,
+                              queries > 0 and draw(st.booleans()))
+
+    def block_scan():
+        p = draw(st.sampled_from(scanned))
+        queries = draw(st.integers(0, p.k + 1))
+        return BlockScan(p, queries, queries > 0 and draw(st.booleans()))
+
+    transcripts = [draw(st.sampled_from((plain, input_scan, block_scan)))()
+                   for _ in range(draw(st.integers(0, 6)))]
+    asked = [t for t in transcripts if isinstance(t, BlockScan) and t.queries]
+    if asked and draw(st.booleans()):
+        t = draw(st.sampled_from(asked))
+        transcripts.append(BlockScan(t.problem, t.queries, not t.hit))
+        others = [p for p in scanned if p.k >= t.queries - 1
+                  and godel_number(p) != godel_number(t.problem)]
+        if others:
+            transcripts.append(BlockScan(draw(st.sampled_from(others)), t.queries, t.hit))
     out = []
-    for fid in range(1, draw(st.integers(0, 5)) + 1):
-        transcript = tuple((draw(st.sampled_from(pool)), draw(st.booleans()))
-                           for _ in range(draw(st.integers(0, 8))))
+    for fid, transcript in enumerate(draw(st.permutations(transcripts)), 1):
+        scan = isinstance(transcript, ScanTranscript)
         truth = draw(st.sampled_from((None, True, False)))
         accepted = draw(st.booleans())
         out.append(RunResult(
-            oracle=draw(st.sampled_from(("A", "F[np]", "C"))), formula_id=fid, k=3,
-            accepted=accepted, steps=len(transcript), queries=len(transcript),
-            transcript=transcript, ground_truth=truth,
+            oracle=draw(LABELS), formula_id=transcript.problem_id if scan else fid,
+            k=transcript.k if scan else 3, accepted=accepted, steps=len(transcript),
+            queries=len(transcript), transcript=transcript, ground_truth=truth,
             correct=None if truth is None else accepted == truth,
-            simulated_work=draw(st.none() | st.integers(0, 8))))
+            simulated_work=draw(st.sampled_from((None, 0, 1)) | st.integers(0, 1 << 20))))
     return out
 
 
@@ -868,8 +906,11 @@ class TestCachedCodes:
         write_results_jsonl(results, tmp_path / "got.jsonl")
         assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
         assert sys.get_int_max_str_digits() == limit
-        # every block code, and nothing else, is printed from its problem
-        assert printed == [(r.formula_id, t) for r in results if r.oracle != "F[co]"
+        # each distinct (problem, queries, hit) is printed once, from its
+        # problem: F[np]'s scans are A's, so their texts are reused
+        assert [(r.transcript.queries, r.transcript.hit) for r in results if r.oracle == "F[np]"
+                ] == [(r.transcript.queries, r.transcript.hit) for r in results if r.oracle == "A"]
+        assert printed == [(r.formula_id, t) for r in results if r.oracle in ("A", "E")
                            for t in range(r.queries)]
 
     def test_suite_block_runs_hold_their_problems(self, tmp_path):
