@@ -396,24 +396,19 @@ _NO_THEN = '",false],["'
 _LAST = {True: '",true]]', False: '",false]]'}
 
 
-def _write_scan(fh, t: ScanTranscript) -> None:
-    """Write an input-code scan's transcript as JSON, [["c",false],...,
-    ["c",true]], from its code texts a batch at a time: every answer is
-    false but the last. A rejected k = 20 scan is 2^20 codes, so its text is
+def _scan_chunks(t: ScanTranscript):
+    """A scan transcript as JSON, [["c",false],...,["c",true]], in pieces:
+    every answer is false but the last. The code texts come from `texts()`
+    a batch at a time, so a rejected k = 20 input-code scan, 2^20 codes, is
     never built whole."""
     if not t.queries:
-        fh.write("[]")
+        yield "[]"
         return
     codes = t.texts()
-    fh.write('[["' + next(codes))
+    yield '[["' + next(codes)
     while batch := _NO_THEN.join(islice(codes, 4096)):
-        fh.write(_NO_THEN + batch)
-    fh.write(_LAST[t.hit])
-
-
-def _block_scan_text(t: BlockScan) -> str:
-    """A block scan's transcript as one JSON string: at most k + 1 codes."""
-    return '[["' + _NO_THEN.join(t.texts()) + _LAST[t.hit] if t.queries else "[]"
+        yield _NO_THEN + batch
+    yield _LAST[t.hit]
 
 
 def _plain_text(t) -> str:
@@ -426,11 +421,11 @@ def write_results_jsonl(results: list[RunResult], path) -> None:
     """One JSON line per run, written atomically, each from one template:
     the head fields, the transcript, then the tail fields.
 
-    An input-code scan (C's, D's) is streamed into its line by `_write_scan`.
-    A block scan (A's, E's, F[np]'s) is turned into text once per (problem
-    object, queries, hit) within the call, from its `texts()`: F[np]'s runs
-    reuse the texts of A's identical scans. A plain tuple's codes go
-    through str.
+    A scan's transcript comes from `_scan_chunks`. An input-code scan's (C's,
+    D's) is streamed into its line. A block scan's (A's, E's, F[np]'s) is
+    joined into one text once per (problem object, queries, hit) within the
+    call: F[np]'s runs reuse the texts of A's identical scans. A plain
+    tuple's codes go through str.
     """
     blocks: dict[tuple, str] = {}
     with code_digit_limit(), atomic_open(path) as fh:
@@ -445,10 +440,10 @@ def write_results_jsonl(results: list[RunResult], path) -> None:
                 key = (id(t.problem), t.queries, t.hit)
                 text = blocks.get(key)
                 if text is None:
-                    text = blocks[key] = _block_scan_text(t)
+                    text = blocks[key] = "".join(_scan_chunks(t))
             elif isinstance(t, ScanTranscript):
                 fh.write(_HEAD % fields)
-                _write_scan(fh, t)
+                fh.writelines(_scan_chunks(t))
                 fh.write(_TAIL % tail)
                 continue
             else:

@@ -101,7 +101,7 @@ def test_the_references_give_the_same_reports(tmp_path, monkeypatch):
     `partition_code`), `RUN_RULES`, the report writers and question 1's
     solver (`build_lambda_oracle`, `solve_lambda_with_oracle`). The loops'
     transcripts are plain tuples, so the writer takes its generic path, not
-    `_write_scan`'s.
+    `_scan_chunks`'.
     """
     seed_7 = {"seed": 7, "k_range": (3, 9),
               "oracle_kinds": ExperimentConfig().oracle_kinds[::-1]}
