@@ -32,8 +32,10 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+ENCODING = "src/relativize/encoding.py"
 HARNESS = "src/relativize/harness.py"
 MACHINE = "src/relativize/machine.py"
+ORACLES = "src/relativize/oracles.py"
 ATTRIBUTION = "tests/test_harness.py::TestFailureAttribution::"
 CACHED = "tests/test_truth_table.py::TestCachedCodes::"
 
@@ -82,16 +84,41 @@ MUTANTS = (
     Mutant("E's per-run correctness rule", HARNESS,
            '"E": ((lambda r, f, corpus: r.correct is True,', '"E": ((lambda r, f, corpus: True,',
            (ATTRIBUTION + "test_failures_and_rows_are_pinned",)),
-    Mutant("the block-scan text key without the answer", MACHINE,
-           "key = (id(t.problem), t.queries, t.hit)", "key = (id(t.problem), t.queries)",
-           (CACHED + "test_write_results_jsonl_matches_plain_str",)),
-    Mutant("the block-scan text key on the problem's id", MACHINE,
-           "key = (id(t.problem), t.queries, t.hit)", "key = (t.problem.id, t.queries, t.hit)",
-           (CACHED + "test_write_results_jsonl_matches_plain_str",)),
-    Mutant("the budgets freeze", "src/relativize/oracles.py",
+    Mutant("the block-text row extended from t = 0", ENCODING,
+           "for t in range(len(texts), stop):", "for t in range(stop - len(texts)):",
+           (CACHED + "test_block_code_text_row_grows_only_as_far_as_asked",)),
+    Mutant("the block-text row read whole", ENCODING,
+           "return row[1][:stop]", "return row[1]",
+           (CACHED + "test_block_code_text_row_grows_only_as_far_as_asked",)),
+    Mutant("the block scan asking t + 1", MACHINE,
+           "return partition_code(self.problem, t)", "return partition_code(self.problem, t + 1)",
+           ("tests/test_truth_table.py::TestScanTranscript::"
+            "test_block_scan_reads_as_the_reference_tuple",
+            "tests/test_truth_table.py::TestScanTranscript::"
+            "test_writer_streams_scans_byte_for_byte")),
+    Mutant("A's transcript dropping its hit", MACHINE,
+           "transcript=BlockScan(f, queries, hit is not None)",
+           "transcript=BlockScan(f, queries, False)",
+           ("tests/test_truth_table.py::TestScanTranscript::"
+            "test_block_scan_reads_as_the_reference_tuple",)),
+    Mutant("input_index accepting padding 1", ENCODING,
+           "if n or not framed:", "if n > 1 or not framed:",
+           ("tests/test_encoding.py::TestInputIndex::test_decodes_exactly_the_padding_0_codes",
+            "tests/test_encoding.py::TestInputIndex::test_any_natural_as_the_reference_reads_it",
+            "tests/test_truth_table.py::TestMemberScan::test_matches_the_code_by_code_reference",
+            "tests/test_truth_table.py::TestRejectedInputs::test_answers_as_the_reference_dict")),
+    Mutant("D's next index one past the scan", ORACLES,
+           "e = staged.queries\n", "e = staged.queries + 1\n",
+           ("tests/test_truth_table.py::TestInputCodes::test_build_D",
+            "tests/test_truth_table.py::TestInputCodes::test_build_D_crafted")),
+    Mutant("E's stage cap at 2", ORACLES,
+           "E_STAGE_CAP = 3", "E_STAGE_CAP = 2",
+           ("tests/test_oracles.py::TestBuildE::test_third_stage_scans_its_problem",
+            "tests/test_oracles.py::TestBuildE::test_stages_run_on_disjoint_k_ranges")),
+    Mutant("the budgets freeze", ORACLES,
            "MappingProxyType(dict(self.budgets))", "dict(self.budgets)",
            (CACHED + "test_budgets_are_frozen_at_construction",)),
-    Mutant("the cached corpus digest", "src/relativize/oracles.py",
+    Mutant("the cached corpus digest", ORACLES,
            'digest = cache.get("_digest")', "digest = None",
            (CACHED + "test_each_corpus_is_hashed_once",)),
 )

@@ -58,60 +58,61 @@ def godel_number(p) -> int:
 
     Problems with equal canonical form share a number; distinct forms can not
     collide because the serialization is injective, never empty, and never
-    starts with a NUL byte. Computed once per problem instance and cached on
-    it, like the truth table: block codes ask for it once per block.
+    starts with a NUL byte. Not cached: the canonical key it reads is, and
+    the two block-code caches below each read it once per problem instance.
     """
-    cache = vars(p)
-    g = cache.get("_godel_number")
-    if g is None:
-        g = cache["_godel_number"] = int.from_bytes(p.canonical_key().encode("utf-8"), "big")
-    return g
+    return int.from_bytes(p.canonical_key().encode("utf-8"), "big")
 
 
 def partition_code(f, t: int) -> int:
     """Block code of f's assignments with true-count t: pair(t, godel_number(f)).
 
-    The k+1 block codes are cached on the instance on first use; only
-    pair(0, g) is a big multiply, as pair(t, g) = pair(t-1, g) + g + t.
+    The k+1 block codes are cached on the instance on first use, the only
+    time g is computed for them; only pair(0, g) is a big multiply, as
+    pair(t, g) = pair(t-1, g) + g + t.
     """
     if not 0 <= t <= f.k:
         raise ValueError(f"true-count {t} out of range [0, {f.k}]")
-    g = godel_number(f)
     cache = vars(f)
     codes = cache.get("_block_codes")
     if codes is None:
+        g = godel_number(f)
         codes = cache["_block_codes"] = tuple(
             accumulate(range(g + 1, g + f.k + 1), initial=pair(0, g)))
     return codes[t]
 
 
-def block_code_texts(f, stop: int):
-    """Lazily, the decimal text of partition_code(f, t) for t = 0, 1, ...,
-    stop - 1, for use inside `code_digit_limit()`.
+def block_code_texts(f, stop: int) -> list[str]:
+    """The decimal texts of partition_code(f, t) for t = 0, 1, ..., stop - 1,
+    for use inside `code_digit_limit()`.
 
     Before Python 3.12, int-to-decimal time grows with the square of the
-    length. So g's decimal, and pair(0, g) = g(g+1)/2 + g, are computed once
-    per problem instance and cached on it beside its block codes; each later
-    code is the one before plus g + t, added in base 10, as pair(t, g) =
-    pair(t-1, g) + g + t (Brent & Zimmermann, *Modern Computer Arithmetic*,
-    section 1.7). One exact decimal context serves the whole run of codes:
-    rounding raises.
+    length. So the texts come from one row cached on the problem instance,
+    (g as an exact decimal, the texts so far), made only as far as a scan
+    asks: a longer scan extends the row from its last text, adding g + t in
+    base 10, as pair(t, g) = pair(t-1, g) + g + t (Brent & Zimmermann,
+    *Modern Computer Arithmetic*, section 1.7), and a shorter one reads a
+    prefix. Every scan of the instance, F[np]'s as well as A's, reads the
+    same row. One exact decimal context serves each extension: rounding
+    raises.
     """
-    import decimal as dec  # here, not at the top: 2.5 ms off every package import
-
-    x = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN,
-                    traps=[dec.InvalidOperation, dec.DivisionByZero, dec.Overflow,
-                           dec.Inexact, dec.Rounded])
     cache = vars(f)
-    base = cache.get("_block_base")
-    if base is None:
-        d = x.create_decimal(str(godel_number(f)))
-        base = cache["_block_base"] = d, x.add(x.divide(x.multiply(d, x.add(d, 1)), 2), d)
-    d, code = base
-    for t in range(stop):
-        if t:
+    row = cache.get("_block_texts")
+    if row is None or len(row[1]) < stop:
+        import decimal as dec  # here, not at the top: 2.5 ms off every package import
+
+        x = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN,
+                        traps=[dec.InvalidOperation, dec.DivisionByZero, dec.Overflow,
+                               dec.Inexact, dec.Rounded])
+        if row is None:
+            row = cache["_block_texts"] = x.create_decimal(str(godel_number(f))), []
+        d, texts = row
+        # pair(-1, g) = g(g+1)/2 starts the steps at t = 0
+        code = x.create_decimal(texts[-1]) if texts else x.divide(x.multiply(d, x.add(d, 1)), 2)
+        for t in range(len(texts), stop):
             code = x.add(code, x.add(d, t))
-        yield str(code)
+            texts.append(str(code))
+    return row[1][:stop]
 
 
 @dataclass(frozen=True)

@@ -162,9 +162,9 @@ class ScanTranscript(Sequence):
 class BlockScan(ScanTranscript):
     """The transcript of a block scan, which holds its problem: it asks
     partition_code(problem, t) for t = 0, 1, ... in turn and stops at its
-    first yes. Its texts are not str() of each code: `block_code_texts`
-    starts from the problem's cached decimal base and adds g + t to step to
-    each later code."""
+    first yes. Its texts are not str() of each code: they are a prefix of
+    the problem's row of block-code texts (`block_code_texts`), so every
+    scan of one problem instance reads the texts made once for it."""
 
     __slots__ = ("problem",)
 
@@ -389,7 +389,6 @@ def atomic_open(path, newline: str | None = None):
 _HEAD = ('{"oracle":%s,"formula_id":%d,"k":%d,"verdict":"%s","steps":%d,"queries":%d,'
          '"transcript":')
 _TAIL = ',"ground_truth":%s,"correct":%s,"simulated_work":%s}\n'
-_LINE = _HEAD + "%s" + _TAIL
 # Only for bool-or-None fields: 1 == True, so a count must never be looked up here.
 _JSON_WORD = {True: "true", False: "false", None: "null"}
 _NO_THEN = '",false],["'
@@ -398,13 +397,14 @@ _LAST = {True: '",true]]', False: '",false]]'}
 
 def _scan_chunks(t: ScanTranscript):
     """A scan transcript as JSON, [["c",false],...,["c",true]], in pieces:
-    every answer is false but the last. The code texts come from `texts()`
-    a batch at a time, so a rejected k = 20 input-code scan, 2^20 codes, is
-    never built whole."""
+    every answer is false but the last. The code texts are taken from
+    `texts()` a batch at a time, so a rejected k = 20 input-code scan, 2^20
+    codes, is never built whole; a block scan's at most k + 1 texts are its
+    problem's, already made."""
     if not t.queries:
         yield "[]"
         return
-    codes = t.texts()
+    codes = iter(t.texts())
     yield '[["' + next(codes)
     while batch := _NO_THEN.join(islice(codes, 4096)):
         yield _NO_THEN + batch
@@ -421,34 +421,22 @@ def write_results_jsonl(results: list[RunResult], path) -> None:
     """One JSON line per run, written atomically, each from one template:
     the head fields, the transcript, then the tail fields.
 
-    A scan's transcript comes from `_scan_chunks`. An input-code scan's (C's,
-    D's) is streamed into its line. A block scan's (A's, E's, F[np]'s) is
-    joined into one text once per (problem object, queries, hit) within the
-    call: F[np]'s runs reuse the texts of A's identical scans. A plain
-    tuple's codes go through str.
+    A scan's transcript, input-code (C's, D's) or block (A's, E's, F[np]'s),
+    is streamed into its line from `_scan_chunks`; a block scan's texts are
+    its problem's, so F[np]'s runs print no code that A's did not. A plain
+    tuple's codes go through str. The writer keeps nothing between lines.
     """
-    blocks: dict[tuple, str] = {}
     with code_digit_limit(), atomic_open(path) as fh:
         for r in results:
             t = r.transcript
             work = "null" if r.simulated_work is None else r.simulated_work
-            fields = (json.dumps(r.oracle), r.formula_id, r.k, r.verdict, r.steps, r.queries)
-            tail = (_JSON_WORD[r.ground_truth], _JSON_WORD[r.correct], work)
-            if isinstance(t, BlockScan):
-                # the problem object, by identity: `results` holds each one
-                # for the whole call, so no id is reused within it
-                key = (id(t.problem), t.queries, t.hit)
-                text = blocks.get(key)
-                if text is None:
-                    text = blocks[key] = "".join(_scan_chunks(t))
-            elif isinstance(t, ScanTranscript):
-                fh.write(_HEAD % fields)
+            fh.write(_HEAD % (json.dumps(r.oracle), r.formula_id, r.k, r.verdict, r.steps,
+                              r.queries))
+            if isinstance(t, ScanTranscript):
                 fh.writelines(_scan_chunks(t))
-                fh.write(_TAIL % tail)
-                continue
             else:
-                text = _plain_text(t)
-            fh.write(_LINE % (*fields, text, *tail))
+                fh.write(_plain_text(t))
+            fh.write(_TAIL % (_JSON_WORD[r.ground_truth], _JSON_WORD[r.correct], work))
 
 
 def write_results_csv(results: list[RunResult], path) -> None:

@@ -1,12 +1,12 @@
 """Differential tests: every truth-table read and every index-native input
 code against a per-assignment reference, and every cached code (block codes,
-canonical keys, F's tagged members, and block-code text computed from the
-problem's decimal base) against a fresh computation. A built F answers
+canonical keys, F's tagged members, and the problem's row of block-code
+texts) against a fresh computation. A built F answers
 through its untagged sides, checked against tagged views over the reference
 F, and a built C_bar's rule answers as the reference's dict of codes. C's and
 A's lazy scan transcripts read as the reference's tuples of (code, answer)
-pairs, and the report writer, which streams input-code scans and prints each
-distinct block scan once per call, writes the reference's bytes.
+pairs, and the report writer, which streams every scan and prints a block
+scan's codes from its problem's row, writes the reference's bytes.
 
 The references (`reference.py`) walk the 2^k assignments one by one through
 `accepts` (which is `evaluate` for formulas), building each assignment there
@@ -412,7 +412,7 @@ class TestInputCodes:
 
     @given(problems())
     @settings(max_examples=60, deadline=None)
-    def test_godel_number_is_cached_per_instance(self, p):
+    def test_godel_number_is_the_canonical_key_as_a_natural(self, p):
         fresh = int.from_bytes(p.canonical_key().encode("utf-8"), "big")
         assert godel_number(p) == fresh
         assert godel_number(p) == fresh
@@ -846,11 +846,31 @@ class TestCachedCodes:
                 want[:stop] for stop in range(p.k + 2)]
             assert list(BlockScan(p, p.k + 1, False).texts()) == want
         assert sys.get_int_max_str_digits() == limit
-        # the one thing added to the instance: g's decimal and g(g+1)/2 + g
+        # the one thing added to the instance: g's decimal and the texts
         added = {key: v for key, v in vars(p).items() if key not in cached}
-        assert list(added) == ["_block_base"]
-        d, first = added["_block_base"]
-        assert (d, first) == (g, g * (g + 1) // 2 + g)
+        assert list(added) == ["_block_texts"]
+        d, texts = added["_block_texts"]
+        assert d == g and texts == want
+
+    @given(block_coded_problems, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_block_code_text_row_grows_only_as_far_as_asked(self, p, data):
+        k = p.k
+        stops = data.draw(st.just([2, 1, k + 1, 0])
+                          | st.lists(st.integers(0, k + 1), min_size=1, max_size=5))
+        g = godel_number(p)
+        with code_digit_limit():
+            want = [str(pair(t, g)) for t in range(k + 1)]
+            made = 0
+            for stop in stops:
+                assert block_code_texts(p, stop) == want[:stop]
+                made = max(made, stop)
+                assert vars(p)["_block_texts"][1] == want[:made]
+            twin = dataclasses.replace(p)  # a fresh instance, no row on it
+            assert "_block_texts" not in vars(twin)
+            assert block_code_texts(twin, 1) == want[:1]
+            assert vars(twin)["_block_texts"][1] == want[:1]
+            assert vars(twin)["_block_texts"] is not vars(p)["_block_texts"]
 
     def test_block_code_text_traps_a_precision_shortfall(self, monkeypatch):
         f = Formula(1, default_literals(6), (((0, True), (3, False)), ((5, True),)))
@@ -875,7 +895,7 @@ class TestCachedCodes:
             assert list(block_code_texts(f, k + 1)) == want
             assert list(block_code_texts(dataclasses.replace(f), k + 1)) == want
 
-    def test_write_results_jsonl_prints_block_codes_from_problems(self, tmp_path, monkeypatch):
+    def test_write_results_jsonl_prints_block_codes_from_problems(self, tmp_path):
         corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(11, 12), formulas_per_k=2))
         first = corpus.formulas[0]
         twin = dataclasses.replace(first, id=len(corpus) + 1)  # same canonical form
@@ -892,26 +912,36 @@ class TestCachedCodes:
         results += [solve_with_A(p, e) for p in crafted]
         assert vars(twin)["_block_codes"] == vars(first)["_block_codes"]
         assert max(code for r in results for code, _ in r.transcript).bit_length() > 14_300
+        # F[np]'s scans are A's, over the same problem instances
+        assert [(id(r.transcript.problem), r.transcript.queries, r.transcript.hit)
+                for r in results if r.oracle == "F[np]"] == [
+            (id(r.transcript.problem), r.transcript.queries, r.transcript.hit)
+            for r in results if r.oracle == "A"]
         ref_write_results_jsonl(results, tmp_path / "want.jsonl")
+        want = (tmp_path / "want.jsonl").read_bytes()
 
-        printed = []
-
-        def counting(problem, stop):
-            for t, text in enumerate(block_code_texts(problem, stop)):
-                printed.append((problem.id, t))
-                yield text
-
-        monkeypatch.setattr(machine, "block_code_texts", counting)
         limit = sys.get_int_max_str_digits()
         write_results_jsonl(results, tmp_path / "got.jsonl")
-        assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+        assert (tmp_path / "got.jsonl").read_bytes() == want
         assert sys.get_int_max_str_digits() == limit
-        # each distinct (problem, queries, hit) is printed once, from its
-        # problem: F[np]'s scans are A's, so their texts are reused
-        assert [(r.transcript.queries, r.transcript.hit) for r in results if r.oracle == "F[np]"
-                ] == [(r.transcript.queries, r.transcript.hit) for r in results if r.oracle == "A"]
-        assert printed == [(r.formula_id, t) for r in results if r.oracle in ("A", "E")
-                           for t in range(r.queries)]
+        # each problem instance's row holds each text once, as far as its
+        # longest scan asked (the twin's row is its own)
+        longest = {}
+        for r in results:
+            if isinstance(r.transcript, BlockScan):
+                p, n = longest.get(id(r.transcript.problem), (r.transcript.problem, 0))
+                longest[id(p)] = p, max(n, r.queries)
+        assert id(first) in longest and id(twin) in longest
+        rows = [vars(p)["_block_texts"][1] for p, _ in longest.values()]
+        with code_digit_limit():
+            assert rows == [[str(pair(t, godel_number(p))) for t in range(n)]
+                            for p, n in longest.values()]
+        # a second call appends no text and writes the same bytes
+        kept = [list(row) for row in rows]
+        write_results_jsonl(results, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == want
+        again = [vars(p)["_block_texts"][1] for p, _ in longest.values()]
+        assert again == kept and all(row is was for row, was in zip(again, rows))
 
     def test_suite_block_runs_hold_their_problems(self, tmp_path):
         runner = SuiteRunner(ExperimentConfig(seed=3, k_range=(6, 7), formulas_per_k=2,
