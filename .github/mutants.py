@@ -84,11 +84,14 @@ MUTANTS = (
     Mutant("E's per-run correctness rule", HARNESS,
            '"E": ((lambda r, f, corpus: r.correct is True,', '"E": ((lambda r, f, corpus: True,',
            (ATTRIBUTION + "test_failures_and_rows_are_pinned",)),
-    Mutant("the block-text row extended from t = 0", ENCODING,
-           "for t in range(len(texts), stop):", "for t in range(stop - len(texts)):",
+    Mutant("the suite's cap checked only at its first run", HARNESS,
+           "check_enumerable(config.k_range[1])", "config.k_range[1]",
+           ("tests/test_harness.py::TestCap::test_suite_checks_the_cap_before_making_its_corpus",)),
+    Mutant("a longer scan reads the short list", ENCODING,
+           "len(texts) < stop", "not texts",
            (CACHED + "test_block_code_text_row_grows_only_as_far_as_asked",)),
-    Mutant("the block-text row read whole", ENCODING,
-           "return row[1][:stop]", "return row[1]",
+    Mutant("the block-text list read whole", ENCODING,
+           "return texts[:stop]", "return texts",
            (CACHED + "test_block_code_text_row_grows_only_as_far_as_asked",)),
     Mutant("the block scan asking t + 1", MACHINE,
            "return partition_code(self.problem, t)", "return partition_code(self.problem, t + 1)",

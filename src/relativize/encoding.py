@@ -59,7 +59,7 @@ def godel_number(p) -> int:
     Problems with equal canonical form share a number; distinct forms can not
     collide because the serialization is injective, never empty, and never
     starts with a NUL byte. Not cached: the canonical key it reads is, and
-    the two block-code caches below each read it once per problem instance.
+    the two block-code caches below read it only when they are made.
     """
     return int.from_bytes(p.canonical_key().encode("utf-8"), "big")
 
@@ -83,36 +83,32 @@ def partition_code(f, t: int) -> int:
 
 
 def block_code_texts(f, stop: int) -> list[str]:
-    """The decimal texts of partition_code(f, t) for t = 0, 1, ..., stop - 1,
-    for use inside `code_digit_limit()`.
+    """The decimal texts of partition_code(f, t) for t = 0, 1, ..., stop - 1.
 
     Before Python 3.12, int-to-decimal time grows with the square of the
-    length. So the texts come from one row cached on the problem instance,
-    (g as an exact decimal, the texts so far), made only as far as a scan
-    asks: a longer scan extends the row from its last text, adding g + t in
-    base 10, as pair(t, g) = pair(t-1, g) + g + t (Brent & Zimmermann,
-    *Modern Computer Arithmetic*, section 1.7), and a shorter one reads a
-    prefix. Every scan of the instance, F[np]'s as well as A's, reads the
-    same row. One exact decimal context serves each extension: rounding
-    raises.
+    length. So the texts come from one list cached on the problem instance,
+    made in base 10 from g as an exact decimal, adding g + t per code, as
+    pair(t, g) = pair(t-1, g) + g + t (Brent & Zimmermann, *Modern Computer
+    Arithmetic*, section 1.7). A scan longer than the list remakes it to its
+    own length; a shorter one reads a prefix. Every scan of the instance,
+    F[np]'s as well as A's, reads the same list. The decimal comes from the
+    int, not from str(g), so no int-to-str conversion guard applies, and one
+    exact decimal context makes every text: rounding raises.
     """
-    cache = vars(f)
-    row = cache.get("_block_texts")
-    if row is None or len(row[1]) < stop:
+    texts = vars(f).get("_block_texts")
+    if texts is None or len(texts) < stop:
         import decimal as dec  # here, not at the top: 2.5 ms off every package import
 
         x = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN,
                         traps=[dec.InvalidOperation, dec.DivisionByZero, dec.Overflow,
                                dec.Inexact, dec.Rounded])
-        if row is None:
-            row = cache["_block_texts"] = x.create_decimal(str(godel_number(f))), []
-        d, texts = row
-        # pair(-1, g) = g(g+1)/2 starts the steps at t = 0
-        code = x.create_decimal(texts[-1]) if texts else x.divide(x.multiply(d, x.add(d, 1)), 2)
-        for t in range(len(texts), stop):
+        d = x.create_decimal(godel_number(f))
+        code = x.divide(x.multiply(d, x.add(d, 1)), 2)  # pair(-1, g) = g(g+1)/2
+        texts = vars(f)["_block_texts"] = []
+        for t in range(stop):
             code = x.add(code, x.add(d, t))
             texts.append(str(code))
-    return row[1][:stop]
+    return texts[:stop]
 
 
 @dataclass(frozen=True)

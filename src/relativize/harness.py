@@ -28,7 +28,7 @@ from .analog import (
 )
 from .encoding import code_digit_limit, partition_code
 from .errors import CapacityError, ConfigurationError, OracleFileError, check_keys, read_json
-from .formula import Formula, brute_force_sat, default_literals
+from .formula import Formula, brute_force_sat, check_enumerable, default_literals
 from .machine import (
     DEFAULT_BUDGET,
     Budget,
@@ -491,6 +491,7 @@ class SuiteRunner:
         self.failures: list[str] = []
         self.failed_rows: set[str] = set()
         self.evidence: dict[str, dict] = {}
+        check_enumerable(config.k_range[1])  # gen_corpus is uncapped, and slow far past the cap
         self.corpus = gen_corpus(config)
         self.truth = {f.id: brute_force_sat(f).satisfiable for f in self.corpus}
 

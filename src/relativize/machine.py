@@ -163,7 +163,7 @@ class BlockScan(ScanTranscript):
     """The transcript of a block scan, which holds its problem: it asks
     partition_code(problem, t) for t = 0, 1, ... in turn and stops at its
     first yes. Its texts are not str() of each code: they are a prefix of
-    the problem's row of block-code texts (`block_code_texts`), so every
+    the problem's list of block-code texts (`block_code_texts`), so every
     scan of one problem instance reads the texts made once for it."""
 
     __slots__ = ("problem",)
@@ -400,7 +400,7 @@ def _scan_chunks(t: ScanTranscript):
     every answer is false but the last. The code texts are taken from
     `texts()` a batch at a time, so a rejected k = 20 input-code scan, 2^20
     codes, is never built whole; a block scan's at most k + 1 texts are its
-    problem's, already made."""
+    problem's list."""
     if not t.queries:
         yield "[]"
         return

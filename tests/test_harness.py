@@ -485,6 +485,22 @@ class TestCap:
         assert captured.err.startswith("error:") and "RELATIVIZE_CAP" in captured.err
         assert captured.out == "" and not (tmp_path / out).exists()
 
+    def test_suite_checks_the_cap_before_making_its_corpus(self, tmp_path, monkeypatch, capsys):
+        # a corpus up to k = 3000 would take far longer to make than to refuse
+        def no_corpus(config):
+            raise AssertionError("the corpus was generated past the cap")
+
+        monkeypatch.delenv("RELATIVIZE_CAP", raising=False)
+        monkeypatch.setattr(harness, "gen_corpus", no_corpus)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"k_range": [6, 3000],
+                                           "out_dir": str(tmp_path / "out")}), encoding="utf-8")
+        assert main(["suite", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "k=3000 exceeds the enumeration cap" in captured.err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     def test_gen_corpus_and_build_and_solve(self, tmp_path, capsys):

@@ -846,11 +846,10 @@ class TestCachedCodes:
                 want[:stop] for stop in range(p.k + 2)]
             assert list(BlockScan(p, p.k + 1, False).texts()) == want
         assert sys.get_int_max_str_digits() == limit
-        # the one thing added to the instance: g's decimal and the texts
+        # the one thing added to the instance: a plain list of the texts
         added = {key: v for key, v in vars(p).items() if key not in cached}
         assert list(added) == ["_block_texts"]
-        d, texts = added["_block_texts"]
-        assert d == g and texts == want
+        assert type(added["_block_texts"]) is list and added["_block_texts"] == want
 
     @given(block_coded_problems, st.data())
     @settings(max_examples=80, deadline=None)
@@ -861,22 +860,27 @@ class TestCachedCodes:
         g = godel_number(p)
         with code_digit_limit():
             want = [str(pair(t, g)) for t in range(k + 1)]
-            made = 0
-            for stop in stops:
-                assert block_code_texts(p, stop) == want[:stop]
-                made = max(made, stop)
-                assert vars(p)["_block_texts"][1] == want[:made]
-            twin = dataclasses.replace(p)  # a fresh instance, no row on it
-            assert "_block_texts" not in vars(twin)
-            assert block_code_texts(twin, 1) == want[:1]
-            assert vars(twin)["_block_texts"][1] == want[:1]
-            assert vars(twin)["_block_texts"] is not vars(p)["_block_texts"]
+        made = 0
+        for stop in stops:
+            kept = vars(p).get("_block_texts")
+            assert block_code_texts(p, stop) == want[:stop]
+            # a longer scan remakes the list to its own length; any other
+            # reads the list it finds
+            made = max(made, stop)
+            texts = vars(p)["_block_texts"]
+            assert type(texts) is list and texts == want[:made]
+            assert (texts is kept) == (kept is not None and stop <= len(kept))
+        twin = dataclasses.replace(p)  # a fresh instance, no list on it
+        assert "_block_texts" not in vars(twin)
+        assert block_code_texts(twin, 1) == want[:1]
+        assert vars(twin)["_block_texts"] == want[:1]
+        assert vars(twin)["_block_texts"] is not vars(p)["_block_texts"]
 
     def test_block_code_text_traps_a_precision_shortfall(self, monkeypatch):
         f = Formula(1, default_literals(6), (((0, True), (3, False)), ((5, True),)))
         code = partition_code(f, 1)
         assert list(block_code_texts(f, 2))[1] == str(code)
-        fresh = dataclasses.replace(f)  # no decimal base cached on it
+        fresh = dataclasses.replace(f)  # no texts cached on it
         monkeypatch.setattr(decimal, "MAX_PREC", 20)  # far fewer digits than g has
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
             list(block_code_texts(fresh, 2))
@@ -924,15 +928,15 @@ class TestCachedCodes:
         write_results_jsonl(results, tmp_path / "got.jsonl")
         assert (tmp_path / "got.jsonl").read_bytes() == want
         assert sys.get_int_max_str_digits() == limit
-        # each problem instance's row holds each text once, as far as its
-        # longest scan asked (the twin's row is its own)
+        # each problem instance's list holds each text once, as far as its
+        # longest scan asked (the twin's list is its own)
         longest = {}
         for r in results:
             if isinstance(r.transcript, BlockScan):
                 p, n = longest.get(id(r.transcript.problem), (r.transcript.problem, 0))
                 longest[id(p)] = p, max(n, r.queries)
         assert id(first) in longest and id(twin) in longest
-        rows = [vars(p)["_block_texts"][1] for p, _ in longest.values()]
+        rows = [vars(p)["_block_texts"] for p, _ in longest.values()]
         with code_digit_limit():
             assert rows == [[str(pair(t, godel_number(p))) for t in range(n)]
                             for p, n in longest.values()]
@@ -940,7 +944,7 @@ class TestCachedCodes:
         kept = [list(row) for row in rows]
         write_results_jsonl(results, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_bytes() == want
-        again = [vars(p)["_block_texts"][1] for p, _ in longest.values()]
+        again = [vars(p)["_block_texts"] for p, _ in longest.values()]
         assert again == kept and all(row is was for row, was in zip(again, rows))
 
     def test_suite_block_runs_hold_their_problems(self, tmp_path):
