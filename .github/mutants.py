@@ -38,6 +38,8 @@ MACHINE = "src/relativize/machine.py"
 ORACLES = "src/relativize/oracles.py"
 ATTRIBUTION = "tests/test_harness.py::TestFailureAttribution::"
 CACHED = "tests/test_truth_table.py::TestCachedCodes::"
+CAP = "tests/test_harness.py::TestCap::"
+GEN_CORPUS = "tests/test_harness.py::TestGenCorpus::"
 
 MUTANTS = (
     Mutant("B's budget check", HARNESS,
@@ -79,14 +81,25 @@ MUTANTS = (
            "(lambda r, f, corpus: True,",
            (ATTRIBUTION + "test_a_rejected_c_scan_off_2_to_the_k_fails_c",)),
     Mutant("A's per-run budget rule", HARNESS,
-           "or r.steps <= corpus.budget_for(f.id).steps(f.k) + f.k + 1,", "or True,",
+           "or r.steps <= corpus.budget_for(f.id).steps_below(f.k, r.steps) + f.k + 1,",
+           "or True,",
            (ATTRIBUTION + "test_an_accepting_a_run_over_its_budget_fails_a",)),
     Mutant("E's per-run correctness rule", HARNESS,
            '"E": ((lambda r, f, corpus: r.correct is True,', '"E": ((lambda r, f, corpus: True,',
            (ATTRIBUTION + "test_failures_and_rows_are_pinned",)),
     Mutant("the suite's cap checked only at its first run", HARNESS,
            "check_enumerable(config.k_range[1])", "config.k_range[1]",
-           ("tests/test_harness.py::TestCap::test_suite_checks_the_cap_before_making_its_corpus",)),
+           (CAP + "test_cli_checks_the_cap_before_making_its_corpus[suite]",)),
+    Mutant("gen-corpus's cap left to its readers", HARNESS,
+           "check_enumerable(args.k_max)", "args.k_max",
+           (CAP + "test_cli_checks_the_cap_before_making_its_corpus[gen-corpus]",
+            CAP + "test_cli_stops_at_a_low_cap")),
+    Mutant("the draw's pool slot not refilled", HARNESS,
+           "pool[j] = pool[m - 1]", "pass",
+           (GEN_CORPUS + "test_draws_as_random_sample",)),
+    Mutant("the draw's repeated index kept", HARNESS,
+           "if j < n and j not in picks:", "if j < n:",
+           (GEN_CORPUS + "test_draws_as_random_sample",)),
     Mutant("a longer scan reads the short list", ENCODING,
            "len(texts) < stop", "not texts",
            (CACHED + "test_block_code_text_row_grows_only_as_far_as_asked",)),

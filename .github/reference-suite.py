@@ -3,8 +3,9 @@ report bytes against the pins.
 
     python3 .github/reference-suite.py
 
-Rebinds every construction, `kappa_ids`, the ground truth and every solver
-to its per-assignment loop in tests/reference.py, through the table
+Rebinds `gen_corpus` to its `random.sample` draw and every construction,
+`kappa_ids`, the ground truth and every solver to its per-assignment loop in
+tests/reference.py, through the table
 `SUITE_REFERENCES` of tests/test_golden.py, runs the suite into a temporary
 directory, and prints each report's SHA-256. Exits 1 if the suite fails or a
 digest differs from `test_golden.PINNED`. Run from the root of a checkout

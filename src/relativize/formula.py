@@ -128,11 +128,11 @@ class Formula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "literals", tuple(str(name) for name in self.literals))
+        object.__setattr__(self, "literals", tuple([str(name) for name in self.literals]))
         object.__setattr__(
             self,
             "clauses",
-            tuple(tuple((int(i), bool(p)) for i, p in clause) for clause in self.clauses),
+            tuple([tuple([(int(i), bool(p)) for i, p in clause]) for clause in self.clauses]),
         )
         k = len(self.literals)
         if k < 1:
@@ -178,9 +178,8 @@ class Formula:
         cache = vars(self)
         key = cache.get("_canonical_key")
         if key is None:
-            clauses = sorted(tuple(sorted(clause)) for clause in self.clauses)
             key = cache["_canonical_key"] = json.dumps(
-                [clauses, list(self.literals)], separators=(",", ":"))
+                [sorted(map(sorted, self.clauses)), self.literals], separators=(",", ":"))
         return key
 
 

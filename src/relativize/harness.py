@@ -83,16 +83,42 @@ def craft_all_true(fid: int, k: int) -> Formula:
     return Formula(fid, default_literals(k), tuple(((j, True),) for j in range(k)))
 
 
+def _draw_indices(getrandbits, n: int, width: int) -> list[int]:
+    """`random.sample(range(n), width)` for width <= 5, from the same
+    `getrandbits` calls as CPython 3.10-3.12 make: for n <= 21 from a pool of
+    the n indices, each pick's slot refilled from the end; above that by
+    redrawing until an unpicked index below n comes up. A seed's corpus rests
+    on these calls, so they are fixed here rather than left to `random`."""
+    picks = []
+    if n <= 21:
+        pool = list(range(n))
+        for m in range(n, n - width, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        while len(picks) < width:
+            j = getrandbits(bits)
+            if j < n and j not in picks:
+                picks.append(j)
+    return picks
+
+
 def gen_corpus(config: ExperimentConfig) -> Corpus:
     """Seeded random k-CNF corpus plus crafted entries.
 
     Per k: `formulas_per_k` random formulas (clause count round(density*k),
-    width 3 truncated to k), then one unsatisfiable formula, one
-    latest-possible-witness formula, and a unit-clause complement pair so the
-    complements-present subset is never empty. Budgets are clamped per k to
-    stay below 2^k.
+    width 3 truncated to k, indices drawn by `_draw_indices`), then one
+    unsatisfiable formula, one latest-possible-witness formula, and a
+    unit-clause complement pair so the complements-present subset is never
+    empty. Budgets are clamped per k to stay below 2^k.
     """
     rng = random.Random(config.seed)
+    getrandbits, coin = rng.getrandbits, rng.random
     lo, hi = config.k_range
     formulas: list[Formula] = []
     budgets: dict[int, Budget] = {}
@@ -101,19 +127,21 @@ def gen_corpus(config: ExperimentConfig) -> Corpus:
     def add(f: Formula) -> None:
         nonlocal fid
         formulas.append(f)
-        budgets[f.id] = clamped_budget(f.k, config.budget)
+        budgets[f.id] = budget
         fid += 1
 
     for k in range(lo, hi + 1):
         names = default_literals(k)
+        budget = clamped_budget(k, config.budget)
         n_clauses = max(1, round(config.clause_density * k))
         width = min(3, k)
         for _ in range(config.formulas_per_k):
             clauses = []
             for _ in range(n_clauses):
-                idxs = sorted(rng.sample(range(k), width))
-                clauses.append(tuple((i, rng.random() < 0.5) for i in idxs))
-            add(Formula(fid, names, tuple(clauses)))
+                idxs = _draw_indices(getrandbits, k, width)
+                idxs.sort()
+                clauses.append([(i, coin() < 0.5) for i in idxs])
+            add(Formula(fid, names, clauses))
         add(craft_unsat(fid, k))
         add(craft_all_true(fid, k))
         add(Formula(fid, names, (((0, True),),)))
@@ -234,7 +262,7 @@ RUN_RULES = {
     # each counted once.
     "A": (_CORRECT, _K_PLUS_1_QUERIES,
           (lambda r, f, corpus: not r.accepted
-           or r.steps <= corpus.budget_for(f.id).steps(f.k) + f.k + 1,
+           or r.steps <= corpus.budget_for(f.id).steps_below(f.k, r.steps) + f.k + 1,
            "accepting run on formula {f.id} exceeded p(k)+k+1")),
     "C": (_CORRECT,
           (lambda r, f, corpus: r.ground_truth or r.queries == 1 << f.k,
@@ -301,8 +329,10 @@ def _check_A(check, corpus, built, runs) -> dict:
 
 def _check_B(check, corpus, built, runs) -> dict:
     for f in corpus:
-        p = corpus.budget_for(f.id).steps(f.k)
-        check(p < (1 << f.k), f"B: budget p(k)={p} not below 2^k for formula {f.id}")
+        b = corpus.budget_for(f.id)
+        p = b.steps_below(f.k, 1 << f.k)
+        check(p < (1 << f.k), f"B: budget p(k)={b.coefficient}*{f.k}^{b.exponent} "
+                              f"not below 2^k for formula {f.id}")
     (oracle,) = built.sets
     check(any(r.correct is False for r in runs),
           "B: no dysfunctional verdict anywhere in the corpus")
@@ -596,6 +626,7 @@ def _cmd_gen_corpus(args) -> int:
         formulas_per_k=args.per_k,
         clause_density=args.density,
     )
+    check_enumerable(args.k_max)  # past the cap, slow to make and refused by every reader
     corpus = gen_corpus(config)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} formulas to {args.out}")

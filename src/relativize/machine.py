@@ -45,8 +45,19 @@ class Budget:
     def steps(self, n: int) -> int:
         return self.coefficient * n**self.exponent
 
+    def steps_below(self, n: int, bound: int) -> int:
+        """min(p(n), bound) for a natural bound, without building a p(n) far
+        past it: n**e >= 2**(e * floor(log2 n)), so when that exponent reaches
+        the bound's bit length, p(n) > bound for any coefficient >= 1."""
+        if not self.coefficient:
+            return 0
+        if self.exponent * (n.bit_length() - 1) >= bound.bit_length():
+            return bound
+        return min(self.steps(n), bound)
+
 
 DEFAULT_BUDGET = Budget(2, 2)
+_FALLBACK_BUDGETS = (Budget(1, 2), Budget(1, 1))
 
 
 def clamped_budget(k: int, preferred: Budget = DEFAULT_BUDGET) -> Budget:
@@ -56,8 +67,9 @@ def clamped_budget(k: int, preferred: Budget = DEFAULT_BUDGET) -> Budget:
     so corpora pick per-formula budgets through this clamp (the preferred
     2*n^2 only satisfies p(k) < 2^k from k = 7 up).
     """
-    for b in (preferred, Budget(1, 2), Budget(1, 1)):
-        if b.steps(k) < (1 << k):
+    space = 1 << k
+    for b in (preferred, *_FALLBACK_BUDGETS):
+        if b.steps_below(k, space) < space:
             return b
     return Budget(1, 0)
 
@@ -68,7 +80,7 @@ def search_limit(budget: Budget, k: int) -> int:
     Only the solvers use it: a staged construction reads the next unexamined
     assignment off its staged run instead of working it out again.
     """
-    return min(budget.steps(k), 1 << k)
+    return budget.steps_below(k, 1 << k)
 
 
 @dataclass(frozen=True)

@@ -397,7 +397,7 @@ def build_D(corpus: Corpus) -> tuple[OracleSet, OracleSet]:
                 if code not in dbar_prov:
                     d_prov[code] = note
         else:
-            p = corpus.budget_for(f.id).steps(f.k)
+            p = corpus.budget_for(f.id).steps_below(f.k, 1 << f.k)
             if not (all(input_index(code)[1] < n for code in dbar_prov)
                     and p * p < (1 << (f.k - 1))):
                 continue
@@ -475,9 +475,9 @@ def build_E(corpus: Corpus, base: OracleSet) -> OracleSet:
     for n, f in enumerate(corpus.formulas[:E_STAGE_CAP], start=1):
         lo, mid, hi = tower(n - 1), tower(n), tower(n + 1)
         budget = corpus.budget_for(f.id)
-        p_k = budget.steps(f.k)
+        p_k = budget.steps_below(f.k, hi)
         if (f.id in kappa or not lo < math.log2(f.k) <= mid <= p_k < hi
-                or budget.steps(mid) < 2**mid):
+                or budget.steps_below(mid, 2**mid) < 2**mid):
             continue
         staged = solve_with_A(f, prov, max_queries=p_k)
         if staged.accepted or staged.queries >= f.k + 1:

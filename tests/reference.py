@@ -16,10 +16,15 @@ from typing import Iterator
 
 from relativize import (
     CapacityError,
+    Corpus,
     Formula,
     SatVerdict,
     SetSumInstance,
+    clamped_budget,
+    craft_all_true,
+    craft_unsat,
     decode_input_code,
+    default_literals,
     input_code,
     pair,
     partition_code,
@@ -173,6 +178,41 @@ def save_instances(instances: list[SetSumInstance], path) -> None:
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def ref_gen_corpus(config) -> Corpus:
+    """`gen_corpus` through `random.sample`: the same corpus for every
+    config, each clause's indices sampled, sorted and paired with a coin."""
+    rng = random.Random(config.seed)
+    lo, hi = config.k_range
+    formulas, budgets = [], {}
+
+    def add(f):
+        formulas.append(f)
+        budgets[f.id] = clamped_budget(f.k, config.budget)
+
+    for k in range(lo, hi + 1):
+        names = default_literals(k)
+        n_clauses = max(1, round(config.clause_density * k))
+        width = min(3, k)
+        for _ in range(config.formulas_per_k):
+            clauses = []
+            for _ in range(n_clauses):
+                idxs = sorted(rng.sample(range(k), width))
+                clauses.append(tuple((i, rng.random() < 0.5) for i in idxs))
+            add(Formula(len(formulas) + 1, names, tuple(clauses)))
+        add(craft_unsat(len(formulas) + 1, k))
+        add(craft_all_true(len(formulas) + 1, k))
+        add(Formula(len(formulas) + 1, names, (((0, True),),)))
+        add(Formula(len(formulas) + 1, names, (((0, False),),)))
+    return Corpus(tuple(formulas), budgets)
+
+
+def ref_canonical_key(f: Formula) -> str:
+    """A formula's key with each clause sorted into a tuple before the
+    clauses are sorted: the text `Formula.canonical_key` must give."""
+    clauses = sorted(tuple(sorted(clause)) for clause in f.clauses)
+    return json.dumps([clauses, list(f.literals)], separators=(",", ":"))
 
 
 # ---------------------------------------------------------------- loop references

@@ -15,7 +15,14 @@ from relativize import (
     evaluate,
 )
 
-from reference import conjoin, enumerate_assignments, negate, partition, true_count
+from reference import (
+    conjoin,
+    enumerate_assignments,
+    negate,
+    partition,
+    ref_canonical_key,
+    true_count,
+)
 
 ABC = ("a", "b", "c")
 
@@ -42,6 +49,23 @@ def formulas():
         clauses = st.lists(clause, min_size=1, max_size=4).map(tuple)
         return clauses.map(lambda cs: Formula(1, default_literals(k), cs))
     return st.integers(min_value=1, max_value=5).flatmap(build)
+
+
+@st.composite
+def named_formulas(draw):
+    """Formulas with any distinct literal names and clauses in any order,
+    each clause's pairs in any order too."""
+    names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True))
+    pair = st.tuples(st.integers(0, len(names) - 1), st.booleans())
+    clauses = draw(st.lists(st.lists(pair, min_size=1, max_size=4, unique=True), max_size=6))
+    return Formula(1, names, clauses)
+
+
+class TestCanonicalKey:
+    @given(named_formulas())
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_sorted_tuple_key(self, f):
+        assert f.canonical_key() == ref_canonical_key(f)
 
 
 class TestFormulaValidation:

@@ -5,8 +5,9 @@ kinds.
 Any change to a construction, a solver, an encoding or a report format that
 moves a single byte of runs.csv, runs.jsonl or summary.json fails here; a PR
 that changes a format on purpose updates these pins and says so. The pins are
-also met with every construction and solver rebound to its per-assignment
-loop, so they were not merely recorded from the code they check.
+also met with the corpus drawn through `random.sample` and every
+construction and solver rebound to its per-assignment loop, so they were not
+merely recorded from the code they check.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from reference import (
     ref_build_D,
     ref_build_E,
     ref_build_F,
+    ref_gen_corpus,
     ref_kappa_ids,
     ref_nd_solve,
     ref_set_sum_naive,
@@ -74,13 +76,13 @@ def test_default_suite_reports_are_byte_identical(tmp_path, fields, pinned):
 
 
 # The suite on the references: each name, in its module, rebound to its loop
-# in tests/reference.py. The suite builds and grades through harness's names
-# and runs every solver through analog's.
+# in tests/reference.py. The suite draws its corpus, builds and grades through
+# harness's names and runs every solver through analog's.
 SUITE_REFERENCES = {
     harness: {"build_A": ref_build_A, "build_B": ref_build_B, "build_C": ref_build_C,
               "build_C_bar": ref_build_C_bar, "build_D": ref_build_D, "build_E": ref_build_E,
               "build_F": ref_build_F, "kappa_ids": ref_kappa_ids,
-              "brute_force_sat": ref_brute_force},
+              "brute_force_sat": ref_brute_force, "gen_corpus": ref_gen_corpus},
     analog: {"nd_solve": ref_nd_solve, "solve_with_A": ref_solve_with_A,
              "solve_with_B": ref_solve_with_B, "solve_with_C": ref_solve_with_C,
              "solve_conp_with_C_bar": ref_solve_conp_with_C_bar},
@@ -93,15 +95,16 @@ BATTERY_REFERENCES = {"build_B": ref_build_B, "build_C": ref_build_C,
 
 
 def test_the_references_give_the_same_reports(tmp_path, monkeypatch):
-    """The suite and the battery, rerun with every construction, kappa_ids,
-    the ground truth and every solver rebound to its per-assignment loop,
-    give the same bytes and the same report as the fast paths.
+    """The suite and the battery, rerun with the seeded corpus drawn through
+    `random.sample` and every construction, kappa_ids, the ground truth and
+    every solver rebound to its per-assignment loop, give the same bytes and
+    the same report as the fast paths.
 
-    The two runs still share `gen_corpus`, the encodings (`input_code`,
-    `partition_code`), `RUN_RULES`, the report writers and question 1's
-    solver (`build_lambda_oracle`, `solve_lambda_with_oracle`). The loops'
-    transcripts are plain tuples, so the writer takes its generic path, not
-    `_scan_chunks`'.
+    The two runs still share `Formula`, the crafted corpora, the encodings
+    (`input_code`, `partition_code`), `RUN_RULES`, the report writers and
+    question 1's solver (`build_lambda_oracle`, `solve_lambda_with_oracle`).
+    The loops' transcripts are plain tuples, so the writer takes its generic
+    path, not `_scan_chunks`'.
     """
     seed_7 = {"seed": 7, "k_range": (3, 9),
               "oracle_kinds": ExperimentConfig().oracle_kinds[::-1]}

@@ -3,12 +3,15 @@ import dataclasses
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relativize import (
     Budget,
@@ -46,9 +49,24 @@ from relativize import analog, harness, oracles
 from relativize.harness import config_from_json, main
 from relativize.machine import atomic_open, run_result_to_json
 
-from reference import corrupted, gen_instances, save_instances
+from reference import corrupted, gen_instances, ref_gen_corpus, save_instances
 
 SMALL = ExperimentConfig(seed=7, k_range=(6, 8), formulas_per_k=3, out_dir="unused")
+
+HUGE = 10**11  # 6**HUGE is 2.6 * 10^11 bits, about 32 GB
+
+
+@pytest.fixture
+def no_huge_power(monkeypatch):
+    """`Budget.steps` refuses an exponent past 10^6, so a path that would
+    build p(n) for a huge budget fails at once instead of hanging."""
+    steps = Budget.steps
+
+    def guarded(budget, n):
+        assert n < 2 or budget.exponent <= 10**6, f"built p({n}) with exponent {budget.exponent}"
+        return steps(budget, n)
+
+    monkeypatch.setattr(Budget, "steps", guarded)
 
 
 class TestGenCorpus:
@@ -99,6 +117,26 @@ class TestGenCorpus:
     def test_ids_dense(self):
         corpus = gen_corpus(SMALL)
         assert [f.id for f in corpus] == list(range(1, len(corpus) + 1))
+
+    @given(st.integers(0, 2**64), st.integers(1, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, min(5, n)))))
+    @example(2, (6, 3))  # the pool branch picks slot 0 three times
+    @example(2, (22, 3))  # the set branch draws one index twice
+    @settings(max_examples=300, deadline=None)
+    def test_draws_as_random_sample(self, seed, n_width):
+        n, width = n_width
+        mine, theirs = random.Random(seed), random.Random(seed)
+        assert harness._draw_indices(mine.getrandbits, n, width) == theirs.sample(range(n), width)
+        assert mine.getstate() == theirs.getstate()
+
+    @given(st.integers(0, 2**32), st.integers(1, 30), st.integers(0, 6), st.integers(0, 3),
+           st.floats(0, 4), st.builds(Budget, st.integers(0, 3), st.integers(0, 3)))
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_random_sample_corpus(self, seed, lo, span, per_k, density, budget):
+        config = ExperimentConfig(seed=seed, k_range=(lo, lo + span), formulas_per_k=per_k,
+                                  clause_density=density, budget=budget)
+        got, want = gen_corpus(config), ref_gen_corpus(config)
+        assert got.formulas == want.formulas and got.budgets == want.budgets
 
 
 class TestCorpusFiles:
@@ -295,17 +333,19 @@ class TestFailureAttribution:
         ]
         assert rows == {"A": True, "B": True, "C": False, "D": True, "E": True, "F": True}
 
-    def test_a_budget_not_below_2_to_the_k_fails_b(self, tmp_path, monkeypatch):
-        # formula 1 (k = 6, satisfiable) gets p(k) = 6^6: its search covers
-        # the whole space, so its runs stay correct
+    @pytest.mark.parametrize("exponent", [6, HUGE])
+    def test_a_budget_not_below_2_to_the_k_fails_b(self, tmp_path, monkeypatch, no_huge_power,
+                                                   exponent):
+        # formula 1 (k = 6, satisfiable) gets p(k) = 6^6 or more: its search
+        # covers the whole space, so its runs stay correct
         def seeded_with_a_big_budget(config):
             corpus = gen_corpus(config)
-            return Corpus(corpus.formulas, {**corpus.budgets, 1: Budget(1, 6)})
+            return Corpus(corpus.formulas, {**corpus.budgets, 1: Budget(1, exponent)})
 
         monkeypatch.setattr(harness, "gen_corpus", seeded_with_a_big_budget)
         status, failures, rows = self._summary(tmp_path, monkeypatch, {})
         assert status == 1
-        assert failures == ["B: budget p(k)=46656 not below 2^k for formula 1"]
+        assert failures == [f"B: budget p(k)=1*6^{exponent} not below 2^k for formula 1"]
         assert rows == {"A": True, "B": False, "C": True, "D": True, "E": True, "F": True}
 
     def test_b_wrong_only_where_no_step_2_member_answered_fails_b(self, tmp_path, monkeypatch):
@@ -472,6 +512,7 @@ class TestCap:
 
     @pytest.mark.parametrize("argv, out", [
         (["suite", "--out-dir", "d"], "d"),
+        (["gen-corpus", "--out", "c.json"], "c.json"),
         (["lambda", "--instances", "f.json", "--out", "c.csv"], "c.csv"),
     ])
     def test_cli_stops_at_a_low_cap(self, tmp_path, monkeypatch, capsys, argv, out):
@@ -485,21 +526,73 @@ class TestCap:
         assert captured.err.startswith("error:") and "RELATIVIZE_CAP" in captured.err
         assert captured.out == "" and not (tmp_path / out).exists()
 
-    def test_suite_checks_the_cap_before_making_its_corpus(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--config", "config.json"],
+        ["gen-corpus", "--k-min", "6", "--k-max", "3000", "--out", "out"],
+    ], ids=["suite", "gen-corpus"])
+    def test_cli_checks_the_cap_before_making_its_corpus(self, tmp_path, monkeypatch, capsys,
+                                                         argv):
         # a corpus up to k = 3000 would take far longer to make than to refuse
         def no_corpus(config):
             raise AssertionError("the corpus was generated past the cap")
 
         monkeypatch.delenv("RELATIVIZE_CAP", raising=False)
         monkeypatch.setattr(harness, "gen_corpus", no_corpus)
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"k_range": [6, 3000],
-                                           "out_dir": str(tmp_path / "out")}), encoding="utf-8")
-        assert main(["suite", "--config", str(config_path)]) == 2
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps({"k_range": [6, 3000], "out_dir": "out"}),
+                                       encoding="utf-8")
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "k=3000 exceeds the enumeration cap" in captured.err
-        assert not (tmp_path / "out").exists()
+        assert not Path("out").exists()
+
+
+class TestHugeBudget:
+    """A budget with exponent 10^11 is clamped, or compared with its bound,
+    without building p(k)."""
+
+    def test_config_budget_clamps(self, tmp_path, no_huge_power):
+        reports = []
+        for exponent in (HUGE, 2):
+            out, path = tmp_path / f"out-{exponent}", tmp_path / f"config-{exponent}.json"
+            path.write_text(json.dumps({"k_range": [6, 6], "formulas_per_k": 1,
+                                        "budget": [1, exponent], "out_dir": str(out)}),
+                            encoding="utf-8")
+            status = main(["suite", "--config", str(path)])
+            reports.append((status, (out / "runs.jsonl").read_bytes(),
+                            (out / "runs.csv").read_bytes()))
+        # at k = 6, 1*k^HUGE clamps to the first fallback, 1*k^2
+        assert reports[0] == reports[1]
+
+    def test_budget_option_clamps(self, tmp_path, no_huge_power):
+        corpus = tmp_path / "corpus.json"
+        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
+                     "--out", str(corpus)]) == 0
+        for exponent in (HUGE, 2):
+            assert main(["build-oracle", "--kind", "B", "--corpus", str(corpus),
+                         "--budget", "1", str(exponent),
+                         "--out", str(tmp_path / f"b-{exponent}.json")]) == 0
+        assert (tmp_path / f"b-{HUGE}.json").read_bytes() == (tmp_path / "b-2.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["B", "D", "E"])
+    def test_stored_budget_is_kept(self, tmp_path, no_huge_power, kind):
+        # a stored p(k) past 2^k is kept: B's search covers the space, and
+        # D's and E's gates stay shut, as they do for p(k) = 6^6
+        path = tmp_path / "corpus.json"
+        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
+                     "--out", str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        built = []
+        for exponent in (HUGE, 6):
+            doc[0]["budget"] = [1, exponent]
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out = tmp_path / f"{kind}-{exponent}.json"
+            assert main(["build-oracle", "--kind", kind, "--corpus", str(path),
+                         "--out", str(out)]) == 0
+            oracle = json.loads(out.read_text(encoding="utf-8"))
+            built.append((oracle["members"], oracle["provenance"]))
+        assert built[0] == built[1]
 
 
 class TestCli:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relativize import (
     Budget,
@@ -44,6 +46,19 @@ class TestBudget:
     def test_polynomial(self):
         assert Budget(2, 2).steps(6) == 72
         assert Budget(1, 0).steps(100) == 1
+
+    @given(st.builds(Budget, st.integers(0, 5), st.integers(0, 40)), st.integers(0, 70),
+           st.integers(0, 2**80))
+    @settings(max_examples=300, deadline=None)
+    def test_steps_below_is_the_min(self, budget, n, bound):
+        assert budget.steps_below(n, bound) == min(budget.steps(n), bound)
+
+    def test_steps_below_a_huge_exponent_is_the_bound(self):
+        # 6 ** 10**11 is about 32 GB
+        for n in (2, 6, 20):
+            assert Budget(1, 10**11).steps_below(n, 1 << n) == 1 << n
+        assert Budget(1, 10**11).steps_below(1, 5) == 1
+        assert Budget(0, 10**11).steps_below(6, 64) == 0
 
     def test_clamp_stays_below_space(self):
         for k in range(1, 21):

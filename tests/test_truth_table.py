@@ -107,6 +107,7 @@ from reference import (
     ref_build_D,
     ref_build_E,
     ref_build_F,
+    ref_canonical_key,
     ref_finish,
     ref_kappa_ids,
     ref_literal_masks,
@@ -693,8 +694,7 @@ def fresh_canonical_key(p):
     if isinstance(p, SetSumProblem):
         return json.dumps(["setsum", list(p.instance.values), p.instance.target],
                           separators=(",", ":"))
-    clauses = sorted(tuple(sorted(clause)) for clause in p.clauses)
-    return json.dumps([clauses, list(p.literals)], separators=(",", ":"))
+    return ref_canonical_key(p)
 
 
 def ref_digest(corpus):
