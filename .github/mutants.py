@@ -39,6 +39,7 @@ ORACLES = "src/relativize/oracles.py"
 ATTRIBUTION = "tests/test_harness.py::TestFailureAttribution::"
 CACHED = "tests/test_truth_table.py::TestCachedCodes::"
 CAP = "tests/test_harness.py::TestCap::"
+CORPUS_SIZE = "tests/test_harness.py::TestCorpusSize::"
 GEN_CORPUS = "tests/test_harness.py::TestGenCorpus::"
 
 MUTANTS = (
@@ -94,6 +95,11 @@ MUTANTS = (
            "check_enumerable(args.k_max)", "args.k_max",
            (CAP + "test_cli_checks_the_cap_before_making_its_corpus[gen-corpus]",
             CAP + "test_cli_stops_at_a_low_cap")),
+    Mutant("the corpus-size check dropped", HARNESS,
+           "if clauses > MAX_CORPUS_CLAUSES:", "if False:",
+           (CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[suite-density]",
+            CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[gen-corpus-per-k]",
+            CORPUS_SIZE + "test_ceiling_is_inclusive")),
     Mutant("the draw's pool slot not refilled", HARNESS,
            "pool[j] = pool[m - 1]", "pass",
            (GEN_CORPUS + "test_draws_as_random_sample",)),
@@ -107,7 +113,7 @@ MUTANTS = (
            "return texts[:stop]", "return texts",
            (CACHED + "test_block_code_text_row_grows_only_as_far_as_asked",)),
     Mutant("the block scan asking t + 1", MACHINE,
-           "return partition_code(self.problem, t)", "return partition_code(self.problem, t + 1)",
+           "return block_codes(self.problem)[t]", "return block_codes(self.problem)[t + 1]",
            ("tests/test_truth_table.py::TestScanTranscript::"
             "test_block_scan_reads_as_the_reference_tuple",
             "tests/test_truth_table.py::TestScanTranscript::"
@@ -117,6 +123,15 @@ MUTANTS = (
            "transcript=BlockScan(f, queries, False)",
            ("tests/test_truth_table.py::TestScanTranscript::"
             "test_block_scan_reads_as_the_reference_tuple",)),
+    Mutant("A's scan one block past its cap", MACHINE,
+           "block_codes(f)[:limit]", "block_codes(f)[:limit + 1]",
+           ("tests/test_machine.py::TestSolveWithA::test_capped_scan_asks_no_block_past_its_cap",
+            "tests/test_truth_table.py::TestScanTranscript::"
+            "test_block_scan_reads_as_the_reference_tuple")),
+    Mutant("a run stored without its correct field", MACHINE,
+           "ground_truth=ground_truth, correct=correct,",
+           "ground_truth=ground_truth, correct=None,",
+           ("tests/test_machine.py::TestRunResult::test_builds_as_the_plain_twin",)),
     Mutant("input_index accepting padding 1", ENCODING,
            "if n or not framed:", "if n > 1 or not framed:",
            ("tests/test_encoding.py::TestInputIndex::test_decodes_exactly_the_padding_0_codes",

@@ -64,22 +64,27 @@ def godel_number(p) -> int:
     return int.from_bytes(p.canonical_key().encode("utf-8"), "big")
 
 
-def partition_code(f, t: int) -> int:
-    """Block code of f's assignments with true-count t: pair(t, godel_number(f)).
+def block_codes(f) -> tuple[int, ...]:
+    """The k+1 block codes of f, pair(t, godel_number(f)) for t = 0..k.
 
-    The k+1 block codes are cached on the instance on first use, the only
-    time g is computed for them; only pair(0, g) is a big multiply, as
-    pair(t, g) = pair(t-1, g) + g + t.
+    Cached on the instance on first use, the only time g is computed for
+    them; only pair(0, g) is a big multiply, as pair(t, g) = pair(t-1, g) + g + t.
+    The one place the tuple is made: block scans and build_A read it.
     """
-    if not 0 <= t <= f.k:
-        raise ValueError(f"true-count {t} out of range [0, {f.k}]")
-    cache = vars(f)
-    codes = cache.get("_block_codes")
+    codes = vars(f).get("_block_codes")
     if codes is None:
         g = godel_number(f)
-        codes = cache["_block_codes"] = tuple(
+        codes = vars(f)["_block_codes"] = tuple(
             accumulate(range(g + 1, g + f.k + 1), initial=pair(0, g)))
-    return codes[t]
+    return codes
+
+
+def partition_code(f, t: int) -> int:
+    """Block code of f's assignments with true-count t: pair(t, godel_number(f)),
+    read off `block_codes(f)` once t is checked to be in 0..k."""
+    if not 0 <= t <= f.k:
+        raise ValueError(f"true-count {t} out of range [0, {f.k}]")
+    return block_codes(f)[t]
 
 
 def block_code_texts(f, stop: int) -> list[str]:

@@ -26,7 +26,7 @@ from .analog import (
     solve_side,
     write_lambda_csv,
 )
-from .encoding import code_digit_limit, partition_code
+from .encoding import block_codes, code_digit_limit
 from .errors import CapacityError, ConfigurationError, OracleFileError, check_keys, read_json
 from .formula import Formula, brute_force_sat, check_enumerable, default_literals
 from .machine import (
@@ -147,6 +147,26 @@ def gen_corpus(config: ExperimentConfig) -> Corpus:
         add(Formula(fid, names, (((0, True),),)))
         add(Formula(fid, names, (((0, False),),)))
     return Corpus(tuple(formulas), budgets)
+
+
+# The most random clauses a seeded corpus may draw. The largest config the
+# tests, README and benchmark run, k 6..20 at 10 per k and density 3, draws
+# 5,850; 100,000 take gen_corpus about 0.4 s and 26 MB (Python 3.11), so a
+# slip such as `--density 1e9` is refused at once instead of filling memory.
+MAX_CORPUS_CLAUSES = 100_000
+
+
+def check_corpus_size(config: ExperimentConfig) -> None:
+    """Refuse a config whose random clauses, formulas_per_k *
+    max(1, round(clause_density * k)) summed over its k range, pass
+    MAX_CORPUS_CLAUSES, before gen_corpus draws them."""
+    lo, hi = config.k_range
+    clauses = config.formulas_per_k * sum(
+        max(1, round(config.clause_density * k)) for k in range(lo, hi + 1))
+    if clauses > MAX_CORPUS_CLAUSES:
+        raise ConfigurationError(
+            f"the corpus would draw {clauses} random clauses, past the ceiling of "
+            f"{MAX_CORPUS_CLAUSES}; lower formulas_per_k or clause_density")
 
 
 def craft_d_corpus() -> Corpus:
@@ -378,7 +398,7 @@ def _build_E(corpus: Corpus) -> Built:
 
 def _check_E(check, corpus, built, runs) -> dict:
     (oracle,), kappa, base = built
-    blocks = {partition_code(f, t) for f in corpus if f.id in kappa for t in range(f.k + 1)}
+    blocks = {code for f in corpus if f.id in kappa for code in block_codes(f)}
     e_kappa, a_kappa = oracle.members & blocks, base.members & blocks
     check(e_kappa == a_kappa, "E: complement-paired problems gained or lost codes")
     injected = [
@@ -522,6 +542,7 @@ class SuiteRunner:
         self.failed_rows: set[str] = set()
         self.evidence: dict[str, dict] = {}
         check_enumerable(config.k_range[1])  # gen_corpus is uncapped, and slow far past the cap
+        check_corpus_size(config)
         self.corpus = gen_corpus(config)
         self.truth = {f.id: brute_force_sat(f).satisfiable for f in self.corpus}
 
@@ -627,6 +648,7 @@ def _cmd_gen_corpus(args) -> int:
         clause_density=args.density,
     )
     check_enumerable(args.k_max)  # past the cap, slow to make and refused by every reader
+    check_corpus_size(config)
     corpus = gen_corpus(config)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} formulas to {args.out}")

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
 from operator import index
 
-from .encoding import (block_code_texts, code_digit_limit, input_code_at, input_codes,
-                       input_index, partition_code)
+from .encoding import (block_code_texts, block_codes, code_digit_limit, input_code_at,
+                       input_codes, input_index)
 from .errors import ConfigurationError
 from .formula import check_enumerable, first_accepted, truth_table
 
@@ -83,9 +83,17 @@ def search_limit(budget: Budget, k: int) -> int:
     return budget.steps_below(k, 1 << k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RunResult:
-    """One solver run: verdict, work, queries, and the ground-truth comparison."""
+    """One solver run: verdict, work, queries, and the ground-truth comparison.
+
+    Its own `__init__` takes the fields in order, with their defaults, as the
+    generated one would, but stores them with one dict update instead of one
+    `object.__setattr__` per field, which a frozen dataclass's would make:
+    every solver run builds one, and that was most of a short run's cost.
+    Equality, hash, repr, `fields()`, `replace()` and frozenness are the
+    dataclass's own.
+    """
 
     oracle: str
     formula_id: int
@@ -98,6 +106,15 @@ class RunResult:
     correct: bool | None = None
     simulated_work: int | None = None
 
+    def __init__(self, oracle: str, formula_id: int, k: int, accepted: bool, steps: int,
+                 queries: int, transcript: Sequence[tuple[int, bool]],
+                 ground_truth: bool | None = None, correct: bool | None = None,
+                 simulated_work: int | None = None):
+        vars(self).update(oracle=oracle, formula_id=formula_id, k=k, accepted=accepted,
+                          steps=steps, queries=queries, transcript=transcript,
+                          ground_truth=ground_truth, correct=correct,
+                          simulated_work=simulated_work)
+
     @property
     def verdict(self) -> str:
         return "accept" if self.accepted else "reject"
@@ -105,18 +122,9 @@ class RunResult:
 
 def _result(label, f, accepted, steps, transcript, ground_truth, simulated_work=None):
     correct = None if ground_truth is None else accepted == ground_truth
-    return RunResult(
-        oracle=label,
-        formula_id=f.id,
-        k=f.k,
-        accepted=accepted,
-        steps=steps,
-        queries=len(transcript),
-        transcript=transcript,
-        ground_truth=ground_truth,
-        correct=correct,
-        simulated_work=simulated_work,
-    )
+    # by position: passing the ten fields by keyword makes the call half as dear again
+    return RunResult(label, f.id, f.k, accepted, steps, len(transcript), transcript,
+                     ground_truth, correct, simulated_work)
 
 
 class ScanTranscript(Sequence):
@@ -174,9 +182,10 @@ class ScanTranscript(Sequence):
 class BlockScan(ScanTranscript):
     """The transcript of a block scan, which holds its problem: it asks
     partition_code(problem, t) for t = 0, 1, ... in turn and stops at its
-    first yes. Its texts are not str() of each code: they are a prefix of
-    the problem's list of block-code texts (`block_code_texts`), so every
-    scan of one problem instance reads the texts made once for it."""
+    first yes, so its codes are a prefix of the problem's cached
+    `block_codes` tuple. Its texts are not str() of each code: they are a
+    prefix of the problem's list of block-code texts (`block_code_texts`),
+    so every scan of one problem instance reads the texts made once for it."""
 
     __slots__ = ("problem",)
 
@@ -185,13 +194,13 @@ class BlockScan(ScanTranscript):
         self.problem = problem
 
     def codes(self):
-        return map(self._code, range(self.queries))
+        return iter(block_codes(self.problem)[:self.queries])
 
     def texts(self):
         return block_code_texts(self.problem, self.queries)
 
     def _code(self, t: int) -> int:
-        return partition_code(self.problem, t)
+        return block_codes(self.problem)[t]
 
 
 def _label(oracle) -> str:
@@ -232,7 +241,7 @@ def solve_with_A(f, oracle, ground_truth: bool | None = None,
     _require_covered(f, oracle)
     blocks = f.k + 1
     limit = blocks if max_queries is None else max(0, min(max_queries, blocks))
-    hit = next((t for t in range(limit) if partition_code(f, t) in oracle), None)
+    hit = next((t for t, code in enumerate(block_codes(f)[:limit]) if code in oracle), None)
     queries = limit if hit is None else hit + 1
     return _result(_label(oracle), f, hit is not None, steps=queries,
                    transcript=BlockScan(f, queries, hit is not None), ground_truth=ground_truth)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .encoding import (
+    block_codes,
     code_digit_limit,
     input_code_at,
     input_codes,
@@ -299,7 +300,7 @@ def build_A(corpus: Corpus) -> OracleSet:
             if table & mask
         )
         for e, t in firsts:
-            code = partition_code(f, t)
+            code = block_codes(f)[t]
             if code not in prov:
                 prov[code] = (f.id, f"step 3: block t={t} first accepted at assignment {e}")
     return _finish("A", prov, corpus)

@@ -296,6 +296,23 @@ def ref_kappa_ids(corpus):
     )
 
 
+@dataclass(frozen=True)
+class PlainRunResult:
+    """RunResult's fields, in order, as a plain frozen dataclass with the
+    generated `__init__`: RunResult's own must build what this one does."""
+
+    oracle: str
+    formula_id: int
+    k: int
+    accepted: bool
+    steps: int
+    queries: int
+    transcript: tuple
+    ground_truth: bool | None = None
+    correct: bool | None = None
+    simulated_work: int | None = None
+
+
 def ref_nd_solve(p, ground_truth=None):
     examined, found = 0, False
     for e in range(1 << p.k):

@@ -46,7 +46,7 @@ from relativize import (
 )
 from relativize.encoding import CODE_DIGITS, code_digit_limit, partition_code
 from relativize import analog, harness, oracles
-from relativize.harness import config_from_json, main
+from relativize.harness import MAX_CORPUS_CLAUSES, check_corpus_size, config_from_json, main
 from relativize.machine import atomic_open, run_result_to_json
 
 from reference import corrupted, gen_instances, ref_gen_corpus, save_instances
@@ -546,6 +546,47 @@ class TestCap:
         assert captured.err.startswith("error:")
         assert "k=3000 exceeds the enumeration cap" in captured.err
         assert not Path("out").exists()
+
+
+class TestCorpusSize:
+    """A corpus past MAX_CORPUS_CLAUSES random clauses is refused before any
+    of it is drawn."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["suite", "--config", "config.json"], {"clause_density": 1e9}),
+        (["suite", "--config", "config.json"], {"formulas_per_k": 10**9}),
+        (["gen-corpus", "--density", "1e9", "--out", "out"], {}),
+        (["gen-corpus", "--per-k", str(10**9), "--out", "out"], {}),
+    ], ids=["suite-density", "suite-per-k", "gen-corpus-density", "gen-corpus-per-k"])
+    def test_cli_refuses_a_huge_corpus_before_making_it(self, tmp_path, monkeypatch, capsys,
+                                                       argv, config):
+        def no_corpus(config):
+            raise AssertionError("the corpus was generated past its size ceiling")
+
+        monkeypatch.setattr(harness, "gen_corpus", no_corpus)
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_text(json.dumps({**config, "out_dir": "out"}),
+                                       encoding="utf-8")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the corpus would draw ")
+        assert captured.err.count("\n") == 1
+        assert f"past the ceiling of {MAX_CORPUS_CLAUSES}" in captured.err
+        assert not Path("out").exists()
+
+    def test_ceiling_is_inclusive(self):
+        # k 1 at density 1 draws one clause per formula
+        at = ExperimentConfig(k_range=(1, 1), formulas_per_k=MAX_CORPUS_CLAUSES,
+                              clause_density=1)
+        check_corpus_size(at)
+        with pytest.raises(ConfigurationError, match="would draw 100001 random clauses"):
+            check_corpus_size(dataclasses.replace(at, formulas_per_k=MAX_CORPUS_CLAUSES + 1))
+
+    def test_the_largest_configs_in_use_pass(self):
+        # the default config, and the k 6..20 tier of the suite's memory bound
+        for config in (ExperimentConfig(), ExperimentConfig(k_range=(6, 20))):
+            check_corpus_size(config)
 
 
 class TestHugeBudget:

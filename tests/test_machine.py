@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from relativize import (
     clamped_budget,
     default_literals,
     nd_solve,
+    partition_code,
     run_report,
     solve_conp_with_C_bar,
     solve_with_A,
@@ -24,6 +27,9 @@ from relativize import (
     solve_with_C,
 )
 from relativize.harness import craft_all_true, craft_unsat
+from relativize.machine import RunResult
+
+from reference import PlainRunResult, ref_solve_with_A
 
 ABC = ("a", "b", "c")
 WIDE = Formula(1, ABC, (((0, True), (1, True), (2, True)),))
@@ -97,6 +103,54 @@ class TestNdSolve:
             assert nd_solve(f).accepted == brute_force_sat(f).satisfiable
 
 
+FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
+maybe_bool = st.none() | st.booleans()
+run_fields = st.tuples(
+    st.sampled_from(["A", "B", "C", "ND", "F[np]"]), st.integers(0, 50), st.integers(0, 20),
+    st.booleans(), st.integers(0, 2**20), st.integers(0, 30),
+    st.lists(st.tuples(st.integers(0, 2**70), st.booleans()), max_size=3).map(tuple),
+    maybe_bool, maybe_bool, st.none() | st.integers(0, 2**20))
+
+
+class TestRunResult:
+    """RunResult's own __init__ builds what a plain frozen dataclass's would."""
+
+    def test_signature_is_the_fields(self):
+        params = list(inspect.signature(RunResult).parameters.values())
+        fields = dataclasses.fields(RunResult)
+        assert [p.name for p in params] == [f.name for f in fields]
+        assert [p.default for p in params] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            for f in fields]
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        assert FIELDS == tuple(f.name for f in dataclasses.fields(PlainRunResult))
+
+    @given(run_fields, run_fields, st.integers(7, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_builds_as_the_plain_twin(self, values, others, n):
+        # the last 10 - n fields are left to their defaults, all None
+        values = values[:n] + (None,) * (10 - n)
+        r, twin = RunResult(*values[:n]), PlainRunResult(*values[:n])
+        assert r == RunResult(**dict(zip(FIELDS, values)))
+        assert r == dataclasses.replace(RunResult(*others), **dict(zip(FIELDS, values)))
+        assert tuple(getattr(r, name) for name in FIELDS) == values
+        assert vars(r) == vars(twin)
+        assert hash(r) == hash(twin)
+        assert "Plain" + repr(r) == repr(twin)
+        other = RunResult(*others)
+        assert (r == other) == (twin == PlainRunResult(*others))
+        assert (r != other) == (twin != PlainRunResult(*others))
+
+    def test_fields_stay_frozen(self):
+        r = RunResult("A", 1, 3, True, 2, 1, ((7, True),), True, True)
+        for name in FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(r, name)
+        assert r == RunResult("A", 1, 3, True, 2, 1, ((7, True),), True, True)
+
+
 class TestSolveWithA:
     def test_accept_at_block_one(self):
         corpus = Corpus((XOR2,), {1: clamped_budget(2)})
@@ -118,6 +172,16 @@ class TestSolveWithA:
             r = solve_with_A(f, oracle)
             assert r.accepted == brute_force_sat(f).satisfiable
             assert r.queries <= f.k + 1
+
+    def test_capped_scan_asks_no_block_past_its_cap(self):
+        # every block from the cap on is a member, so a scan one block too
+        # long would hit
+        f = craft_unsat(2, 3)
+        for cap in range(-1, f.k + 3):
+            oracle = frozenset(partition_code(f, t) for t in range(max(cap, 0), f.k + 1))
+            got = solve_with_A(f, oracle, max_queries=cap)
+            assert got == ref_solve_with_A(f, oracle, max_queries=cap)
+            assert not got.accepted and got.queries == min(max(cap, 0), f.k + 1)
 
     def test_missing_corpus_entry(self):
         corpus = Corpus((XOR2,), {1: clamped_budget(2)})

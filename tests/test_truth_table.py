@@ -22,6 +22,7 @@ import itertools
 import json
 import sys
 import types
+import unittest.mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -74,10 +75,11 @@ from relativize import (
     truth_table,
     unpair,
 )
-from relativize import machine, oracles
+from relativize import encoding, machine, oracles
 from relativize.analog import _problem_corpus
 from relativize.encoding import (
     block_code_texts,
+    block_codes,
     code_digit_limit,
     input_code_at,
     input_codes,
@@ -805,6 +807,23 @@ class TestCachedCodes:
         assert partition_code(twin, t) == code
         assert vars(twin)["_block_codes"] == vars(p)["_block_codes"]
         assert vars(twin)["_block_codes"] is not vars(p)["_block_codes"]
+
+    @given(problems(ks=st.integers(1, 12)))
+    @settings(max_examples=80, deadline=None)
+    def test_block_codes_are_one_tuple_made_once(self, p):
+        fresh = dataclasses.replace(p)  # nothing cached on it
+        with unittest.mock.patch.object(encoding, "godel_number",
+                                        wraps=encoding.godel_number) as g:
+            codes = block_codes(fresh)
+            assert codes == tuple(partition_code(fresh, t) for t in range(fresh.k + 1))
+            assert block_codes(fresh) is codes is vars(fresh)["_block_codes"]
+            solve_with_A(fresh, frozenset())
+            assert list(BlockScan(fresh, fresh.k + 1, False)) == [(c, False) for c in codes]
+            build_A(Corpus((fresh,), {fresh.id: clamped_budget(fresh.k)}))
+        assert g.call_count == 1
+        for t in (-1, fresh.k + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                partition_code(fresh, t)
 
     def test_block_code_range_still_checked(self):
         f = Formula(1, ("a", "b"), ())
