@@ -88,18 +88,18 @@ MUTANTS = (
     Mutant("E's per-run correctness rule", HARNESS,
            '"E": ((lambda r, f, corpus: r.correct is True,', '"E": ((lambda r, f, corpus: True,',
            (ATTRIBUTION + "test_failures_and_rows_are_pinned",)),
-    Mutant("the suite's cap checked only at its first run", HARNESS,
+    Mutant("the corpus's cap left to its readers", HARNESS,
            "check_enumerable(config.k_range[1])", "config.k_range[1]",
-           (CAP + "test_cli_checks_the_cap_before_making_its_corpus[suite]",)),
-    Mutant("gen-corpus's cap left to its readers", HARNESS,
-           "check_enumerable(args.k_max)", "args.k_max",
-           (CAP + "test_cli_checks_the_cap_before_making_its_corpus[gen-corpus]",
+           (CAP + "test_cli_checks_the_cap_before_making_its_corpus[suite]",
+            CAP + "test_cli_checks_the_cap_before_making_its_corpus[gen-corpus]",
             CAP + "test_cli_stops_at_a_low_cap")),
     Mutant("the corpus-size check dropped", HARNESS,
-           "if clauses > MAX_CORPUS_CLAUSES:", "if False:",
+           "    check_corpus_size(config)\n", "",
            (CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[suite-density]",
-            CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[gen-corpus-per-k]",
-            CORPUS_SIZE + "test_ceiling_is_inclusive")),
+            CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[gen-corpus-per-k]")),
+    Mutant("an empty out_dir accepted", HARNESS,
+           "if not self.out_dir:", "if False:",
+           ("tests/test_harness.py::TestCli::test_an_empty_output_path_is_refused[config-out-dir]",)),
     Mutant("the draw's pool slot not refilled", HARNESS,
            "pool[j] = pool[m - 1]", "pass",
            (GEN_CORPUS + "test_draws_as_random_sample",)),

@@ -18,8 +18,6 @@ from .analog import (
     solve_lambda_with_oracle,
 )
 from .encoding import (
-    InputCode,
-    decode_input_code,
     godel_number,
     input_code,
     pair,
@@ -32,7 +30,6 @@ from .formula import (
     Formula,
     SatVerdict,
     assignment_from_index,
-    assignment_index,
     brute_force_sat,
     default_literals,
     enumeration_cap,
@@ -82,15 +79,13 @@ from .oracles import (
 )
 
 __all__ = [
-    "Assignment", "Budget", "CapacityError",
-    "ConfigurationError", "Corpus", "DEFAULT_BUDGET", "DimensionError",
-    "ExperimentConfig", "Formula", "InputCode", "LambdaReport",
-    "OracleFileError", "OracleSet", "RunResult", "SatVerdict",
-    "ScanTranscript", "SetSumInstance", "SetSumProblem", "SideView",
-    "assignment_from_index", "assignment_index", "brute_force_sat", "build_A",
-    "build_B", "build_C", "build_C_bar", "build_D", "build_E", "build_F",
-    "build_lambda_oracle", "clamped_budget", "craft_all_true", "craft_d_corpus",
-    "craft_e_corpus", "craft_unsat", "decode_input_code", "default_literals",
+    "Assignment", "Budget", "CapacityError", "ConfigurationError", "Corpus",
+    "DEFAULT_BUDGET", "DimensionError", "ExperimentConfig", "Formula", "LambdaReport",
+    "OracleFileError", "OracleSet", "RunResult", "SatVerdict", "ScanTranscript",
+    "SetSumInstance", "SetSumProblem", "SideView", "assignment_from_index",
+    "brute_force_sat", "build_A", "build_B", "build_C", "build_C_bar", "build_D",
+    "build_E", "build_F", "build_lambda_oracle", "clamped_budget", "craft_all_true",
+    "craft_d_corpus", "craft_e_corpus", "craft_unsat", "default_literals",
     "enumeration_cap", "evaluate", "gen_corpus", "godel_number", "input_code",
     "kappa_ids", "lambda_report", "load_corpus", "load_oracle", "nd_solve", "pair",
     "partition_code", "run_report", "run_suite", "save_corpus", "save_oracle",

@@ -8,11 +8,8 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
-
-from .formula import Assignment, assignment_index
 
 # Pairing a pair of serialization-sized naturals squares their magnitude, so
 # codes routinely run to thousands of decimal digits, past the interpreter's
@@ -116,26 +113,6 @@ def block_code_texts(f, stop: int) -> list[str]:
     return texts[:stop]
 
 
-@dataclass(frozen=True)
-class InputCode:
-    """Decoded input code: (machine index, one assignment, padding length).
-
-    `bits` is the assignment as a 0/1 string, position j = literal j.
-    """
-
-    machine_index: int
-    bits: str
-    padding_length: int
-    code: int
-
-    @property
-    def k(self) -> int:
-        return len(self.bits)
-
-    def assignment(self) -> Assignment:
-        return tuple(ch == "1" for ch in self.bits)
-
-
 def input_code_at(i: int, e: int, k: int) -> int:
     """Input code of (i, assignment number e of k literals, padding 0).
 
@@ -151,8 +128,9 @@ def input_index(code) -> tuple[int, int, int] | None:
     """(i, k, e) when `code` is input_code_at(i, e, k), else None: for
     anything that is not a natural, a padding other than 0, or an empty frame.
 
-    The one decoder of input codes the solvers and constructions use;
-    decode_input_code stays as the reference that takes any padding.
+    The one decoder of input codes in the package; the tests check it
+    against the reference decoder in tests/reference.py, which takes any
+    padding.
     """
     if not isinstance(code, int) or code < 0:
         return None
@@ -182,26 +160,12 @@ def input_codes(i: int, k: int, stop: int | None = None):
         x += s
 
 
-def input_code(i: int, a: Assignment, n: int = 0) -> InputCode:
-    """Encode the triple (i, a, n) from an assignment tuple.
+def input_code(i: int, a: tuple[bool, ...], n: int = 0) -> int:
+    """Input code of (i, a, n) for an assignment tuple a of k values:
+    pair(i, pair(2^k | e, n)), where bit j of e is a[j].
 
-    The assignment-level reference: input_code_at and input_codes, which the
-    solvers and constructions use, are tested against it at padding 0; only
-    this reference and decode_input_code take other paddings.
+    The reference the tests check input_code_at and input_codes against, so
+    it works from the tuple itself; nothing in the package calls it.
     """
-    framed = (1 << len(a)) | assignment_index(a)
-    code = pair(i, pair(framed, n))
-    bits = "".join("1" if v else "0" for v in a)
-    return InputCode(i, bits, n, code)
-
-
-def decode_input_code(code: int) -> InputCode:
-    """Recover the full triple from an input code."""
-    i, rest = unpair(code)
-    framed, n = unpair(rest)
-    if framed < 1:
-        raise ValueError(f"{code} is not an input code (empty frame)")
-    k = framed.bit_length() - 1
-    value = framed ^ (1 << k)
-    bits = "".join("1" if (value >> j) & 1 else "0" for j in range(k))
-    return InputCode(i, bits, n, code)
+    framed = (1 << len(a)) | sum(1 << j for j, v in enumerate(a) if v)
+    return pair(i, pair(framed, n))

@@ -195,11 +195,6 @@ def assignment_from_index(e: int, k: int) -> Assignment:
     return tuple(bool((e >> j) & 1) for j in range(k))
 
 
-def assignment_index(a: Assignment) -> int:
-    """Inverse of assignment_from_index."""
-    return sum(1 << j for j, v in enumerate(a) if v)
-
-
 @dataclass(frozen=True)
 class SatVerdict:
     """Ground-truth record from the exhaustive solver."""

@@ -116,7 +116,13 @@ def gen_corpus(config: ExperimentConfig) -> Corpus:
     unsatisfiable formula, one latest-possible-witness formula, and a
     unit-clause complement pair so the complements-present subset is never
     empty. Budgets are clamped per k to stay below 2^k.
+
+    Refuses a k range past the enumeration cap (slow to make far past it,
+    and refused by every reader) and a corpus past MAX_CORPUS_CLAUSES
+    before it draws anything.
     """
+    check_enumerable(config.k_range[1])
+    check_corpus_size(config)
     rng = random.Random(config.seed)
     getrandbits, coin = rng.getrandbits, rng.random
     lo, hi = config.k_range
@@ -505,6 +511,8 @@ class ExperimentConfig:
         repeated = [kind for kind in CONSTRUCTIONS if kinds.count(kind) > 1]
         if repeated:
             raise ConfigurationError(f"oracle kinds {repeated} are listed more than once")
+        if not self.out_dir:  # Path("") would be the current directory
+            raise ConfigurationError("out_dir must not be empty")
 
 
 def config_from_json(path) -> ExperimentConfig:
@@ -541,8 +549,6 @@ class SuiteRunner:
         self.failures: list[str] = []
         self.failed_rows: set[str] = set()
         self.evidence: dict[str, dict] = {}
-        check_enumerable(config.k_range[1])  # gen_corpus is uncapped, and slow far past the cap
-        check_corpus_size(config)
         self.corpus = gen_corpus(config)
         self.truth = {f.id: brute_force_sat(f).satisfiable for f in self.corpus}
 
@@ -647,8 +653,6 @@ def _cmd_gen_corpus(args) -> int:
         formulas_per_k=args.per_k,
         clause_density=args.density,
     )
-    check_enumerable(args.k_max)  # past the cap, slow to make and refused by every reader
-    check_corpus_size(config)
     corpus = gen_corpus(config)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} formulas to {args.out}")
@@ -748,6 +752,9 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        for dest in ("out", "out_dir"):  # "" names no file, and as a directory the current one
+            if getattr(args, dest, None) == "":
+                raise ConfigurationError(f"--{dest.replace('_', '-')} must not be empty")
         return args.func(args)
     except (CapacityError, ConfigurationError, OracleFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

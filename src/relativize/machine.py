@@ -57,7 +57,7 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget(2, 2)
-_FALLBACK_BUDGETS = (Budget(1, 2), Budget(1, 1))
+_SQUARE_BUDGET, _LINEAR_BUDGET = Budget(1, 2), Budget(1, 1)
 
 
 def clamped_budget(k: int, preferred: Budget = DEFAULT_BUDGET) -> Budget:
@@ -68,10 +68,10 @@ def clamped_budget(k: int, preferred: Budget = DEFAULT_BUDGET) -> Budget:
     2*n^2 only satisfies p(k) < 2^k from k = 7 up).
     """
     space = 1 << k
-    for b in (preferred, *_FALLBACK_BUDGETS):
+    for b in (preferred, _SQUARE_BUDGET):
         if b.steps_below(k, space) < space:
             return b
-    return Budget(1, 0)
+    return _LINEAR_BUDGET  # p(k) = k < 2^k for every k
 
 
 def search_limit(budget: Budget, k: int) -> int:

@@ -6,6 +6,10 @@ The loops walk the 2^k assignments one by one through `accepts` (which is
 from the package and encoding it with the tuple-level `input_code`, and
 reproduce the loop versions of the constructions and solvers field for field,
 transcripts, provenance text and insertion order included.
+
+`decode_input_code` is the tuple-level decoder those codes are read back
+with, at any padding; the package's one decoder, `input_index`, is checked
+against it.
 """
 
 import itertools
@@ -23,11 +27,11 @@ from relativize import (
     clamped_budget,
     craft_all_true,
     craft_unsat,
-    decode_input_code,
     default_literals,
     input_code,
     pair,
     partition_code,
+    unpair,
 )
 from relativize.formula import Assignment, Clause, assignment_from_index, check_enumerable
 from relativize.machine import RunResult, atomic_open, search_limit
@@ -222,6 +226,43 @@ def assignment(e, k):
     return tuple(bool((e >> j) & 1) for j in range(k))
 
 
+def assignment_index(a: Assignment) -> int:
+    """Inverse of `assignment`: the e whose bit j is a[j]."""
+    return sum(1 << j for j, v in enumerate(a) if v)
+
+
+@dataclass(frozen=True)
+class InputCode:
+    """Decoded input code: (machine index, one assignment, padding length).
+
+    `bits` is the assignment as a 0/1 string, position j = literal j.
+    """
+
+    machine_index: int
+    bits: str
+    padding_length: int
+    code: int
+
+    @property
+    def k(self) -> int:
+        return len(self.bits)
+
+    def assignment(self) -> Assignment:
+        return tuple(ch == "1" for ch in self.bits)
+
+
+def decode_input_code(code: int) -> InputCode:
+    """Recover the full triple (i, a, n) from an input code, at any padding."""
+    i, rest = unpair(code)
+    framed, n = unpair(rest)
+    if framed < 1:
+        raise ValueError(f"{code} is not an input code (empty frame)")
+    k = framed.bit_length() - 1
+    value = framed ^ (1 << k)
+    bits = "".join("1" if (value >> j) & 1 else "0" for j in range(k))
+    return InputCode(i, bits, n, code)
+
+
 def accepting(p):
     """Indices of accepting assignments in canonical order, by `accepts`."""
     return [e for e in range(1 << p.k) if p.accepts(assignment(e, p.k))]
@@ -257,7 +298,7 @@ def ref_build_C(corpus):
     for f in corpus:
         hits = accepting(f)
         if hits:
-            code = input_code(f.id, assignment(hits[0], f.k)).code
+            code = input_code(f.id, assignment(hits[0], f.k))
             members.add(code)
             prov[code] = (f.id, f"step 2: first accepting assignment (index {hits[0]})")
     return ref_finish("C", members, prov, corpus)
@@ -268,7 +309,7 @@ def ref_build_C_bar(corpus):
     for f in corpus:
         if not accepting(f):
             for e in range(1 << f.k):
-                code = input_code(f.id, assignment(e, f.k)).code
+                code = input_code(f.id, assignment(e, f.k))
                 members.add(code)
                 prov[code] = (f.id, "step 2: all input codes of a rejected problem")
     return ref_finish("C_bar", members, prov, corpus)
@@ -281,7 +322,7 @@ def ref_build_F(corpus):
             for code, (fid, note) in direct.provenance.items()}
     for f in corpus:
         if not accepting(f):
-            code = pair(1, input_code(f.id, assignment(0, f.k)).code)
+            code = pair(1, input_code(f.id, assignment(0, f.k)))
             members.add(code)
             prov[code] = (f.id, "co side: sentinel for a problem with no accepting assignment")
     return ref_finish("F", members, prov, corpus)
@@ -337,7 +378,7 @@ def ref_solve_with_B(p, oracle, budget, ground_truth=None):
             return result(True, e + 1, [])
     if limit >= 1 << p.k:
         return result(False, limit, [])
-    code = input_code(p.id, assignment(limit, p.k)).code
+    code = input_code(p.id, assignment(limit, p.k))
     answer = code in oracle
     return result(answer, limit, [(code, answer)])
 
@@ -353,7 +394,7 @@ def ref_solve_with_C(p, oracle, ground_truth=None, max_queries=None):
                          len(transcript), tuple(transcript), ground_truth, correct)
 
     for e in range(limit):
-        code = input_code(p.id, assignment(e, p.k)).code
+        code = input_code(p.id, assignment(e, p.k))
         answer = code in oracle
         transcript.append((code, answer))
         if answer:
@@ -382,7 +423,7 @@ def ref_solve_with_A(p, oracle, ground_truth=None, max_queries=None):
 
 def ref_solve_conp_with_C_bar(p, oracle, ground_truth=None):
     """The one query, the input code of assignment 0, as the verdict."""
-    code = input_code(p.id, assignment(0, p.k)).code
+    code = input_code(p.id, assignment(0, p.k))
     answer = code in oracle
     correct = None if ground_truth is None else answer == ground_truth
     return RunResult(oracle.kind, p.id, p.k, answer, 1, 1, ((code, answer),), ground_truth,
@@ -399,7 +440,7 @@ def ref_build_B(corpus):
             continue
         limit = search_limit(budget, f.k)
         if limit < 1 << f.k:
-            code = input_code(f.id, assignment(limit, f.k)).code
+            code = input_code(f.id, assignment(limit, f.k))
             members.add(code)
             prov[code] = (
                 f.id, f"step 2: next unexamined assignment (index {limit}) after staged reject")
@@ -448,7 +489,7 @@ def ref_build_D(corpus):
             if g is None or accepting(g):
                 continue
             for e in range(1 << f.k):
-                code = input_code(f.id, assignment(e, f.k)).code
+                code = input_code(f.id, assignment(e, f.k))
                 if code in dbar_members:
                     continue
                 d_members.add(code)
@@ -467,7 +508,7 @@ def ref_build_D(corpus):
             if not staged.accepted:
                 limit = min(p, 1 << f.k)
                 if limit < (1 << f.k):
-                    code = input_code(f.id, assignment(limit, f.k)).code
+                    code = input_code(f.id, assignment(limit, f.k))
                     d_members.add(code)
                     d_prov[code] = (
                         f.id,

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -12,8 +13,6 @@ import relativize
 from relativize import (
     Formula,
     assignment_from_index,
-    assignment_index,
-    decode_input_code,
     default_literals,
     godel_number,
     input_code,
@@ -23,7 +22,21 @@ from relativize import (
 )
 from relativize.encoding import input_code_at, input_index
 
+from reference import InputCode, assignment_index, decode_input_code
+
 ABC = ("a", "b", "c")
+
+
+def test_encoding_imports_nothing_from_the_package():
+    """encoding is the bottom layer: no import of it, relative or absolute,
+    reaches another module of the package."""
+    source = Path(relativize.encoding.__file__).read_text(encoding="utf-8")
+    package = [ast.unparse(node) for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "relativize")
+               or isinstance(node, ast.Import)
+               and any(alias.name.split(".")[0] == "relativize" for alias in node.names)]
+    assert package == []
 
 
 class TestPairing:
@@ -115,9 +128,9 @@ class TestPartitionCode:
 
 class TestInputCode:
     def test_zero_case(self):
-        ic = input_code(0, (False,), 0)
-        back = decode_input_code(ic.code)
-        assert back == ic
+        code = input_code(0, (False,), 0)
+        back = decode_input_code(code)
+        assert back == InputCode(0, "0", 0, code)
         assert back.assignment() == (False,)
 
     @given(
@@ -127,22 +140,21 @@ class TestInputCode:
     )
     @settings(max_examples=200)
     def test_round_trip(self, i, a, n):
-        ic = input_code(i, a, n)
-        back = decode_input_code(ic.code)
+        back = decode_input_code(input_code(i, a, n))
         assert (back.machine_index, back.assignment(), back.padding_length) == (i, a, n)
 
     def test_distinct_assignments_distinct_codes_exhaustive(self):
         for k in range(1, 11):
             codes = {
-                input_code(5, assignment_from_index(e, k), 3).code for e in range(1 << k)
+                input_code(5, assignment_from_index(e, k), 3) for e in range(1 << k)
             }
             assert len(codes) == 1 << k
 
     def test_length_survives_leading_false(self):
         short = input_code(1, (False, True), 0)
         long = input_code(1, (False, True, False), 0)
-        assert short.code != long.code
-        assert decode_input_code(long.code).k == 3
+        assert short != long
+        assert decode_input_code(long).k == 3
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
@@ -168,7 +180,7 @@ class TestInputIndex:
     )
     @settings(max_examples=300)
     def test_decodes_exactly_the_padding_0_codes(self, i, a, n):
-        code = input_code(i, a, n).code
+        code = input_code(i, a, n)
         want = (i, len(a), assignment_index(a)) if n == 0 else None
         assert input_index(code) == reference_index(code) == want
         if want is not None:

@@ -9,13 +9,13 @@ from relativize import (
     DimensionError,
     Formula,
     assignment_from_index,
-    assignment_index,
     brute_force_sat,
     default_literals,
     evaluate,
 )
 
 from reference import (
+    assignment_index,
     conjoin,
     enumerate_assignments,
     negate,

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import unittest.mock
 from collections import Counter
 from pathlib import Path
 
@@ -135,7 +136,9 @@ class TestGenCorpus:
     def test_is_the_random_sample_corpus(self, seed, lo, span, per_k, density, budget):
         config = ExperimentConfig(seed=seed, k_range=(lo, lo + span), formulas_per_k=per_k,
                                   clause_density=density, budget=budget)
-        got, want = gen_corpus(config), ref_gen_corpus(config)
+        with unittest.mock.patch.dict(os.environ, {"RELATIVIZE_CAP": "36"}):  # k up to 36
+            got = gen_corpus(config)
+        want = ref_gen_corpus(config)
         assert got.formulas == want.formulas and got.budgets == want.budgets
 
 
@@ -533,11 +536,11 @@ class TestCap:
     def test_cli_checks_the_cap_before_making_its_corpus(self, tmp_path, monkeypatch, capsys,
                                                          argv):
         # a corpus up to k = 3000 would take far longer to make than to refuse
-        def no_corpus(config):
-            raise AssertionError("the corpus was generated past the cap")
+        def no_draw(*args):
+            raise AssertionError("a clause was drawn past the cap")
 
         monkeypatch.delenv("RELATIVIZE_CAP", raising=False)
-        monkeypatch.setattr(harness, "gen_corpus", no_corpus)
+        monkeypatch.setattr(harness, "_draw_indices", no_draw)
         monkeypatch.chdir(tmp_path)
         Path("config.json").write_text(json.dumps({"k_range": [6, 3000], "out_dir": "out"}),
                                        encoding="utf-8")
@@ -560,10 +563,10 @@ class TestCorpusSize:
     ], ids=["suite-density", "suite-per-k", "gen-corpus-density", "gen-corpus-per-k"])
     def test_cli_refuses_a_huge_corpus_before_making_it(self, tmp_path, monkeypatch, capsys,
                                                        argv, config):
-        def no_corpus(config):
-            raise AssertionError("the corpus was generated past its size ceiling")
+        def no_draw(*args):
+            raise AssertionError("a clause was drawn past the size ceiling")
 
-        monkeypatch.setattr(harness, "gen_corpus", no_corpus)
+        monkeypatch.setattr(harness, "_draw_indices", no_draw)
         monkeypatch.chdir(tmp_path)
         Path("config.json").write_text(json.dumps({**config, "out_dir": "out"}),
                                        encoding="utf-8")
@@ -755,6 +758,34 @@ class TestCli:
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "question battery" in done.stdout and "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["suite", "--config", "small.json", "--out-dir", ""], "--out-dir must not be empty"),
+        (["suite", "--config", "empty-out-dir.json"], "out_dir must not be empty"),
+        (["lambda", "--instances", "instances.json", "--out", ""], "--out must not be empty"),
+        (["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1", "--out", ""],
+         "--out must not be empty"),
+        (["build-oracle", "--kind", "A", "--corpus", "corpus.json", "--out", ""],
+         "--out must not be empty"),
+    ], ids=["suite-out-dir", "config-out-dir", "lambda-out", "gen-corpus-out",
+            "build-oracle-out"])
+    def test_an_empty_output_path_is_refused(self, tmp_path, monkeypatch, capsys, argv,
+                                             message):
+        # "" as a directory is the current one, and as a file no file at all
+        monkeypatch.chdir(tmp_path)
+        small = {"k_range": [6, 6], "formulas_per_k": 1}
+        Path("small.json").write_text(json.dumps(small), encoding="utf-8")
+        Path("empty-out-dir.json").write_text(json.dumps({**small, "out_dir": ""}),
+                                              encoding="utf-8")
+        save_instances(gen_instances(seed=4, count=2, r_min=3, r_max=4), "instances.json")
+        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
+                     "--out", "corpus.json"]) == 0
+        before = sorted(os.listdir())
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert sorted(os.listdir()) == before
 
     def _suite_exit(self, tmp_path, doc):
         config_path = tmp_path / "config.json"

@@ -27,7 +27,6 @@ from relativize import (
     build_F,
     build_lambda_oracle,
     clamped_budget,
-    decode_input_code,
     default_literals,
     evaluate,
     gen_corpus,
@@ -47,7 +46,7 @@ from relativize import (
 from relativize import oracles
 from relativize.harness import craft_all_true, craft_d_corpus, craft_e_corpus, craft_unsat
 
-from reference import gen_instances, negate, partition
+from reference import decode_input_code, gen_instances, negate, partition
 
 ABC = ("a", "b", "c")
 WIDE = Formula(1, ABC, (((0, True), (1, True), (2, True)),))
@@ -137,7 +136,7 @@ class TestBuildC:
         assert len(oracle) == 1
         (code,) = oracle.members
         # first satisfying assignment is index 1 = (T, F, F)
-        assert code == input_code(1, (True, False, False)).code
+        assert code == input_code(1, (True, False, False))
 
     def test_contradiction_contributes_nothing(self):
         assert len(build_C(one_formula_corpus(craft_unsat(1, 2)))) == 0
@@ -173,7 +172,7 @@ class TestBuildCBar:
         corpus = seeded_corpus(seed=29)
         oracle = build_C_bar(corpus)
         for f in corpus:
-            code = input_code(f.id, (False,) * f.k).code
+            code = input_code(f.id, (False,) * f.k)
             assert (code in oracle) == (not brute_force_sat(f).satisfiable)
 
 
@@ -343,7 +342,7 @@ class TestBuildF:
         corpus = Corpus((sat, unsat), {1: clamped_budget(3), 2: clamped_budget(3)})
         oracle = build_F(corpus)
         np_codes = {pair(0, partition_code(sat, t)) for t in (1, 2, 3)}
-        sentinel = pair(1, input_code(2, (False, False, False)).code)
+        sentinel = pair(1, input_code(2, (False, False, False)))
         assert np_codes | {sentinel} == oracle.members
 
     def test_only_tagged_codes_are_members(self, tmp_path):

@@ -37,7 +37,6 @@ from relativize import (
     SetSumInstance,
     SetSumProblem,
     SideView,
-    assignment_index,
     brute_force_sat,
     build_A,
     build_B,
@@ -98,6 +97,7 @@ from relativize.oracles import OracleSet, RejectedInputs, TaggedUnion
 from reference import (
     accepting,
     assignment,
+    assignment_index,
     gen_instances,
     negate,
     partition,
@@ -298,7 +298,7 @@ class TestReaders:
         oracle = build_B(corpus)
         # an oracle that holds the probed code, so both answers are exercised
         probe = input_code(p.id, assignment(min(search_limit(budget, p.k), (1 << p.k) - 1),
-                                            p.k)).code
+                                            p.k))
         yes = OracleSet("B", {**oracle.provenance, probe: (p.id, "probe")},
                         corpus.ids(), corpus.digest())
         for o in (oracle, yes):
@@ -366,12 +366,12 @@ class TestInputCodes:
     @settings(max_examples=300, deadline=None)
     def test_index_code_is_the_tuple_code(self, ke, i, n):
         k, e = ke
-        assert input_code_at(i, e, k) == input_code(i, assignment(e, k)).code
-        assert input_code(i, assignment(e, k), n).code == pair(i, pair((1 << k) | e, n))
+        assert input_code_at(i, e, k) == input_code(i, assignment(e, k))
+        assert input_code(i, assignment(e, k), n) == pair(i, pair((1 << k) | e, n))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_lazy_codes_in_canonical_order(self, k):
-        codes = [input_code(7, assignment(e, k)).code for e in range(1 << k)]
+        codes = [input_code(7, assignment(e, k)) for e in range(1 << k)]
         assert list(input_codes(7, k)) == codes
         assert list(input_codes(7, k, stop=3)) == codes[:3]
         assert list(input_codes(7, k, stop=0)) == []
@@ -381,7 +381,7 @@ class TestInputCodes:
     def test_solve_with_C(self, p, data):
         # an oracle holding a few of the problem's codes, so scans stop anywhere
         hits = data.draw(st.lists(st.integers(0, (1 << p.k) - 1), max_size=3))
-        oracle = frozenset(input_code(p.id, assignment(e, p.k)).code for e in hits)
+        oracle = frozenset(input_code(p.id, assignment(e, p.k)) for e in hits)
         truth = bool(accepting(p))
         for max_queries in (None, data.draw(st.integers(0, (1 << p.k) + 2))):
             assert solve_with_C(p, oracle, ground_truth=truth, max_queries=max_queries) == (
@@ -1095,9 +1095,9 @@ class TestTwoSidedF:
         probes = set()
         for p in corpus:
             probes.update(partition_code(p, t) for t in range(p.k + 1))
-            probes.add(input_code(p.id, assignment(0, p.k)).code)
+            probes.add(input_code(p.id, assignment(0, p.k)))
             if p.k <= 8:
-                probes.update(input_code(p.id, assignment(e, p.k)).code for e in range(1 << p.k))
+                probes.update(input_code(p.id, assignment(e, p.k)) for e in range(1 << p.k))
         for tag in (0, 1):
             view = tagged_view(built, tag)
             want = SideView(("F[np]", "F[co]")[tag], ref.members, ref.corpus_ids, tag)
@@ -1197,10 +1197,10 @@ class TestRejectedInputs:
             for k in (p.k - 1, p.k, p.k + 1):
                 for e in range(1 << k):
                     a = assignment(e, k)
-                    candidates.add(input_code(p.id, a).code)
-                    candidates.add(input_code(p.id, a, 1).code)
+                    candidates.add(input_code(p.id, a))
+                    candidates.add(input_code(p.id, a, 1))
                     for i in (0, len(corpus) + 1):
-                        candidates.add(input_code(i, a).code)
+                        candidates.add(input_code(i, a))
         candidates |= {-1, "5", 5.0}
         assert sum(x in ref for x in candidates) == len(ref) < len(candidates) // 4
         for x in candidates:
