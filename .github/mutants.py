@@ -41,6 +41,7 @@ CACHED = "tests/test_truth_table.py::TestCachedCodes::"
 CAP = "tests/test_harness.py::TestCap::"
 CORPUS_SIZE = "tests/test_harness.py::TestCorpusSize::"
 GEN_CORPUS = "tests/test_harness.py::TestGenCorpus::"
+MEMBER_SCAN = "tests/test_truth_table.py::TestMemberScan::"
 
 MUTANTS = (
     Mutant("B's budget check", HARNESS,
@@ -136,7 +137,7 @@ MUTANTS = (
            "if n or not framed:", "if n > 1 or not framed:",
            ("tests/test_encoding.py::TestInputIndex::test_decodes_exactly_the_padding_0_codes",
             "tests/test_encoding.py::TestInputIndex::test_any_natural_as_the_reference_reads_it",
-            "tests/test_truth_table.py::TestMemberScan::test_matches_the_code_by_code_reference",
+            MEMBER_SCAN + "test_matches_the_code_by_code_reference",
             "tests/test_truth_table.py::TestRejectedInputs::test_answers_as_the_reference_dict")),
     Mutant("D's next index one past the scan", ORACLES,
            "e = staged.queries\n", "e = staged.queries + 1\n",
@@ -152,6 +153,19 @@ MUTANTS = (
     Mutant("the cached corpus digest", ORACLES,
            'digest = cache.get("_digest")', "digest = None",
            (CACHED + "test_each_corpus_is_hashed_once",)),
+    Mutant("the first-hit index keeping the largest e", MACHINE,
+           ", reverse=True)}", ")}",
+           (MEMBER_SCAN + "test_a_set_is_decoded_once_for_every_cap",)),
+    Mutant("the first-hit index read by owner alone", MACHINE,
+           "hits.get((f.id, k), total)",
+           "min((e for (i, _), e in hits.items() if i == f.id), default=total)",
+           (MEMBER_SCAN + "test_a_set_is_decoded_once_for_every_cap",)),
+    Mutant("the corpus's A set built again for F", ORACLES,
+           'built = cache.get("_A")', "built = None",
+           (CACHED + "test_a_is_built_once_per_corpus",)),
+    Mutant("a built set's provenance left writable", ORACLES,
+           'MappingProxyType(dict(self.provenance))', "dict(self.provenance)",
+           (CACHED + "test_built_sets_are_read_only",)),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

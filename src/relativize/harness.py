@@ -752,7 +752,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        for dest in ("out", "out_dir"):  # "" names no file, and as a directory the current one
+        # "" names no file to read or write, and as a directory the current one
+        for dest in ("config", "corpus", "oracle", "instances", "out", "out_dir"):
             if getattr(args, dest, None) == "":
                 raise ConfigurationError(f"--{dest.replace('_', '-')} must not be empty")
         return args.func(args)

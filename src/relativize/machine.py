@@ -135,7 +135,6 @@ class ScanTranscript(Sequence):
     stops at its first yes, so every answer is no but the last, which is yes
     iff the scan hit. It reads as the tuple of those pairs: the same len,
     iteration, indexing and slicing, equality either way round, and hash.
-    `texts()` is the decimal text of each code, for the report writer.
     (A plain class: a dataclass would add a millisecond to every import.)
     """
 
@@ -146,9 +145,6 @@ class ScanTranscript(Sequence):
 
     def codes(self):
         return input_codes(self.problem_id, self.k, self.queries)
-
-    def texts(self):
-        return map(str, self.codes())
 
     def _code(self, e: int) -> int:
         return input_code_at(self.problem_id, e, self.k)
@@ -275,26 +271,24 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None) ->
                    transcript=((code, answer),), ground_truth=ground_truth)
 
 
-def _member_map(oracle) -> dict | None:
-    """The plain dict whose keys are exactly the oracle's members, if it has
-    one: an OracleSet's provenance, or the oracle itself (a construction's
-    live map, like D's during its staged scans). Only a real dict counts: a
-    built F's TaggedUnion, a SideView or a test double has none."""
-    members = getattr(oracle, "provenance", oracle)
-    return members if type(members) is dict else None
+def first_hits(codes) -> dict[tuple[int, int], int]:
+    """{(i, k): least e} over the codes that `input_index` decodes to
+    (i, k, e): where a scan of problem i's k-literal input codes first meets
+    one of them. The one way the package decodes members; any other code is
+    skipped. Sorted in descending order, so the least e is written last."""
+    return {(i, k): e for i, k, e in sorted(filter(None, map(input_index, codes)), reverse=True)}
 
 
-def _first_member_hit(members, i: int, k: int, total: int) -> int | None:
-    """The least e < total with input_code_at(i, e, k) among `members`, found
-    by decoding the members instead of probing the total codes.
-
-    input_code_at(i, e, k) grows with e, so only a member between the codes
-    of e = 0 and e = total - 1 can be one, and such a member is one iff
-    `input_index` decodes it to problem i: its e is then below total.
-    """
-    lo, hi = input_code_at(i, 0, k), input_code_at(i, total - 1, k)
-    decoded = (input_index(code) for code in members if lo <= code <= hi)
-    return min((e for owner, _, e in filter(None, decoded) if owner == i), default=None)
+def _member_hits(oracle, total: int) -> dict | None:
+    """The first-hit index of the oracle's members, if they can be read: a
+    construction's live dict (like D's during its staged scans), which grows
+    between runs, is decoded per call, and only when it is shorter than the
+    scan; a set made once is indexed once, by its `first_hits()`. None for
+    anything else, a built F's TaggedUnion, a SideView or a test double."""
+    if type(oracle) is dict:
+        return first_hits(oracle) if len(oracle) < total else None
+    index = getattr(oracle, "first_hits", None)
+    return None if index is None else index()
 
 
 def solve_with_C(f, oracle, ground_truth: bool | None = None,
@@ -303,27 +297,28 @@ def solve_with_C(f, oracle, ground_truth: bool | None = None,
     order, accepting on the first yes.
 
     Worst case 2^k queries; that exponential scan is the whole point of the
-    construction it pairs with. When the oracle holds its members as a plain
-    dict (an OracleSet's provenance, or a construction's live map) with
-    fewer members than the scan is long, the first yes is read off the
-    members (`_first_member_hit`); any other container, F's TaggedUnion
-    among them, or a map at least as large as the scan, is asked code by
-    code through its `in`, each code computed lazily from its assignment
-    index. Either way the run is the same: steps equal the queries the scan
-    asks, the transcript is a ScanTranscript of exactly those codes, and
-    every count and report byte is what the code-by-code scan gives.
-    `max_queries` limits the scan for budgeted staging; None scans the full
-    space.
+    construction it pairs with. When the oracle's members can be read (see
+    `_member_hits`), the first yes is the least e that `first_hits` records
+    for (f.id, k), if it is below the cap: a built set decodes its members
+    once, on its first C run, however many runs follow. Any other container,
+    F's TaggedUnion among them, or a live map at least as large as the scan,
+    is asked code by code through its `in`, each code computed lazily from
+    its assignment index. Either way the run is the same: steps equal the
+    queries the scan asks, the transcript is a ScanTranscript of exactly
+    those codes, and every count and report byte is what the code-by-code
+    scan gives. `max_queries` limits the scan for budgeted staging; None
+    scans the full space.
     """
     _require_covered(f, oracle)
     k = check_enumerable(f.k)
     total = 1 << k if max_queries is None else max(0, min(max_queries, 1 << k))
-    members = _member_map(oracle)
-    if members is not None and len(members) < total:
-        hit = _first_member_hit(members, f.id, k, total)
-    else:
+    hits = _member_hits(oracle, total)
+    if hits is None:
         hit = next(compress(count(), map(oracle.__contains__, input_codes(f.id, k, total))),
                    None)
+    else:
+        hit = hits.get((f.id, k), total)
+        hit = hit if hit < total else None
     queries = total if hit is None else hit + 1
     return _result(_label(oracle), f, hit is not None, steps=queries,
                    transcript=ScanTranscript(f.id, k, queries, hit is not None),
@@ -418,17 +413,20 @@ _LAST = {True: '",true]]', False: '",false]]'}
 
 def _scan_chunks(t: ScanTranscript):
     """A scan transcript as JSON, [["c",false],...,["c",true]], in pieces:
-    every answer is false but the last. The code texts are taken from
-    `texts()` a batch at a time, so a rejected k = 20 input-code scan, 2^20
-    codes, is never built whole; a block scan's at most k + 1 texts are its
-    problem's list."""
+    every answer is false but the last. A block scan's at most k + 1 texts
+    are its problem's list. An input-code scan's codes are taken a batch at
+    a time, each batch written by one %-template, so a rejected k = 20 scan,
+    2^20 codes, is never built whole."""
     if not t.queries:
         yield "[]"
         return
-    codes = iter(t.texts())
-    yield '[["' + next(codes)
-    while batch := _NO_THEN.join(islice(codes, 4096)):
-        yield _NO_THEN + batch
+    if isinstance(t, BlockScan):
+        yield '[["' + _NO_THEN.join(t.texts())
+    else:
+        codes = t.codes()
+        yield '[["%d' % next(codes)
+        while batch := tuple(islice(codes, 4096)):
+            yield (_NO_THEN + "%d") * len(batch) % batch
     yield _LAST[t.hit]
 
 

@@ -44,6 +44,7 @@ from .machine import (
     Budget,
     atomic_open,
     clamped_budget,
+    first_hits,
     solve_with_A,
     solve_with_B,
     solve_with_C,
@@ -58,9 +59,11 @@ Provenance = dict[int, tuple[int, str]]
 class OracleSet:
     """A finite set held as one map from each member code to its provenance,
     tagged with the construction that produced it and the corpus it was built
-    over. The members are the map's keys; `in` and `len` read the map. The
-    map is a plain dict, except for two read-only rules: a built C_bar's
-    RejectedInputs and a built F's TaggedUnion."""
+    over. The members are the map's keys; `in` and `len` read the map. A
+    dict passed in is held as a read-only view of a copy of it, so the set
+    cannot change once made, and `first_hits()`, which C's scan reads, is
+    worked out once per set. Two maps are read-only rules instead: a built
+    C_bar's RejectedInputs and a built F's TaggedUnion."""
 
     kind: str
     provenance: Mapping[int, tuple[int, str]]
@@ -70,6 +73,18 @@ class OracleSet:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
+        if type(self.provenance) in (dict, MappingProxyType):
+            object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
+
+    def first_hits(self) -> dict[tuple[int, int], int] | None:
+        """`machine.first_hits` of the members, made on first use and cached
+        on the instance: nothing it reads can change. None for a rule, whose
+        members are asked one by one."""
+        cache = vars(self)
+        if "_first_hits" not in cache:
+            cache["_first_hits"] = (first_hits(self.provenance)
+                                    if type(self.provenance) is MappingProxyType else None)
+        return cache["_first_hits"]
 
     @property
     def members(self) -> KeysView[int]:
@@ -290,20 +305,28 @@ def build_A(corpus: Corpus) -> OracleSet:
     resulting set is exactly the accepting-block characterization, so it can
     be re-derived per block by independent brute force; unsatisfiable problems
     contribute nothing.
+
+    Built once per corpus, on first use, and cached on it as its digest is:
+    the corpus and the set are both read-only, so F's np side and E's base
+    read the set A's own runs read.
     """
-    prov: Provenance = {}
-    for f in corpus.formulas:
-        table = truth_table(f)
-        firsts = sorted(
-            (first_accepted(table & mask), t)
-            for t, mask in enumerate(block_masks(f.k))
-            if table & mask
-        )
-        for e, t in firsts:
-            code = block_codes(f)[t]
-            if code not in prov:
-                prov[code] = (f.id, f"step 3: block t={t} first accepted at assignment {e}")
-    return _finish("A", prov, corpus)
+    cache = vars(corpus)
+    built = cache.get("_A")
+    if built is None:
+        prov: Provenance = {}
+        for f in corpus.formulas:
+            table = truth_table(f)
+            firsts = sorted(
+                (first_accepted(table & mask), t)
+                for t, mask in enumerate(block_masks(f.k))
+                if table & mask
+            )
+            for e, t in firsts:
+                code = block_codes(f)[t]
+                if code not in prov:
+                    prov[code] = (f.id, f"step 3: block t={t} first accepted at assignment {e}")
+        built = cache["_A"] = _finish("A", prov, corpus)
+    return built
 
 
 def build_B(corpus: Corpus) -> OracleSet:
@@ -496,12 +519,14 @@ def build_E(corpus: Corpus, base: OracleSet) -> OracleSet:
 def build_F(corpus: Corpus) -> OracleSet:
     """Two-sided functional set, built as its two untagged sides.
 
-    The np side holds the accepting-block codes, for the direct solver; the co
-    side holds one sentinel per problem with no accepting assignment (its
-    first canonical input code), for the one-query complement solver. Both
-    sides answer correctly in polynomial queries, which is the behavioral
-    outcome the construction exists for. No code is tagged here: the set's
-    TaggedUnion pairs each code only when it is read.
+    The np side holds the accepting-block codes, for the direct solver: it
+    relabels the notes of the corpus's A set, which `build_A` makes once per
+    corpus, so it is read, not built again. The co side holds one sentinel
+    per problem with no accepting assignment (its first canonical input
+    code), for the one-query complement solver. Both sides answer correctly
+    in polynomial queries, which is the behavioral outcome the construction
+    exists for. No code is tagged here: the set's TaggedUnion pairs each code
+    only when it is read.
     """
     direct = build_A(corpus)
     np_side = {code: (fid, f"np side, {note}") for code, (fid, note) in direct.provenance.items()}

@@ -362,8 +362,10 @@ def ref_solve_with_B(p, oracle, budget, ground_truth=None):
 
 
 def ref_solve_with_C(p, oracle, ground_truth=None, max_queries=None):
+    """One query per assignment in canonical order, accepting on the first
+    yes; at most `max_queries` when it is given, so none when it is below 1."""
     total = 1 << p.k
-    limit = total if max_queries is None else min(max_queries, total)
+    limit = total if max_queries is None else max(0, min(max_queries, total))
     transcript = []
 
     def result(accepted, steps):

@@ -767,11 +767,21 @@ class TestCli:
          "--out must not be empty"),
         (["build-oracle", "--kind", "A", "--corpus", "corpus.json", "--out", ""],
          "--out must not be empty"),
+        (["suite", "--config", ""], "--config must not be empty"),
+        (["build-oracle", "--kind", "A", "--corpus", "", "--out", "a.json"],
+         "--corpus must not be empty"),
+        (["solve", "--oracle", "", "--formula", "1", "--corpus", "corpus.json"],
+         "--oracle must not be empty"),
+        (["solve", "--oracle", "corpus.json", "--formula", "1", "--corpus", ""],
+         "--corpus must not be empty"),
+        (["lambda", "--instances", ""], "--instances must not be empty"),
     ], ids=["suite-out-dir", "config-out-dir", "lambda-out", "gen-corpus-out",
-            "build-oracle-out"])
+            "build-oracle-out", "suite-config", "build-oracle-corpus", "solve-oracle",
+            "solve-corpus", "lambda-instances"])
     def test_an_empty_output_path_is_refused(self, tmp_path, monkeypatch, capsys, argv,
                                              message):
-        # "" as a directory is the current one, and as a file no file at all
+        # "" as a directory is the current one, and as a file no file at all;
+        # an empty input path is refused the same way, before anything is read
         monkeypatch.chdir(tmp_path)
         small = {"k_range": [6, 6], "formulas_per_k": 1}
         Path("small.json").write_text(json.dumps(small), encoding="utf-8")

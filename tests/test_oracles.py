@@ -6,6 +6,7 @@ import random
 import re
 import sys
 from collections.abc import KeysView
+from types import MappingProxyType
 
 import pytest
 
@@ -427,10 +428,12 @@ class TestDeterminismAndFiles:
                     build_lambda_oracle(gen_instances(seed=5, count=6))]
         for oracle in oracles:
             assert oracle.members
-            # a keys view refers to its dict and nothing else; `.mapping`
-            # wraps that dict in a fresh proxy, so identity goes by referent
+            # a keys view refers to its dict and nothing else, and so does the
+            # read-only provenance view; `.mapping` wraps that dict in a fresh
+            # proxy, so identity goes by referent
             (owner,) = gc.get_referents(oracle.members)
-            assert owner is oracle.provenance
+            (held,) = gc.get_referents(oracle.provenance)
+            assert owner is held and type(oracle.provenance) is MappingProxyType
             assert oracle.members.mapping == oracle.provenance
         # a built F's members are a keys view of its provenance map, which
         # holds each member once, untagged, on its side

@@ -82,6 +82,7 @@ from relativize.encoding import (
     code_digit_limit,
     input_code_at,
     input_codes,
+    input_index,
 )
 from relativize.formula import block_masks, literal_masks
 from relativize.harness import SuiteRunner, craft_all_true, main
@@ -578,14 +579,14 @@ class TestScanTranscript:
 
 
 @st.composite
-def member_scans(draw):
+def member_scans(draw, ks=None):
     """A problem; its members: up to three of its own input codes (a hit
     anywhere, or none) among foreign codes (other problems' input codes, its
     id at another k, its codes with padding n > 0, its block codes), and
     sometimes as many codes of another problem as the scan is long, so the
     set is no smaller than the scan; and a query cap: none, 0, 1, mid-scan,
     past 2^k, or the first hit itself, leaving every hit past the cap."""
-    p = draw(problems(draw(st.integers(1, 30))))
+    p = draw(problems(draw(st.integers(1, 30)), ks))
     k, total = p.k, 1 << p.k
     own = draw(st.lists(st.integers(0, total - 1), max_size=3))
     members = {input_code_at(p.id, e, k) for e in own}
@@ -627,6 +628,24 @@ class TestMemberScan:
         probed = solve_with_C(p, SideView(label, oracle), ground_truth=truth, max_queries=cap)
         assert got == probed
 
+    @given(member_scans(st.integers(1, 6)))
+    @example((craft_unsat(1, 3), {input_code_at(1, 5, 3), input_code_at(1, 2, 3),
+                                  input_code_at(1, 0, 2), input_code_at(2, 1, 3)}, None))
+    @settings(max_examples=60, deadline=None)
+    def test_a_set_is_decoded_once_for_every_cap(self, scan):
+        # one built set, every cap from -2 to 2^k + 2: each run reads the
+        # index the first one made, so each member is decoded once in all
+        p, members, _ = scan
+        oracle = OracleSet("C", dict.fromkeys(members, (p.id, "note")), frozenset({p.id}), "")
+        truth = bool(accepting(p))
+        decoded = []
+        with unittest.mock.patch.object(machine, "input_index",
+                                        lambda code: decoded.append(code) or input_index(code)):
+            for cap in (None, *range(-2, (1 << p.k) + 3)):
+                got = solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
+                assert got == ref_solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
+        assert sorted(decoded) == sorted(members)
+
     @pytest.mark.parametrize("container", ["set", "live", "two-sided"])
     def test_maps_smaller_than_the_scan_are_not_probed(self, container, monkeypatch):
         def oracle(notes):
@@ -656,8 +675,12 @@ class TestMemberScan:
         else:
             assert scanned == asked == [] and r.queries == 10
         r = solve_with_C(f, large)
-        assert scanned == [(3, 4, 16)]
-        assert asked == ([] if container == "live" else [code for code, _ in r.transcript])
+        if container == "set":
+            # a set's index is made once, so it is read however large the set
+            assert scanned == asked == [] and r.queries == 10
+        else:
+            assert scanned == [(3, 4, 16)]
+            assert asked == ([] if container == "live" else [code for code, _ in r.transcript])
 
 
 # ---------------------------------------------------------------- cached codes
@@ -1064,6 +1087,50 @@ class TestCachedCodes:
         assert {hashlib.sha256(blob).hexdigest() for blob in blobs} == {
             ref_digest(gen_corpus(config)), ref_digest(craft_d_corpus()),
             ref_digest(craft_e_corpus())}
+
+    def test_built_sets_are_read_only(self, tmp_path):
+        corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(6, 7), formulas_per_k=2))
+        save_oracle(build_C(corpus), tmp_path / "c.json")
+        sets = [build(corpus) for build in (build_A, build_B, build_C)]
+        sets += [*build_D(craft_d_corpus()), build_E(craft_e_corpus(), build_A(craft_e_corpus())),
+                 load_oracle(tmp_path / "c.json", corpus)]
+        for oracle in sets:
+            code, note = next(iter(oracle.provenance.items()))
+            with pytest.raises(TypeError):
+                oracle.provenance[0] = note
+            with pytest.raises(TypeError):
+                del oracle.provenance[0]
+            # a code past sys.maxsize is first tried as a sequence index
+            with pytest.raises((TypeError, IndexError)):
+                del oracle.provenance[code]
+            assert code in oracle and 0 not in oracle
+        # a dict handed in is copied, as a corpus's budgets are
+        notes = {1: (1, "note")}
+        oracle = OracleSet("C", notes, frozenset({1}), "")
+        notes[2] = (1, "late")
+        del notes[1]
+        assert dict(oracle.provenance) == {1: (1, "note")}
+
+    @given(corpora())
+    @settings(max_examples=40, deadline=None)
+    def test_a_is_built_once_per_corpus(self, corpus):
+        a = build_A(corpus)
+        assert list(a.provenance.items()) == list(ref_build_A(corpus).provenance.items())
+        with unittest.mock.patch.object(oracles, "block_masks",
+                                        side_effect=AssertionError("A built again")):
+            assert build_A(corpus) is a
+            f = build_F(corpus)
+        assert f.provenance.sides[0].keys() == a.members
+
+    def test_a_replaced_set_gets_its_own_index(self):
+        unsat = craft_unsat(1, 3)
+        corpus = Corpus((unsat, craft_all_true(2, 4)), {1: Budget(1, 1), 2: Budget(1, 1)})
+        c = build_C(corpus)
+        assert solve_with_C(unsat, c).queries == 8
+        planted = dataclasses.replace(
+            c, provenance={**c.provenance, input_code_at(1, 5, 3): (1, "planted")})
+        assert solve_with_C(unsat, planted).queries == 6
+        assert solve_with_C(unsat, c).queries == 8
 
 
 # ---------------------------------------------------------------- F's sides
