@@ -113,12 +113,11 @@ MUTANTS = (
     Mutant("the block-text list read whole", ENCODING,
            "return texts[:stop]", "return texts",
            (CACHED + "test_block_code_text_row_grows_only_as_far_as_asked",)),
-    Mutant("the block scan asking t + 1", MACHINE,
-           "return block_codes(self.problem)[t]", "return block_codes(self.problem)[t + 1]",
+    Mutant("the block scan's codes one block on", MACHINE,
+           "block_codes(self.problem)[:self.queries]",
+           "block_codes(self.problem)[1:self.queries + 1]",
            ("tests/test_truth_table.py::TestScanTranscript::"
-            "test_block_scan_reads_as_the_reference_tuple",
-            "tests/test_truth_table.py::TestScanTranscript::"
-            "test_writer_streams_scans_byte_for_byte")),
+            "test_block_scan_reads_as_the_reference_tuple",)),
     Mutant("A's transcript dropping its hit", MACHINE,
            "transcript=BlockScan(f, queries, hit is not None)",
            "transcript=BlockScan(f, queries, False)",
@@ -153,12 +152,12 @@ MUTANTS = (
     Mutant("the cached corpus digest", ORACLES,
            'digest = cache.get("_digest")', "digest = None",
            (CACHED + "test_each_corpus_is_hashed_once",)),
-    Mutant("the first-hit index keeping the largest e", MACHINE,
-           ", reverse=True)}", ")}",
+    Mutant("the first-hit index keeping the largest e", ORACLES,
+           "self.provenance)), reverse=True)", "self.provenance)))",
            (MEMBER_SCAN + "test_a_set_is_decoded_once_for_every_cap",)),
-    Mutant("the first-hit index read by owner alone", MACHINE,
-           "hits.get((f.id, k), total)",
-           "min((e for (i, _), e in hits.items() if i == f.id), default=total)",
+    Mutant("the first-hit index read by owner alone", ORACLES,
+           "hits = {(i, k): e for i, k, e in decoded}",
+           "hits = {(i, k): min(e for j, _, e in decoded if j == i) for i, k, _ in decoded}",
            (MEMBER_SCAN + "test_a_set_is_decoded_once_for_every_cap",)),
     Mutant("the corpus's A set built again for F", ORACLES,
            'built = cache.get("_A")', "built = None",
@@ -166,6 +165,13 @@ MUTANTS = (
     Mutant("a built set's provenance left writable", ORACLES,
            'MappingProxyType(dict(self.provenance))', "dict(self.provenance)",
            (CACHED + "test_built_sets_are_read_only",)),
+    Mutant("a built F's side left writable", ORACLES,
+           "self.sides = (MappingProxyType(dict(np)), MappingProxyType(dict(co)))",
+           "self.sides = (np, co)",
+           (CACHED + "test_built_rules_are_read_only",)),
+    Mutant("C_bar's rule left writable", ORACLES,
+           "self.rejected = MappingProxyType(dict(rejected))", "self.rejected = rejected",
+           (CACHED + "test_built_rules_are_read_only",)),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

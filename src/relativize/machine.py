@@ -19,14 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
-from operator import index
 
-from .encoding import (block_code_texts, block_codes, code_digit_limit, input_code_at,
-                       input_codes, input_index)
+from .encoding import block_code_texts, block_codes, code_digit_limit, input_code_at, input_codes
 from .errors import ConfigurationError
 from .formula import check_enumerable, first_accepted, truth_table
 
@@ -74,15 +72,6 @@ def clamped_budget(k: int, preferred: Budget = DEFAULT_BUDGET) -> Budget:
     return _LINEAR_BUDGET  # p(k) = k < 2^k for every k
 
 
-def search_limit(budget: Budget, k: int) -> int:
-    """Assignments a budgeted search may examine: min(p(k), 2^k).
-
-    Only the solvers use it: a staged construction reads the next unexamined
-    assignment off its staged run instead of working it out again.
-    """
-    return budget.steps_below(k, 1 << k)
-
-
 @dataclass(frozen=True, init=False)
 class RunResult:
     """One solver run: verdict, work, queries, and the ground-truth comparison.
@@ -101,13 +90,13 @@ class RunResult:
     accepted: bool
     steps: int
     queries: int
-    transcript: Sequence[tuple[int, bool]]
+    transcript: Iterable[tuple[int, bool]]
     ground_truth: bool | None = None
     correct: bool | None = None
     simulated_work: int | None = None
 
     def __init__(self, oracle: str, formula_id: int, k: int, accepted: bool, steps: int,
-                 queries: int, transcript: Sequence[tuple[int, bool]],
+                 queries: int, transcript: Iterable[tuple[int, bool]],
                  ground_truth: bool | None = None, correct: bool | None = None,
                  simulated_work: int | None = None):
         vars(self).update(oracle=oracle, formula_id=formula_id, k=k, accepted=accepted,
@@ -127,14 +116,15 @@ def _result(label, f, accepted, steps, transcript, ground_truth, simulated_work=
                      ground_truth, correct, simulated_work)
 
 
-class ScanTranscript(Sequence):
+class ScanTranscript:
     """The transcript of an input-code scan, held as the four numbers that
     determine it instead of one (code, answer) pair per query.
 
     A scan asks input_code_at(problem_id, e, k) for e = 0, 1, ... in turn and
     stops at its first yes, so every answer is no but the last, which is yes
-    iff the scan hit. It reads as the tuple of those pairs: the same len,
-    iteration, indexing and slicing, equality either way round, and hash.
+    iff the scan hit. It reads as the tuple of those pairs when iterated:
+    the same len, the same pairs in order, equality either way round, and
+    hash. It has no random access; every reader walks it.
     (A plain class: a dataclass would add a millisecond to every import.)
     """
 
@@ -146,25 +136,12 @@ class ScanTranscript(Sequence):
     def codes(self):
         return input_codes(self.problem_id, self.k, self.queries)
 
-    def _code(self, e: int) -> int:
-        return input_code_at(self.problem_id, e, self.k)
-
     def __len__(self) -> int:
         return self.queries
 
     def __iter__(self):
         no = self.queries - self.hit
         return zip(self.codes(), chain(repeat(False, no), repeat(True, self.hit)))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        e = index(i)
-        if e < 0:
-            e += self.queries
-        if not 0 <= e < self.queries:
-            raise IndexError("transcript index out of range")
-        return self._code(e), self.hit and e == self.queries - 1
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, ScanTranscript)):
@@ -194,9 +171,6 @@ class BlockScan(ScanTranscript):
 
     def texts(self):
         return block_code_texts(self.problem, self.queries)
-
-    def _code(self, t: int) -> int:
-        return block_codes(self.problem)[t]
 
 
 def _label(oracle) -> str:
@@ -257,7 +231,7 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None) ->
     _require_covered(f, oracle)
     table = truth_table(f)
     k = f.k
-    limit = search_limit(budget, k)
+    limit = budget.steps_below(k, 1 << k)
     first = first_accepted(table) if table else limit
     if first < limit:
         return _result(_label(oracle), f, True, steps=first + 1,
@@ -271,48 +245,29 @@ def solve_with_B(f, oracle, budget: Budget, ground_truth: bool | None = None) ->
                    transcript=((code, answer),), ground_truth=ground_truth)
 
 
-def first_hits(codes) -> dict[tuple[int, int], int]:
-    """{(i, k): least e} over the codes that `input_index` decodes to
-    (i, k, e): where a scan of problem i's k-literal input codes first meets
-    one of them. The one way the package decodes members; any other code is
-    skipped. Sorted in descending order, so the least e is written last."""
-    return {(i, k): e for i, k, e in sorted(filter(None, map(input_index, codes)), reverse=True)}
-
-
-def _member_hits(oracle, total: int) -> dict | None:
-    """The first-hit index of the oracle's members, if they can be read: a
-    construction's live dict (like D's during its staged scans), which grows
-    between runs, is decoded per call, and only when it is shorter than the
-    scan; a set made once is indexed once, by its `first_hits()`. None for
-    anything else, a built F's TaggedUnion, a SideView or a test double."""
-    if type(oracle) is dict:
-        return first_hits(oracle) if len(oracle) < total else None
-    index = getattr(oracle, "first_hits", None)
-    return None if index is None else index()
-
-
 def solve_with_C(f, oracle, ground_truth: bool | None = None,
                  max_queries: int | None = None) -> RunResult:
     """Input-query enumeration solver: ask about every assignment in canonical
     order, accepting on the first yes.
 
     Worst case 2^k queries; that exponential scan is the whole point of the
-    construction it pairs with. When the oracle's members can be read (see
-    `_member_hits`), the first yes is the least e that `first_hits` records
-    for (f.id, k), if it is below the cap: a built set decodes its members
-    once, on its first C run, however many runs follow. Any other container,
-    F's TaggedUnion among them, or a live map at least as large as the scan,
-    is asked code by code through its `in`, each code computed lazily from
-    its assignment index. Either way the run is the same: steps equal the
-    queries the scan asks, the transcript is a ScanTranscript of exactly
-    those codes, and every count and report byte is what the code-by-code
-    scan gives. `max_queries` limits the scan for budgeted staging; None
-    scans the full space.
+    construction it pairs with. An oracle with a `first_hits()` index (a
+    built set, see `OracleSet.first_hits`) is read through it: the first yes
+    is the least e it records for (f.id, k), if that is below the cap, and a
+    set indexes its members once, on its first C run, however many runs
+    follow. Any other container (a construction's live map, F's TaggedUnion,
+    a SideView, or a set that is a rule) is asked code by code through its
+    `in`, each code computed lazily from its assignment index. Either way
+    the run is the same: steps equal the queries the scan asks, the
+    transcript is a ScanTranscript of exactly those codes, and every count
+    and report byte is what the code-by-code scan gives. `max_queries`
+    limits the scan for budgeted staging; None scans the full space.
     """
     _require_covered(f, oracle)
     k = check_enumerable(f.k)
     total = 1 << k if max_queries is None else max(0, min(max_queries, 1 << k))
-    hits = _member_hits(oracle, total)
+    index = getattr(oracle, "first_hits", None)
+    hits = None if index is None else index()
     if hits is None:
         hit = next(compress(count(), map(oracle.__contains__, input_codes(f.id, k, total))),
                    None)

@@ -44,7 +44,6 @@ from .machine import (
     Budget,
     atomic_open,
     clamped_budget,
-    first_hits,
     solve_with_A,
     solve_with_B,
     solve_with_C,
@@ -77,13 +76,19 @@ class OracleSet:
             object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
 
     def first_hits(self) -> dict[tuple[int, int], int] | None:
-        """`machine.first_hits` of the members, made on first use and cached
-        on the instance: nothing it reads can change. None for a rule, whose
-        members are asked one by one."""
+        """{(i, k): least e} over the members that `input_index` decodes to
+        (i, k, e): where a scan of problem i's k-literal input codes, which
+        C's solver makes, first meets one of them. Any other member is
+        skipped; sorted in descending order, so the least e is written last.
+        Made on first use and cached on the instance: nothing it reads can
+        change. None for a rule, whose members are asked one by one."""
         cache = vars(self)
         if "_first_hits" not in cache:
-            cache["_first_hits"] = (first_hits(self.provenance)
-                                    if type(self.provenance) is MappingProxyType else None)
+            hits = None
+            if type(self.provenance) is MappingProxyType:
+                decoded = sorted(filter(None, map(input_index, self.provenance)), reverse=True)
+                hits = {(i, k): e for i, k, e in decoded}
+            cache["_first_hits"] = hits
         return cache["_first_hits"]
 
     @property
@@ -122,11 +127,13 @@ class TaggedUnion(Mapping):
     pair(tag, c) to c's note in side `tag`.
 
     A lookup unpairs the code; iteration and `items` pair each code of the np
-    side, then of the co side, as they go. No tagged code is kept.
+    side, then of the co side, as they go. No tagged code is kept. Each side
+    is held as a read-only view of a copy of the dict passed in, so a built
+    F cannot change once made.
     """
 
     def __init__(self, np: Provenance, co: Provenance):
-        self.sides = (np, co)
+        self.sides = (MappingProxyType(dict(np)), MappingProxyType(dict(co)))
 
     def __getitem__(self, code: int) -> tuple[int, str]:
         if isinstance(code, int) and code >= 0:
@@ -156,13 +163,14 @@ class RejectedInputs(Mapping):
     A lookup decodes the code by `input_index`: it is a member iff it
     decodes to a rejected id and that problem's k. Iteration and `items`
     compute each problem's codes in canonical order as they go. No code is
-    kept.
+    kept. The rule is held as a read-only view of a copy of the dict passed
+    in, so a built C_bar cannot change once made.
     """
 
     NOTE = "step 2: all input codes of a rejected problem"
 
     def __init__(self, rejected: dict[int, int]):
-        self.rejected = rejected
+        self.rejected = MappingProxyType(dict(rejected))
 
     def __getitem__(self, code: int) -> tuple[int, str]:
         hit = input_index(code)

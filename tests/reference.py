@@ -34,7 +34,7 @@ from relativize import (
     unpair,
 )
 from relativize.formula import Assignment, Clause, assignment_from_index, check_enumerable
-from relativize.machine import RunResult, atomic_open, search_limit
+from relativize.machine import RunResult, atomic_open
 from relativize.oracles import OracleSet
 
 # ---------------------------------------------------------------- assignments
@@ -344,7 +344,7 @@ def ref_nd_solve(p, ground_truth=None):
 
 
 def ref_solve_with_B(p, oracle, budget, ground_truth=None):
-    limit = search_limit(budget, p.k)
+    limit = min(budget.steps(p.k), 1 << p.k)
 
     def result(accepted, steps, transcript):
         correct = None if ground_truth is None else accepted == ground_truth
@@ -418,7 +418,7 @@ def ref_build_B(corpus):
         budget = corpus.budget_for(f.id)
         if ref_solve_with_B(f, frozenset(members), budget).accepted:
             continue
-        limit = search_limit(budget, f.k)
+        limit = min(budget.steps(f.k), 1 << f.k)
         if limit < 1 << f.k:
             code = input_code(f.id, assignment(limit, f.k))
             members.add(code)

@@ -55,7 +55,7 @@ def test_criterion_02_b_dysfunction(corpus, truth, oracle_b):
                            ground_truth=truth[f.id].satisfiable)
         if run.correct is False:
             assert run.transcript, "a wrong B verdict must come from a query"
-            code = run.transcript[0][0]
+            code = list(run.transcript)[0][0]
             fid, note = oracle_b.provenance[code]
             assert fid == f.id and note.startswith("step 2")
             wrong_with_provenance += 1

@@ -157,7 +157,8 @@ class TestSolveWithA:
         oracle = build_A(corpus)
         r = solve_with_A(XOR2, oracle, ground_truth=True)
         assert r.accepted and r.queries == 2 and r.steps == 2
-        assert r.transcript[0][1] is False and r.transcript[1][1] is True
+        (_, first), (_, second) = list(r.transcript)
+        assert first is False and second is True
 
     def test_reject_contradiction_k1(self):
         f = craft_unsat(1, 1)
