@@ -33,6 +33,7 @@ class Mutant(NamedTuple):
 
 
 ENCODING = "src/relativize/encoding.py"
+FORMULA = "src/relativize/formula.py"
 HARNESS = "src/relativize/harness.py"
 MACHINE = "src/relativize/machine.py"
 ORACLES = "src/relativize/oracles.py"
@@ -90,14 +91,32 @@ MUTANTS = (
            '"E": ((lambda r, f, corpus: r.correct is True,', '"E": ((lambda r, f, corpus: True,',
            (ATTRIBUTION + "test_failures_and_rows_are_pinned",)),
     Mutant("the corpus's cap left to its readers", HARNESS,
-           "check_enumerable(config.k_range[1])", "config.k_range[1]",
+           "    check_enumerable(hi)\n", "",
            (CAP + "test_cli_checks_the_cap_before_making_its_corpus[suite]",
             CAP + "test_cli_checks_the_cap_before_making_its_corpus[gen-corpus]",
             CAP + "test_cli_stops_at_a_low_cap")),
     Mutant("the corpus-size check dropped", HARNESS,
-           "    check_corpus_size(config)\n", "",
+           "    check_corpus_size(config)\n    rng = ", "    rng = ",
            (CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[suite-density]",
             CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[gen-corpus-per-k]")),
+    Mutant("the config reader's corpus check dropped", HARNESS,
+           "        check_corpus_size(config)\n", "",
+           (CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[suite-density]",
+            CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[suite-per-k]")),
+    Mutant("Formula's literal type check dropped", FORMULA,
+           "if len(lit) != 2 or type(lit[0]) is not int or type(lit[1]) is not bool:",
+           "if len(lit) != 2:",
+           ("tests/test_formula.py::TestFormulaValidation::"
+            "test_refuses_a_literal_of_the_wrong_type",)),
+    Mutant("the cap's digit-length refusal dropped", FORMULA,
+           "        if len(digits) <= sys.get_int_max_str_digits():\n"
+           "            return int(digits)\n",
+           "        return int(digits)\n",
+           (CAP + "test_env_must_be_a_non_negative_integer[5000-digits]",
+            CAP + "test_env_too_long_names_the_variable")),
+    Mutant("the cap's leading zeros counted", FORMULA,
+           'digits = raw.lstrip("0") or "0"', "digits = raw",
+           (CAP + "test_env_leading_zeros_do_not_count",)),
     Mutant("an empty out_dir accepted", HARNESS,
            "if not self.out_dir:", "if False:",
            ("tests/test_harness.py::TestCli::test_an_empty_output_path_is_refused[config-out-dir]",)),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from string import ascii_lowercase
@@ -36,13 +37,20 @@ def enumeration_cap() -> int:
 
     A RELATIVIZE_CAP that is not a non-empty string of ASCII digits is a
     ConfigurationError: `int` alone would also read "1_0", " 7 ", "+8" and
-    non-ASCII digits."""
+    non-ASCII digits. So is one past int's digit limit, leading zeros aside."""
     raw = os.environ.get("RELATIVIZE_CAP")
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
     if not (raw.isascii() and raw.isdigit()):
         raise ConfigurationError(f"RELATIVIZE_CAP must be a non-negative integer, got {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:  # past int's digit limit, which counts leading zeros
+        digits = raw.lstrip("0") or "0"
+        if len(digits) <= sys.get_int_max_str_digits():
+            return int(digits)
+    raise ConfigurationError("RELATIVIZE_CAP must be a non-negative integer of at most "
+                             f"{sys.get_int_max_str_digits()} significant digits")
 
 
 def check_enumerable(k: int) -> int:
@@ -120,7 +128,10 @@ class Formula:
 
     Clauses hold (literal index, polarity) pairs; polarity True is the positive
     literal. An empty clause list is the trivially true formula. `id` is the
-    formula's corpus index and plays no part in its structure.
+    formula's corpus index and plays no part in its structure. Lists are read
+    as tuples at every level; any other wrong type raises TypeError, never
+    coerced: an `id` or index not an int (bools included), a name not a str,
+    a polarity not a bool, a literal that is not a pair.
     """
 
     id: int
@@ -128,25 +139,29 @@ class Formula:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "literals", tuple([str(name) for name in self.literals]))
-        object.__setattr__(
-            self,
-            "clauses",
-            tuple([tuple([(int(i), bool(p)) for i, p in clause]) for clause in self.clauses]),
-        )
-        k = len(self.literals)
+        if type(self.id) is not int:
+            raise TypeError(f"a formula's id must be an int, got {self.id!r}")
+        literals = tuple(self.literals)
+        if not all(isinstance(name, str) for name in literals):
+            raise TypeError(f"literal names must be strings, got {list(literals)!r}")
+        clauses = tuple([tuple(map(tuple, clause)) for clause in self.clauses])
+        object.__setattr__(self, "literals", literals)
+        object.__setattr__(self, "clauses", clauses)
+        k = len(literals)
         if k < 1:
             raise ValueError("a formula needs at least one literal")
-        if len(set(self.literals)) != k:
+        if len(set(literals)) != k:
             raise ValueError("literal names must be distinct")
-        for clause in self.clauses:
+        for clause in clauses:
             if not clause:
                 raise ValueError("clauses must be nonempty")
+            for lit in clause:
+                if len(lit) != 2 or type(lit[0]) is not int or type(lit[1]) is not bool:
+                    raise TypeError(f"literal {lit!r} is not an (int index, bool polarity) pair")
+                if not 0 <= lit[0] < k:
+                    raise ValueError(f"literal index {lit[0]} out of range for k={k}")
             if len(set(clause)) != len(clause):
                 raise ValueError(f"duplicate (index, polarity) pair in clause {clause}")
-            for i, _ in clause:
-                if not 0 <= i < k:
-                    raise ValueError(f"literal index {i} out of range for k={k}")
 
     @property
     def k(self) -> int:

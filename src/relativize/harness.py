@@ -28,7 +28,7 @@ from .analog import (
 )
 from .encoding import block_codes, code_digit_limit
 from .errors import CapacityError, ConfigurationError, OracleFileError, check_keys, read_json
-from .formula import Formula, brute_force_sat, check_enumerable, default_literals
+from .formula import Formula, brute_force_sat, check_enumerable, default_literals, enumeration_cap
 from .machine import (
     DEFAULT_BUDGET,
     Budget,
@@ -121,7 +121,6 @@ def gen_corpus(config: ExperimentConfig) -> Corpus:
     and refused by every reader) and a corpus past MAX_CORPUS_CLAUSES
     before it draws anything.
     """
-    check_enumerable(config.k_range[1])
     check_corpus_size(config)
     rng = random.Random(config.seed)
     getrandbits, coin = rng.getrandbits, rng.random
@@ -163,10 +162,11 @@ MAX_CORPUS_CLAUSES = 100_000
 
 
 def check_corpus_size(config: ExperimentConfig) -> None:
-    """Refuse a config whose random clauses, formulas_per_k *
-    max(1, round(clause_density * k)) summed over its k range, pass
-    MAX_CORPUS_CLAUSES, before gen_corpus draws them."""
+    """Refuse a config whose k range passes the enumeration cap, or whose
+    random clauses, formulas_per_k * max(1, round(clause_density * k)) over
+    its k range, pass MAX_CORPUS_CLAUSES, before gen_corpus draws them."""
     lo, hi = config.k_range
+    check_enumerable(hi)
     clauses = config.formulas_per_k * sum(
         max(1, round(config.clause_density * k)) for k in range(lo, hi + 1))
     if clauses > MAX_CORPUS_CLAUSES:
@@ -215,35 +215,15 @@ def save_corpus(corpus: Corpus, path) -> None:
         fh.write("\n")
 
 
-def _is_literal(value) -> bool:
-    return (isinstance(value, list) and len(value) == 2 and _is_int(value[0])
-            and isinstance(value[1], bool))
-
-
 def _formula_from_entry(entry, where: str) -> Formula:
-    """One corpus entry as a Formula, read strictly: `Formula` coerces its
-    fields, so a value of the wrong JSON type is refused here first."""
+    """One corpus entry as a Formula, which refuses a value of the wrong type."""
     check_keys(entry, where, ("id", "literals", "clauses"), ("budget",))
     for key in ("literals", "clauses"):
         if not isinstance(entry[key], list):
             raise ConfigurationError(f"{where}: {key!r} must be a list")
-    if not _is_int(entry["id"]):
-        raise ConfigurationError(f"{where}: 'id' must be an integer")
-    if not all(isinstance(name, str) for name in entry["literals"]):
-        raise ConfigurationError(f"{where}: 'literals' must be a list of strings")
-    for clause in entry["clauses"]:
-        if not (isinstance(clause, list) and all(_is_literal(lit) for lit in clause)):
-            raise ConfigurationError(
-                f"{where}: malformed formula (clause {clause!r} is not a list of "
-                "[index, polarity] pairs with an integer index and a boolean polarity)"
-            )
     try:
-        return Formula(
-            entry["id"],
-            tuple(entry["literals"]),
-            tuple(tuple((i, p) for i, p in clause) for clause in entry["clauses"]),
-        )
-    except ValueError as exc:
+        return Formula(entry["id"], entry["literals"], entry["clauses"])
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{where}: malformed formula ({exc})") from exc
 
 
@@ -518,7 +498,8 @@ class ExperimentConfig:
 def config_from_json(path) -> ExperimentConfig:
     """Read a config file; keys are those of CONFIG_KEYS, each optional, and
     a value of the wrong type is rejected, never coerced. Only the keys the
-    file holds are passed on."""
+    file holds are passed on. What ExperimentConfig or check_corpus_size
+    refuses is refused naming the file."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: a config file holds one JSON object")
@@ -537,7 +518,12 @@ def config_from_json(path) -> ExperimentConfig:
         fields["budget"] = Budget(*fields["budget"])
     if "oracles" in fields:
         fields["oracle_kinds"] = tuple(fields.pop("oracles"))
-    return ExperimentConfig(**fields)
+    try:
+        config = ExperimentConfig(**fields)
+        check_corpus_size(config)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    return config
 
 
 class SuiteRunner:
@@ -668,7 +654,10 @@ def _load_corpus_arg(args) -> Corpus:
 
 def _cmd_build_oracle(args) -> int:
     corpus = _load_corpus_arg(args)
-    built = CONSTRUCTIONS[COVERED_BY.get(args.kind, args.kind)].build(corpus)
+    try:  # a corpus the construction cannot be built on
+        built = CONSTRUCTIONS[COVERED_BY.get(args.kind, args.kind)].build(corpus)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{args.corpus}: {exc}") from exc
     oracle = next(s for s in built.sets if s.kind == args.kind)
     save_oracle(oracle, args.out)
     print(f"wrote oracle {oracle.kind} with {len(oracle)} members to {args.out}")
@@ -752,6 +741,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        enumeration_cap()  # a bad RELATIVIZE_CAP is refused before any file is read
         # "" names no file to read or write, and as a directory the current one
         for dest in ("config", "corpus", "oracle", "instances", "out", "out_dir"):
             if getattr(args, dest, None) == "":

@@ -587,11 +587,11 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     must be the provenance keys: a member without provenance, or provenance
     without a member, is refused. So no two spellings of one code can merge.
     Corpus ids must be distinct integers and provenance entries [integer,
-    string] pairs; nothing is coerced. With a corpus given, a hash mismatch
-    is rejected as well.
+    string] pairs; nothing is coerced. With a corpus given, a hash or id set
+    other than the corpus's is rejected as well.
     """
+    doc = read_json(path, OracleFileError)  # at the default digit limit: no int in it is a code
     with code_digit_limit():
-        doc = read_json(path, OracleFileError)
         check_keys(doc, str(path), ORACLE_FILE_KEYS, error=OracleFileError)
         codes, notes = doc["members"], doc["provenance"]
         if not (isinstance(codes, list) and all(_is_decimal(code) for code in codes)):
@@ -615,6 +615,6 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     kind, corpus_hash = doc["kind"], doc["corpus_hash"]
     if kind not in KINDS:
         raise OracleFileError(f"{path}: unknown oracle kind {kind!r}")
-    if corpus is not None and corpus.digest() != corpus_hash:
+    if corpus is not None and (corpus.digest(), corpus.ids()) != (corpus_hash, frozenset(ids)):
         raise OracleFileError(f"{path}: oracle was built over a different corpus")
     return OracleSet(kind, prov, frozenset(ids), corpus_hash)

@@ -89,6 +89,42 @@ class TestFormulaValidation:
         top = Formula(1, ("a",), ())
         assert evaluate(top, (False,)) and evaluate(top, (True,))
 
+    @pytest.mark.parametrize("literal", [
+        (0, "false"), (0, 0), (0, 1), (1.9, True), (True, True), ("0", True), (0, None),
+        (0, True, 1), (0,), "ab",
+    ], ids=["polarity-str", "polarity-0", "polarity-1", "index-float", "index-bool",
+            "index-str", "polarity-none", "triple", "single", "str"])
+    def test_refuses_a_literal_of_the_wrong_type(self, literal):
+        with pytest.raises(TypeError, match="is not an .int index, bool polarity. pair"):
+            Formula(1, ("a", "b"), (((0, True),), (literal,)))
+
+    @pytest.mark.parametrize("clauses", [((0, True),), ((0,),), (0,), None],
+                             ids=["flat-pair", "flat", "int", "none"])
+    def test_refuses_clauses_that_do_not_hold_pairs(self, clauses):
+        with pytest.raises(TypeError):
+            Formula(1, ("a", "b"), clauses)
+
+    @pytest.mark.parametrize("literals", [(5,), ("a", 5), ("a", None), (b"a",)])
+    def test_refuses_a_name_that_is_not_a_str(self, literals):
+        with pytest.raises(TypeError, match="literal names must be strings"):
+            Formula(1, literals, ())
+
+    @pytest.mark.parametrize("fid", [True, False, "1", 1.0, None])
+    def test_refuses_an_id_that_is_not_an_int(self, fid):
+        with pytest.raises(TypeError, match="id must be an int"):
+            Formula(fid, ("a",), ())
+
+    def test_the_example_of_coercion_is_refused(self):
+        with pytest.raises(TypeError):
+            Formula(1, ("a", "b"), (((0, "false"),), ((1.9, True),)))
+
+    def test_lists_are_normalised_to_tuples(self):
+        f = Formula(7, ["a", "b"], [[[0, True], [1, False]], [(1, True)]])
+        assert f == Formula(7, ("a", "b"), (((0, True), (1, False)), ((1, True),)))
+        assert type(f.literals) is tuple and type(f.clauses) is tuple
+        assert all(type(c) is tuple and all(type(lit) is tuple for lit in c) for c in f.clauses)
+        assert f.canonical_key() == Formula(7, ("a", "b"), f.clauses).canonical_key()
+
 
 class TestEvaluate:
     def test_all_false_on_positive_clause(self):

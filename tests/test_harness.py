@@ -498,7 +498,8 @@ class TestCap:
         monkeypatch.delenv("RELATIVIZE_CAP", raising=False)
         assert enumeration_cap() == 20
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "", "1_0", " 7 ", "+8", "\u0663"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "", "1_0", " 7 ", "+8", "\u0663",
+                                       pytest.param("9" * 5000, id="5000-digits")])
     def test_env_must_be_a_non_negative_integer(self, tmp_path, monkeypatch, capsys, value):
         corpus_path = tmp_path / "corpus.json"
         assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
@@ -512,6 +513,22 @@ class TestCap:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "RELATIVIZE_CAP must be a non-negative integer" in err
         assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.parametrize("value, cap", [("0" * 4400 + "12", 12), ("0" * 5000, 0),
+                                            ("0" * 800 + "1" * 4300, int("1" * 4300))],
+                             ids=["zero-padded-12", "5000-zeros", "4300-digits-zero-padded"])
+    def test_env_leading_zeros_do_not_count(self, monkeypatch, value, cap):
+        monkeypatch.setenv("RELATIVIZE_CAP", value)
+        assert enumeration_cap() == cap
+
+    def test_env_too_long_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RELATIVIZE_CAP", "0" * 100 + "9" * 5000)
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--out", "c.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: RELATIVIZE_CAP must be a non-negative integer of at "
+                                "most 4300 significant digits\n")
+        assert captured.out == "" and not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("argv, out", [
         (["suite", "--out-dir", "d"], "d"),
@@ -555,14 +572,14 @@ class TestCorpusSize:
     """A corpus past MAX_CORPUS_CLAUSES random clauses is refused before any
     of it is drawn."""
 
-    @pytest.mark.parametrize("argv, config", [
-        (["suite", "--config", "config.json"], {"clause_density": 1e9}),
-        (["suite", "--config", "config.json"], {"formulas_per_k": 10**9}),
-        (["gen-corpus", "--density", "1e9", "--out", "out"], {}),
-        (["gen-corpus", "--per-k", str(10**9), "--out", "out"], {}),
+    @pytest.mark.parametrize("argv, config, named", [
+        (["suite", "--config", "config.json"], {"clause_density": 1e9}, "config.json: "),
+        (["suite", "--config", "config.json"], {"formulas_per_k": 10**9}, "config.json: "),
+        (["gen-corpus", "--density", "1e9", "--out", "out"], {}, ""),
+        (["gen-corpus", "--per-k", str(10**9), "--out", "out"], {}, ""),
     ], ids=["suite-density", "suite-per-k", "gen-corpus-density", "gen-corpus-per-k"])
     def test_cli_refuses_a_huge_corpus_before_making_it(self, tmp_path, monkeypatch, capsys,
-                                                       argv, config):
+                                                       argv, config, named):
         def no_draw(*args):
             raise AssertionError("a clause was drawn past the size ceiling")
 
@@ -573,7 +590,7 @@ class TestCorpusSize:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: the corpus would draw ")
+        assert captured.err.startswith(f"error: {named}the corpus would draw ")
         assert captured.err.count("\n") == 1
         assert f"past the ceiling of {MAX_CORPUS_CLAUSES}" in captured.err
         assert not Path("out").exists()
@@ -761,7 +778,8 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["suite", "--config", "small.json", "--out-dir", ""], "--out-dir must not be empty"),
-        (["suite", "--config", "empty-out-dir.json"], "out_dir must not be empty"),
+        (["suite", "--config", "empty-out-dir.json"],
+         "empty-out-dir.json: out_dir must not be empty"),
         (["lambda", "--instances", "instances.json", "--out", ""], "--out must not be empty"),
         (["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1", "--out", ""],
          "--out must not be empty"),
@@ -1026,9 +1044,12 @@ class TestCli:
         ({"id": 1, "literals": ["a", "b"], "clauses": [[[1.7, True]]]}, "malformed formula"),
         ({"id": 1, "literals": ["a", "b"], "clauses": [[[True, True]]]}, "malformed formula"),
         ({"id": 1, "literals": ["a"], "clauses": [[[0, True, 1]]]}, "malformed formula"),
-        ({"id": True, "literals": ["a"], "clauses": [[[0, True]]]}, "'id' must be an integer"),
-        ({"id": "1", "literals": ["a"], "clauses": []}, "'id' must be an integer"),
-        ({"id": 1, "literals": [1, 2], "clauses": []}, "'literals' must be a list of strings"),
+        ({"id": True, "literals": ["a"], "clauses": [[[0, True]]]},
+         "malformed formula (a formula's id must be an int, got True)"),
+        ({"id": "1", "literals": ["a"], "clauses": []},
+         "malformed formula (a formula's id must be an int, got '1')"),
+        ({"id": 1, "literals": [1, 2], "clauses": []},
+         "malformed formula (literal names must be strings, got [1, 2])"),
         *(({"id": 1, "literals": ["a"], "clauses": [], "budget": budget},
            "'budget' must be a list of two non-negative integers")
           for budget in ([1], [1, 2, 3], [1, -1], [True, 1], ["1", 1], [1.5, 1], "1 1", None)),

@@ -743,7 +743,7 @@ def run_results(draw):
 
     def input_scan():
         k = draw(st.integers(1, 13))
-        queries = draw(st.integers(0, 3) | st.integers(0, 1 << k))
+        queries = draw(st.integers(0, min(3, 1 << k)) | st.integers(0, 1 << k))
         return ScanTranscript(draw(st.integers(1, 5)), k, queries,
                               queries > 0 and draw(st.booleans()))
 
