@@ -109,13 +109,13 @@ MUTANTS = (
            ("tests/test_formula.py::TestFormulaValidation::"
             "test_refuses_a_literal_of_the_wrong_type",)),
     Mutant("the cap's digit-length refusal dropped", FORMULA,
-           "        if len(digits) <= sys.get_int_max_str_digits():\n"
-           "            return int(digits)\n",
-           "        return int(digits)\n",
+           "        with suppress(ValueError):\n"
+           "            return int(raw.lstrip(\"0\") or \"0\")\n",
+           "        return int(raw.lstrip(\"0\") or \"0\")\n",
            (CAP + "test_env_must_be_a_non_negative_integer[5000-digits]",
             CAP + "test_env_too_long_names_the_variable")),
     Mutant("the cap's leading zeros counted", FORMULA,
-           'digits = raw.lstrip("0") or "0"', "digits = raw",
+           'int(raw.lstrip("0") or "0")', "int(raw)",
            (CAP + "test_env_leading_zeros_do_not_count",)),
     Mutant("an empty out_dir accepted", HARNESS,
            "if not self.out_dir:", "if False:",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
 from string import ascii_lowercase
@@ -36,19 +37,20 @@ def enumeration_cap() -> int:
     """Active cap on literal counts for exhaustive work (RELATIVIZE_CAP overrides).
 
     A RELATIVIZE_CAP that is not a non-empty string of ASCII digits is a
-    ConfigurationError: `int` alone would also read "1_0", " 7 ", "+8" and
-    non-ASCII digits. So is one past int's digit limit, leading zeros aside."""
+    ConfigurationError, which quotes at most its first 40 characters: `int`
+    alone would also read "1_0", " 7 ", "+8" and non-ASCII digits. So is one
+    past int's digit limit, leading zeros aside."""
     raw = os.environ.get("RELATIVIZE_CAP")
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
     if not (raw.isascii() and raw.isdigit()):
-        raise ConfigurationError(f"RELATIVIZE_CAP must be a non-negative integer, got {raw!r}")
+        shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
+        raise ConfigurationError(f"RELATIVIZE_CAP must be a non-negative integer, got {shown}")
     try:
         return int(raw)
-    except ValueError:  # past int's digit limit, which counts leading zeros
-        digits = raw.lstrip("0") or "0"
-        if len(digits) <= sys.get_int_max_str_digits():
-            return int(digits)
+    except ValueError:  # int's digit limit counts leading zeros; refuse only significant ones
+        with suppress(ValueError):
+            return int(raw.lstrip("0") or "0")
     raise ConfigurationError("RELATIVIZE_CAP must be a non-negative integer of at most "
                              f"{sys.get_int_max_str_digits()} significant digits")
 

@@ -58,12 +58,8 @@ from .oracles import (
 )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_int_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value)
+    return isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)
 
 
 def _is_budget(value) -> bool:
@@ -443,10 +439,10 @@ CONCLUSIONS = {
 # with the test its value must pass and what that test demands. A key the
 # file leaves out takes ExperimentConfig's default.
 CONFIG_KEYS = {
-    "seed": (_is_int, "an integer"),
+    "seed": (lambda v: type(v) is int, "an integer"),
     "k_range": (_is_int_pair, "a list of two integers"),
-    "formulas_per_k": (_is_int, "an integer"),
-    "clause_density": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "formulas_per_k": (lambda v: type(v) is int, "an integer"),
+    "clause_density": (lambda v: type(v) in (int, float), "a number"),
     "budget": (_is_budget, "a list of two non-negative integers"),
     "oracles": (lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
                 "a list of strings"),

@@ -383,13 +383,6 @@ def build_C_bar(corpus: Corpus) -> OracleSet:
     return _finish("C_bar", RejectedInputs(rejected), corpus)
 
 
-def _first_with_k(corpus: Corpus, k: int):
-    for f in corpus.formulas:
-        if f.k == k:
-            return f
-    return None
-
-
 def build_D(corpus: Corpus) -> tuple[OracleSet, OracleSet]:
     """Interleaved double construction of a set and its complement side.
 
@@ -420,7 +413,7 @@ def build_D(corpus: Corpus) -> tuple[OracleSet, OracleSet]:
                     f"even-stage problem {f.id} needs an even literal count, got k={f.k}"
                 )
             half = f.k // 2
-            g = _first_with_k(corpus, half)
+            g = next((h for h in corpus.formulas if h.k == half), None)
             if g is None or truth_table(g):
                 continue
             check_enumerable(f.k)
@@ -591,27 +584,27 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     other than the corpus's is rejected as well.
     """
     doc = read_json(path, OracleFileError)  # at the default digit limit: no int in it is a code
-    with code_digit_limit():
-        check_keys(doc, str(path), ORACLE_FILE_KEYS, error=OracleFileError)
-        codes, notes = doc["members"], doc["provenance"]
-        if not (isinstance(codes, list) and all(_is_decimal(code) for code in codes)):
-            raise OracleFileError(
-                f"{path}: 'members' must be a list of decimal strings without leading zeros")
-        if len(set(codes)) < len(codes):
-            raise OracleFileError(f"{path}: 'members' lists a code more than once")
-        if not (isinstance(notes, dict) and notes.keys() == set(codes)):
-            raise OracleFileError(f"{path}: 'members' differ from the 'provenance' keys")
-        if not all(_is_note(entry) for entry in notes.values()):
-            raise OracleFileError(f"{path}: 'provenance' entries must be [integer, string] pairs")
-        ids = doc["corpus_ids"]
-        if not (isinstance(ids, list) and all(type(i) is int for i in ids)):
-            raise OracleFileError(f"{path}: 'corpus_ids' must be a list of integers")
-        if len(set(ids)) < len(ids):
-            raise OracleFileError(f"{path}: 'corpus_ids' lists an id more than once")
-        try:
+    check_keys(doc, str(path), ORACLE_FILE_KEYS, error=OracleFileError)
+    codes, notes = doc["members"], doc["provenance"]
+    if not (isinstance(codes, list) and all(_is_decimal(code) for code in codes)):
+        raise OracleFileError(
+            f"{path}: 'members' must be a list of decimal strings without leading zeros")
+    if len(set(codes)) < len(codes):
+        raise OracleFileError(f"{path}: 'members' lists a code more than once")
+    if not (isinstance(notes, dict) and notes.keys() == set(codes)):
+        raise OracleFileError(f"{path}: 'members' differ from the 'provenance' keys")
+    if not all(_is_note(entry) for entry in notes.values()):
+        raise OracleFileError(f"{path}: 'provenance' entries must be [integer, string] pairs")
+    ids = doc["corpus_ids"]
+    if not (isinstance(ids, list) and all(type(i) is int for i in ids)):
+        raise OracleFileError(f"{path}: 'corpus_ids' must be a list of integers")
+    if len(set(ids)) < len(ids):
+        raise OracleFileError(f"{path}: 'corpus_ids' lists an id more than once")
+    try:
+        with code_digit_limit():
             prov = {int(code): tuple(entry) for code, entry in notes.items()}
-        except ValueError as exc:
-            raise OracleFileError(f"{path}: malformed oracle document ({exc})") from exc
+    except ValueError as exc:
+        raise OracleFileError(f"{path}: malformed oracle document ({exc})") from exc
     kind, corpus_hash = doc["kind"], doc["corpus_hash"]
     if kind not in KINDS:
         raise OracleFileError(f"{path}: unknown oracle kind {kind!r}")

@@ -9,7 +9,8 @@ Infinity; bytes that are not UTF-8; or 10^5-deep nesting. The command runs
 through `main()` in process, in a fresh directory, and must return 0, 1 or 2
 within DEADLINE_S, with no exception. A 2 comes with exactly one `error:`
 line, and it starts with the mutated file's path, or names RELATIVIZE_CAP
-when the cap refused the input (a k past it, or the variable itself).
+when the cap refused the input (a k past it, or the variable itself); a
+refused cap's line stays short, however long the value.
 """
 
 import io
@@ -271,12 +272,14 @@ CAP_COMMANDS = {
 @given(st.sampled_from(sorted(CAP_VALUES)), st.sampled_from(sorted(CAP_COMMANDS)))
 @settings(max_examples=40, deadline=None)
 @example("10^6 digits", "gen-corpus")
+@example("deep nesting", "lambda")
 def test_cap(tmp_path_factory, kind, command):
     files = [("corpus.json", corpus_text()), ("instances.json", encode(INSTANCES))]
     status, err = run(tmp_path_factory, CAP_COMMANDS[command], files, CAP_VALUES[kind])
     assert status in (0, 1, 2)
     if status == 2:
-        assert err.count("error:") == 1 and err.startswith("error: RELATIVIZE_CAP "), err
+        assert err.count("error:") == 1 and err.startswith("error: RELATIVIZE_CAP "), err[:200]
+        assert len(err) < 200, err[:200]
 
 
 def test_a_zero_padded_cap_is_read(tmp_path_factory):

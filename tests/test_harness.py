@@ -521,6 +521,16 @@ class TestCap:
         monkeypatch.setenv("RELATIVIZE_CAP", value)
         assert enumeration_cap() == cap
 
+    @pytest.mark.parametrize("value, shown", [
+        ("x" * 40, repr("x" * 40)),
+        ("x" * 10**6, f"{'x' * 40!r}... (1000000 characters)"),
+    ], ids=["40-chars", "10^6-chars"])
+    def test_env_refusal_quotes_at_most_40_characters(self, monkeypatch, value, shown):
+        monkeypatch.setenv("RELATIVIZE_CAP", value)
+        with pytest.raises(ConfigurationError) as refused:
+            enumeration_cap()
+        assert str(refused.value) == f"RELATIVIZE_CAP must be a non-negative integer, got {shown}"
+
     def test_env_too_long_names_the_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RELATIVIZE_CAP", "0" * 100 + "9" * 5000)
         monkeypatch.chdir(tmp_path)
