@@ -43,6 +43,7 @@ CAP = "tests/test_harness.py::TestCap::"
 CORPUS_SIZE = "tests/test_harness.py::TestCorpusSize::"
 GEN_CORPUS = "tests/test_harness.py::TestGenCorpus::"
 MEMBER_SCAN = "tests/test_truth_table.py::TestMemberScan::"
+SIDE_VIEW = "tests/test_oracles.py::TestSideView::"
 
 MUTANTS = (
     Mutant("B's budget check", HARNESS,
@@ -191,6 +192,16 @@ MUTANTS = (
     Mutant("C_bar's rule left writable", ORACLES,
            "self.rejected = MappingProxyType(dict(rejected))", "self.rejected = rejected",
            (CACHED + "test_built_rules_are_read_only",)),
+    Mutant("a side view answering from its own fields", ORACLES,
+           "    def __contains__(self, code: int) -> bool:\n        return (code if self.tag"
+           " is None else pair(self.tag, code)) in self.members\n",
+           "",
+           (SIDE_VIEW + "test_answers_from_its_members_never_from_its_fields",
+            SIDE_VIEW + "test_a_tagged_view_pairs_each_query_with_its_tag")),
+    Mutant("a refused config value quoted whole", HARNESS,
+           "got {quoted(doc[key])}", "got {doc[key]!r}",
+           ("tests/test_harness.py::TestBoundedQuotes::"
+            "test_a_huge_wrong_value_gives_one_short_line[config-seed]",)),
 )
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

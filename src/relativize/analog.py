@@ -22,9 +22,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .encoding import pair
-from .errors import ConfigurationError, DimensionError, check_keys, read_json
+from .errors import ConfigurationError, DimensionError, check_keys, quoted, read_json
 from .formula import Assignment, check_enumerable
 from .machine import (
     RunResult,
@@ -65,7 +66,7 @@ class SetSumInstance:
         object.__setattr__(self, "values", tuple(self.values))
         bad = [v for v in (*self.values, self.target) if type(v) is not int]
         if bad:
-            raise TypeError(f"set-sum values and target must be integers, got {bad[0]!r}")
+            raise TypeError(f"set-sum values and target must be integers, got {quoted(bad[0])}")
         if len(self.values) < 1:
             raise ValueError("a set-sum instance needs at least one value")
 
@@ -228,16 +229,14 @@ def _runs_by_label(sets, corpus: Corpus) -> dict[str, list[RunResult]]:
             for oracle in sets for side in sides_of(oracle)}
 
 
-@dataclass(frozen=True)
-class QuestionRow:
+class QuestionRow(NamedTuple):
     question: str
     oracle_kind: str
     demonstrated: bool
     evidence: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LambdaReport:
+class LambdaReport(NamedTuple):
     """Outcome of the five-question battery over the analog classes."""
 
     rows: tuple[QuestionRow, ...]

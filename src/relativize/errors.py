@@ -1,5 +1,6 @@
 """Exception types shared across the package, the reader every input file
-goes through, and the key check its objects pass."""
+goes through, the key check its objects pass, and how a refusal quotes a
+value."""
 
 import json
 
@@ -21,6 +22,17 @@ class OracleFileError(ValueError):
     """An oracle-set file is malformed or does not match the expected corpus."""
 
 
+def quoted(value) -> str:
+    """`value` as a refusal quotes it: its repr, or, past 40 characters, the
+    first 40 and the length, so a refused 10^5-element list gives a short
+    line. A str counts its own characters, any other value its repr's."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{head}... ({len(text)} characters)"
+
+
 def read_json(path, error: type[ValueError] = ConfigurationError):
     """The JSON document in the UTF-8 file at `path`. A file that does not
     parse (not UTF-8, not JSON, an int past the digit limit, or nested too
@@ -33,7 +45,7 @@ def read_json(path, error: type[ValueError] = ConfigurationError):
         if len(doc) < len(pairs):
             seen = set()
             key = next(key for key, _ in pairs if key in seen or seen.add(key))
-            raise error(f"{path}: repeated key {key!r} in a JSON object")
+            raise error(f"{path}: repeated key {quoted(key)} in a JSON object")
         return doc
 
     try:
@@ -58,4 +70,4 @@ def check_keys(doc, where: str, required: tuple, optional: tuple = (),
         raise error(f"{where}: missing keys {missing}")
     unknown = sorted(set(doc) - {*required, *optional})
     if unknown:
-        raise error(f"{where}: unknown keys {unknown}")
+        raise error(f"{where}: unknown keys {quoted(unknown)}")

@@ -24,8 +24,9 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property
 from string import ascii_lowercase
+from typing import NamedTuple
 
-from .errors import CapacityError, ConfigurationError, DimensionError
+from .errors import CapacityError, ConfigurationError, DimensionError, quoted
 
 Assignment = tuple[bool, ...]
 Clause = tuple[tuple[int, bool], ...]
@@ -44,8 +45,8 @@ def enumeration_cap() -> int:
     if raw is None:
         return DEFAULT_ENUMERATION_CAP
     if not (raw.isascii() and raw.isdigit()):
-        shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
-        raise ConfigurationError(f"RELATIVIZE_CAP must be a non-negative integer, got {shown}")
+        raise ConfigurationError(
+            f"RELATIVIZE_CAP must be a non-negative integer, got {quoted(raw)}")
     try:
         return int(raw)
     except ValueError:  # int's digit limit counts leading zeros; refuse only significant ones
@@ -142,10 +143,10 @@ class Formula:
 
     def __post_init__(self):
         if type(self.id) is not int:
-            raise TypeError(f"a formula's id must be an int, got {self.id!r}")
+            raise TypeError(f"a formula's id must be an int, got {quoted(self.id)}")
         literals = tuple(self.literals)
         if not all(isinstance(name, str) for name in literals):
-            raise TypeError(f"literal names must be strings, got {list(literals)!r}")
+            raise TypeError(f"literal names must be strings, got {quoted(list(literals))}")
         clauses = tuple([tuple(map(tuple, clause)) for clause in self.clauses])
         object.__setattr__(self, "literals", literals)
         object.__setattr__(self, "clauses", clauses)
@@ -159,11 +160,12 @@ class Formula:
                 raise ValueError("clauses must be nonempty")
             for lit in clause:
                 if len(lit) != 2 or type(lit[0]) is not int or type(lit[1]) is not bool:
-                    raise TypeError(f"literal {lit!r} is not an (int index, bool polarity) pair")
+                    raise TypeError(
+                        f"literal {quoted(lit)} is not an (int index, bool polarity) pair")
                 if not 0 <= lit[0] < k:
-                    raise ValueError(f"literal index {lit[0]} out of range for k={k}")
+                    raise ValueError(f"literal index {quoted(lit[0])} out of range for k={k}")
             if len(set(clause)) != len(clause):
-                raise ValueError(f"duplicate (index, polarity) pair in clause {clause}")
+                raise ValueError(f"duplicate (index, polarity) pair in clause {quoted(clause)}")
 
     @property
     def k(self) -> int:
@@ -212,8 +214,7 @@ def assignment_from_index(e: int, k: int) -> Assignment:
     return tuple(bool((e >> j) & 1) for j in range(k))
 
 
-@dataclass(frozen=True)
-class SatVerdict:
+class SatVerdict(NamedTuple):
     """Ground-truth record from the exhaustive solver."""
 
     satisfiable: bool

@@ -27,7 +27,8 @@ from .analog import (
     write_lambda_csv,
 )
 from .encoding import block_codes, code_digit_limit
-from .errors import CapacityError, ConfigurationError, OracleFileError, check_keys, read_json
+from .errors import (
+    CapacityError, ConfigurationError, OracleFileError, check_keys, quoted, read_json)
 from .formula import Formula, brute_force_sat, check_enumerable, default_literals, enumeration_cap
 from .machine import (
     DEFAULT_BUDGET,
@@ -237,7 +238,8 @@ def load_corpus(path, budget: Budget | None = None) -> Corpus:
         f = _formula_from_entry(entry, where)
         if f.id != n + 1:
             raise ConfigurationError(
-                f"{where}: 'id' is {f.id}, not {n + 1}; corpus ids must be dense 1..n in order")
+                f"{where}: 'id' is {quoted(f.id)}, not {n + 1}; "
+                "corpus ids must be dense 1..n in order")
         formulas.append(f)
         stored = entry.get("budget", [])
         if "budget" in entry and not _is_budget(stored):
@@ -287,8 +289,7 @@ class Built(NamedTuple):
     base: OracleSet | None = None
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """How the suite runs one kind: failures of its runs and of its checks
     count against conclusion row `row`. `build(corpus)` calls the
     module-level `build_X` names, so it runs whatever they are bound to then.
@@ -466,10 +467,10 @@ class ExperimentConfig:
     def __post_init__(self):
         lo, hi = self.k_range
         if not 1 <= lo <= hi:
-            raise ConfigurationError(f"bad k_range {self.k_range}")
+            raise ConfigurationError(f"bad k_range {quoted(self.k_range)}")
         if self.formulas_per_k < 0:
             raise ConfigurationError(
-                f"formulas_per_k must be non-negative, got {self.formulas_per_k}")
+                f"formulas_per_k must be non-negative, got {quoted(self.formulas_per_k)}")
         # gen_corpus draws round(clause_density * k) clauses per formula; NaN
         # fails both comparisons.
         if not 0 <= self.clause_density * hi < math.inf:
@@ -483,7 +484,7 @@ class ExperimentConfig:
                                          f"{owner}'s run covers {kind}; list {owner!r}")
         unknown = [kind for kind in kinds if kind not in CONSTRUCTIONS]
         if unknown:
-            raise ConfigurationError(f"unknown oracle kinds {unknown}")
+            raise ConfigurationError(f"unknown oracle kinds {quoted(unknown)}")
         repeated = [kind for kind in CONSTRUCTIONS if kinds.count(kind) > 1]
         if repeated:
             raise ConfigurationError(f"oracle kinds {repeated} are listed more than once")
@@ -501,12 +502,11 @@ def config_from_json(path) -> ExperimentConfig:
         raise ConfigurationError(f"{path}: a config file holds one JSON object")
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
     if unknown:
-        raise ConfigurationError(
-            f"{path}: unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}"
-        )
+        raise ConfigurationError(f"{path}: unknown config keys {quoted(unknown)}; "
+                                 f"known keys are {list(CONFIG_KEYS)}")
     for key, (valid, what) in CONFIG_KEYS.items():
         if key in doc and not valid(doc[key]):
-            raise ConfigurationError(f"{path}: {key!r} must be {what}, got {doc[key]!r}")
+            raise ConfigurationError(f"{path}: {key!r} must be {what}, got {quoted(doc[key])}")
     fields = dict(doc)
     if "k_range" in fields:
         fields["k_range"] = tuple(fields["k_range"])
@@ -619,11 +619,9 @@ def run_suite(config: ExperimentConfig) -> int:
     runner = SuiteRunner(config)
     runner.run()
     runner.write_reports()
-    if runner.failures:
-        for message in runner.failures:
-            print(f"FAIL {message}", file=sys.stderr)
-        return 1
-    return 0
+    for message in runner.failures:
+        print(f"FAIL {message}", file=sys.stderr)
+    return 1 if runner.failures else 0
 
 
 # ---------------------------------------------------------------- CLI

@@ -27,6 +27,7 @@ import math
 from collections.abc import Container, KeysView, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .encoding import (
     block_codes,
@@ -38,7 +39,7 @@ from .encoding import (
     partition_code,
     unpair,
 )
-from .errors import ConfigurationError, OracleFileError, check_keys, read_json
+from .errors import ConfigurationError, OracleFileError, check_keys, quoted, read_json
 from .formula import block_masks, check_enumerable, first_accepted, truth_table
 from .machine import (
     Budget,
@@ -103,13 +104,13 @@ class OracleSet:
         return len(self.provenance)
 
 
-@dataclass(frozen=True)
-class SideView:
+class SideView(NamedTuple):
     """One side of a set as an oracle, under its own label (F[np], F[co]).
 
     A query for code c asks `members` for c itself or, with a tag, for
-    pair(tag, c): a built F hands over each untagged side, an F read from a
-    file its tagged provenance map.
+    pair(tag, c), never the view's own fields, as a tuple's `in` would: a
+    built F hands over each untagged side, an F read from a file its tagged
+    provenance map.
     """
 
     kind: str
@@ -289,18 +290,10 @@ def kappa_ids(corpus: Corpus) -> frozenset[int]:
     on every assignment; detection compares whole truth tables, so the scan
     stays linear in the corpus.
     """
-    tables: dict[tuple[int, int], list[int]] = {}
-    masks: dict[int, tuple[int, int]] = {}
-    for f in corpus.formulas:
-        table = truth_table(f)
-        tables.setdefault((f.k, table), []).append(f.id)
-        masks[f.id] = (f.k, table)
-    kappa = set()
-    for fid, (k, table) in masks.items():
-        complement = table ^ ((1 << (1 << k)) - 1)
-        if (k, complement) in tables:
-            kappa.add(fid)
-    return frozenset(kappa)
+    tables = {f.id: (f.k, truth_table(f)) for f in corpus.formulas}
+    present = set(tables.values())
+    return frozenset(fid for fid, (k, table) in tables.items()
+                     if (k, table ^ ((1 << (1 << k)) - 1)) in present)
 
 
 def build_A(corpus: Corpus) -> OracleSet:
@@ -434,10 +427,7 @@ def build_D(corpus: Corpus) -> tuple[OracleSet, OracleSet]:
             if not staged.accepted and e < (1 << f.k):
                 d_prov[input_code_at(f.id, e, f.k)] = (
                     f.id, f"step 8: next unqueried assignment (index {e}) after staged reject")
-    return (
-        _finish("D", d_prov, corpus),
-        _finish("D_bar", dbar_prov, corpus),
-    )
+    return _finish("D", d_prov, corpus), _finish("D_bar", dbar_prov, corpus)
 
 
 def crafted_d(problem) -> Corpus:
@@ -607,7 +597,7 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
         raise OracleFileError(f"{path}: malformed oracle document ({exc})") from exc
     kind, corpus_hash = doc["kind"], doc["corpus_hash"]
     if kind not in KINDS:
-        raise OracleFileError(f"{path}: unknown oracle kind {kind!r}")
+        raise OracleFileError(f"{path}: unknown oracle kind {quoted(kind)}")
     if corpus is not None and (corpus.digest(), corpus.ids()) != (corpus_hash, frozenset(ids)):
         raise OracleFileError(f"{path}: oracle was built over a different corpus")
     return OracleSet(kind, prov, frozenset(ids), corpus_hash)

@@ -4,13 +4,14 @@ One hypothesis test per input: the config, corpus, oracle and instance
 files, and RELATIVIZE_CAP. Each example starts from a valid document and
 applies one mutation at one place in it: a key or element dropped or
 repeated; a value retyped to a bool, float, string, null or nested list; an
-integer of 10^6 digits or of 10^11 (a budget exponent, say); NaN or
-Infinity; bytes that are not UTF-8; or 10^5-deep nesting. The command runs
-through `main()` in process, in a fresh directory, and must return 0, 1 or 2
-within DEADLINE_S, with no exception. A 2 comes with exactly one `error:`
-line, and it starts with the mutated file's path, or names RELATIVIZE_CAP
-when the cap refused the input (a k past it, or the variable itself); a
-refused cap's line stays short, however long the value.
+integer of 10^6 digits or of 10^11 (a budget exponent, say); a list of 10^5
+zeros; NaN or Infinity; bytes that are not UTF-8; or 10^5-deep nesting. The
+command runs through `main()` in process, in a fresh directory, and must
+return 0, 1 or 2 within DEADLINE_S, with no exception. A 2 comes with
+exactly one `error:` line, shorter than MAX_LINE bytes however long the
+wrong value, and it starts with the mutated file's path, or names
+RELATIVIZE_CAP when the cap refused the input (a k past it, or the variable
+itself).
 """
 
 import io
@@ -29,6 +30,7 @@ from relativize.harness import main
 from relativize.oracles import KINDS
 
 DEADLINE_S = 5.0
+MAX_LINE = 512
 HUGE = 10**11
 MILLION_DIGITS = b"9" * 10**6
 DEEP = b"[" * 10**5 + b"]" * 10**5
@@ -73,6 +75,7 @@ REPLACEMENTS = {
     "nested list": lambda v: [[v]],
     "10^6 digits": lambda v: Raw(MILLION_DIGITS),
     "10^11": lambda v: HUGE,
+    "10^5 elements": lambda v: [0] * 10**5,
     "NaN": lambda v: float("nan"),
     "Infinity": lambda v: float("inf"),
     "not UTF-8": lambda v: Raw(b'"\xff\xfe"'),
@@ -147,7 +150,7 @@ def assert_clean_exit(status, err, path):
     assert status in (0, 1, 2)
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     if status == 2:
-        assert len(errors) == 1, err
+        assert len(errors) == 1 and len(errors[0].encode()) < MAX_LINE, err[:MAX_LINE]
         assert (errors[0].startswith(f"error: {path}: ")
                 or "RELATIVIZE_CAP" in errors[0]), errors[0]
     else:
@@ -255,6 +258,7 @@ CAP_VALUES = {
     "nested list": f"[[{CAP}]]",
     "10^6 digits": MILLION_DIGITS.decode(),
     "10^11": str(HUGE),
+    "10^5 elements": json.dumps([0] * 10**5),
     "NaN": "NaN",
     "Infinity": "Infinity",
     "not UTF-8": os.fsdecode(b"\xff\xfe"),

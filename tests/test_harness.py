@@ -46,6 +46,7 @@ from relativize import (
     tagged_view,
 )
 from relativize.encoding import CODE_DIGITS, code_digit_limit, partition_code
+from relativize.errors import quoted
 from relativize import analog, harness, oracles
 from relativize.harness import MAX_CORPUS_CLAUSES, check_corpus_size, config_from_json, main
 from relativize.machine import atomic_open, run_result_to_json
@@ -576,6 +577,79 @@ class TestCap:
         assert captured.err.startswith("error:")
         assert "k=3000 exceeds the enumeration cap" in captured.err
         assert not Path("out").exists()
+
+
+N = 10**5  # elements of a wrong value: quoted whole, any of these gives a line past 200 KB
+ENTRY = {"id": 1, "literals": ["a", "b"], "clauses": [[[0, True]]]}
+
+
+def config_doc(**values) -> bytes:
+    doc = {"k_range": [3, 3], "formulas_per_k": 1, "out_dir": "out", **values}
+    return json.dumps(doc).encode()
+
+
+class TestBoundedQuotes:
+    """A refusal quotes at most the first 40 characters of the value it
+    refuses, then its length: one short `error:` line, however long the value."""
+
+    @pytest.mark.parametrize("value, shown", [
+        ("x" * 40, repr("x" * 40)),
+        ("x" * 41, f"{'x' * 40!r}... (41 characters)"),
+        ([0] * N, "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (300000 characters)"),
+        (-(10**50), "-1" + "0" * 38 + "... (52 characters)"),
+        ([1, 2], "[1, 2]"),
+        (True, "True"),
+    ], ids=["40-chars", "41-chars", "list", "int", "short-list", "bool"])
+    def test_quoted(self, value, shown):
+        assert quoted(value) == shown
+
+    CASES = {
+        "config-seed": (config_doc(seed=[0] * N), "'seed' must be an integer, got [0, 0"),
+        "config-oracles": (config_doc(oracles=["Z"] * N), "unknown oracle kinds ['Z', 'Z'"),
+        "config-k-range": (config_doc(k_range=[10**50, 1]), "bad k_range (10000"),
+        "config-key": (config_doc(**{"x" * N: 1}), "unknown config keys ['xxx"),
+        "config-repeated-key": (b'{"%s": 1, "%s": 1}' % (b"x" * N, b"x" * N),
+                                "repeated key 'xxx"),
+        "corpus-literals": ([{**ENTRY, "literals": list(range(N))}],
+                            "literal names must be strings, got [0, 1, 2"),
+        "corpus-id": ([{**ENTRY, "id": "1" * N}], "a formula's id must be an int, got '111"),
+        "corpus-literal": ([{**ENTRY, "clauses": [[[0] * N]]}], "literal (0, 0, 0"),
+        "corpus-clause": ([{**ENTRY, "clauses": [[[0, True]] * N]}],
+                          "duplicate (index, polarity) pair in clause ((0, True), (0, True)"),
+        "corpus-index": ([{**ENTRY, "clauses": [[[10**50, True]]]}], "literal index 10000"),
+        "corpus-keys": ([{**ENTRY, **{f"k{n}": 0 for n in range(N)}}],
+                        "unknown keys ['k0', 'k1'"),
+        "instance-target": ([{"S": [1], "M": [0] * N}],
+                            "set-sum values and target must be integers, got [0, 0"),
+        "oracle-kind": (None, "unknown oracle kind 'ZZZ"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_huge_wrong_value_gives_one_short_line(self, tmp_path, monkeypatch, capsys, case):
+        doc, message = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        kind = case.split("-")[0]
+        if kind == "oracle":
+            assert main(["gen-corpus", "--k-min", "3", "--k-max", "3", "--per-k", "1",
+                         "--out", "corpus.json"]) == 0
+            assert main(["build-oracle", "--kind", "A", "--corpus", "corpus.json",
+                         "--out", "oracle.json"]) == 0
+            doc = {**json.loads(Path("oracle.json").read_text()), "kind": "Z" * N}
+        path = f"{kind}.json"
+        Path(path).write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        capsys.readouterr()
+        argv = {"config": ["suite", "--config", path],
+                "corpus": ["build-oracle", "--kind", "A", "--corpus", path, "--out", "a.json"],
+                "instance": ["lambda", "--instances", path],
+                "oracle": ["solve", "--oracle", path, "--formula", "1",
+                           "--corpus", "corpus.json"]}[kind]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        line = captured.err.rstrip("\n")
+        assert captured.err.count("\n") == 1 and len(line.encode()) < 512, line[:600]
+        assert line.startswith(f"error: {path}: ") and message in line, line
+        assert "... (" in line and " characters)" in line, line
+        assert not Path("out").exists() and not Path("a.json").exists()
 
 
 class TestCorpusSize:

@@ -18,6 +18,7 @@ from relativize import (
     Formula,
     OracleFileError,
     OracleSet,
+    SideView,
     brute_force_sat,
     build_A,
     build_B,
@@ -365,6 +366,21 @@ class TestBuildF:
             co = solve_conp_with_C_bar(f, tagged_view(oracle, 1), ground_truth=not truth)
             assert direct.correct and direct.queries <= f.k + 1
             assert co.correct and co.queries == 1
+
+
+class TestSideView:
+    """A SideView is a tuple of its fields, but `in` asks its members only."""
+
+    def test_answers_from_its_members_never_from_its_fields(self):
+        view = SideView("X", frozenset({5}))
+        assert 5 in view
+        assert "X" not in view and None not in view and frozenset({5}) not in view
+
+    def test_a_tagged_view_pairs_each_query_with_its_tag(self):
+        view = SideView("F[co]", frozenset({pair(1, 5)}), frozenset({1}), 1)
+        assert 5 in view
+        assert pair(1, 5) not in view and 1 not in view
+        assert [code for code in range(8) if code in view] == [5]
 
 
 class TestDeterminismAndFiles:
