@@ -149,9 +149,10 @@ MUTANTS = (
             "tests/test_truth_table.py::TestScanTranscript::"
             "test_block_scan_reads_as_the_reference_tuple")),
     Mutant("a run stored without its correct field", MACHINE,
-           "ground_truth=ground_truth, correct=correct,",
-           "ground_truth=ground_truth, correct=None,",
-           ("tests/test_machine.py::TestRunResult::test_builds_as_the_plain_twin",)),
+           "correct = None if ground_truth is None else accepted == ground_truth",
+           "correct = None",
+           ("tests/test_machine.py::TestRunResult::"
+            "test_each_run_is_graded_against_its_ground_truth",)),
     Mutant("input_index accepting padding 1", ENCODING,
            "if n or not framed:", "if n > 1 or not framed:",
            ("tests/test_encoding.py::TestInputIndex::test_decodes_exactly_the_padding_0_codes",
@@ -198,6 +199,11 @@ MUTANTS = (
            "",
            (SIDE_VIEW + "test_answers_from_its_members_never_from_its_fields",
             SIDE_VIEW + "test_a_tagged_view_pairs_each_query_with_its_tag")),
+    Mutant("the suite's early out_dir check dropped", HARNESS,
+           "        Path(config.out_dir).mkdir(parents=True, exist_ok=True)\n    except OSError",
+           "        pass\n    except OSError",
+           ("tests/test_harness.py::TestBoundedQuotes::"
+            "test_an_unusable_out_dir_is_refused_before_the_corpus[config]",)),
     Mutant("a refused config value quoted whole", HARNESS,
            "got {quoted(doc[key])}", "got {doc[key]!r}",
            ("tests/test_harness.py::TestBoundedQuotes::"

@@ -168,17 +168,8 @@ def solve_lambda_with_oracle(index: int, inst: SetSumInstance, oracle,
     code = pair(index, 1)
     answer = code in oracle
     correct = None if ground_truth is None else answer == ground_truth
-    return RunResult(
-        oracle=getattr(oracle, "kind", "A"),
-        formula_id=index,
-        k=inst.r,
-        accepted=answer,
-        steps=1,
-        queries=1,
-        transcript=((code, answer),),
-        ground_truth=ground_truth,
-        correct=correct,
-    )
+    return RunResult(getattr(oracle, "kind", "A"), index, inst.r, answer, 1, 1,
+                     ((code, answer),), ground_truth, correct)
 
 
 # The one place a side label picks its solver, for the suite, `solve` and the

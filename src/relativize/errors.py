@@ -33,6 +33,16 @@ def quoted(value) -> str:
     return f"{head}... ({len(text)} characters)"
 
 
+def os_error_text(exc: OSError) -> str:
+    """`exc` as str() writes it, `[Errno n] reason: 'path'`, but each path
+    through `quoted`, so a 10^5-character path gives a short line."""
+    if exc.errno is None or exc.strerror is None:
+        return quoted(str(exc))
+    names = " -> ".join(quoted(name) for name in (exc.filename, exc.filename2)
+                        if name is not None)
+    return f"[Errno {exc.errno}] {exc.strerror}" + (f": {names}" if names else "")
+
+
 def read_json(path, error: type[ValueError] = ConfigurationError):
     """The JSON document in the UTF-8 file at `path`. A file that does not
     parse (not UTF-8, not JSON, an int past the digit limit, or nested too

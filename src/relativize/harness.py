@@ -28,7 +28,8 @@ from .analog import (
 )
 from .encoding import block_codes, code_digit_limit
 from .errors import (
-    CapacityError, ConfigurationError, OracleFileError, check_keys, quoted, read_json)
+    CapacityError, ConfigurationError, OracleFileError, check_keys, os_error_text, quoted,
+    read_json)
 from .formula import Formula, brute_force_sat, check_enumerable, default_literals, enumeration_cap
 from .machine import (
     DEFAULT_BUDGET,
@@ -674,6 +675,13 @@ def _cmd_suite(args) -> int:
     config = config_from_json(args.config) if args.config else ExperimentConfig()
     if args.out_dir:
         config = replace(config, out_dir=args.out_dir)
+    check_corpus_size(config)  # a refused corpus makes no directory
+    try:  # before the corpus is drawn, so an unusable out_dir costs no run
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        where = "--out-dir" if args.out_dir else args.config or "suite"
+        raise ConfigurationError(f"{where}: cannot make the output directory "
+                                 f"{quoted(config.out_dir)} ({exc.strerror})") from exc
     status = run_suite(config)
     print("suite passed" if status == 0 else "suite FAILED")
     return status
@@ -742,7 +750,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigurationError(f"--{dest.replace('_', '-')} must not be empty")
         return args.func(args)
     except (CapacityError, ConfigurationError, OracleFileError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {os_error_text(exc) if isinstance(exc, OSError) else exc}", file=sys.stderr)
         return 2
 
 

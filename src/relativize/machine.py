@@ -23,6 +23,7 @@ from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, repeat
+from typing import NamedTuple
 
 from .encoding import block_code_texts, block_codes, code_digit_limit, input_code_at, input_codes
 from .errors import ConfigurationError
@@ -72,17 +73,8 @@ def clamped_budget(k: int, preferred: Budget = DEFAULT_BUDGET) -> Budget:
     return _LINEAR_BUDGET  # p(k) = k < 2^k for every k
 
 
-@dataclass(frozen=True, init=False)
-class RunResult:
-    """One solver run: verdict, work, queries, and the ground-truth comparison.
-
-    Its own `__init__` takes the fields in order, with their defaults, as the
-    generated one would, but stores them with one dict update instead of one
-    `object.__setattr__` per field, which a frozen dataclass's would make:
-    every solver run builds one, and that was most of a short run's cost.
-    Equality, hash, repr, `fields()`, `replace()` and frozenness are the
-    dataclass's own.
-    """
+class RunResult(NamedTuple):
+    """One solver run: verdict, work, queries, and the ground-truth comparison."""
 
     oracle: str
     formula_id: int
@@ -94,15 +86,6 @@ class RunResult:
     ground_truth: bool | None = None
     correct: bool | None = None
     simulated_work: int | None = None
-
-    def __init__(self, oracle: str, formula_id: int, k: int, accepted: bool, steps: int,
-                 queries: int, transcript: Iterable[tuple[int, bool]],
-                 ground_truth: bool | None = None, correct: bool | None = None,
-                 simulated_work: int | None = None):
-        vars(self).update(oracle=oracle, formula_id=formula_id, k=k, accepted=accepted,
-                          steps=steps, queries=queries, transcript=transcript,
-                          ground_truth=ground_truth, correct=correct,
-                          simulated_work=simulated_work)
 
     @property
     def verdict(self) -> str:

@@ -15,7 +15,7 @@ against it.
 import itertools
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from relativize import (
@@ -315,23 +315,6 @@ def ref_kappa_ids(corpus):
     )
 
 
-@dataclass(frozen=True)
-class PlainRunResult:
-    """RunResult's fields, in order, as a plain frozen dataclass with the
-    generated `__init__`: RunResult's own must build what this one does."""
-
-    oracle: str
-    formula_id: int
-    k: int
-    accepted: bool
-    steps: int
-    queries: int
-    transcript: tuple
-    ground_truth: bool | None = None
-    correct: bool | None = None
-    simulated_work: int | None = None
-
-
 def ref_nd_solve(p, ground_truth=None):
     examined, found = 0, False
     for e in range(1 << p.k):
@@ -547,12 +530,12 @@ def corrupted(solve, flips=(), inflates=(), overruns=()):
         n, r = next(calls), solve(*args, **kwargs)
         if n in flips:
             accepted = not r.accepted
-            r = replace(r, accepted=accepted, correct=None if r.ground_truth is None
-                        else accepted == r.ground_truth)
+            r = r._replace(accepted=accepted, correct=None if r.ground_truth is None
+                           else accepted == r.ground_truth)
         if n in inflates:
-            r = replace(r, queries=r.queries + r.k + 2)
+            r = r._replace(queries=r.queries + r.k + 2)
         if n in overruns:
-            r = replace(r, steps=r.steps + (1 << r.k) + r.k + 2)
+            r = r._replace(steps=r.steps + (1 << r.k) + r.k + 2)
         return r
 
     return run

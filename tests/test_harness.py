@@ -651,6 +651,43 @@ class TestBoundedQuotes:
         assert "... (" in line and " characters)" in line, line
         assert not Path("out").exists() and not Path("a.json").exists()
 
+    @pytest.mark.parametrize("argv, where", [
+        (["suite", "--config", "config.json"], "config.json"),
+        (["suite", "--config", "config.json", "--out-dir", "x" * N], "--out-dir"),
+        (["suite", "--config", "config.json", "--out-dir", "config.json"], "--out-dir"),
+    ], ids=["config", "out-dir-flag", "out-dir-a-file"])
+    def test_an_unusable_out_dir_is_refused_before_the_corpus(self, tmp_path, monkeypatch,
+                                                              capsys, argv, where):
+        def no_corpus(config):
+            raise AssertionError("the corpus was drawn")
+
+        monkeypatch.setattr(harness, "gen_corpus", no_corpus)
+        monkeypatch.chdir(tmp_path)
+        Path("config.json").write_bytes(config_doc(out_dir="x" * N))
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        line = captured.err.rstrip("\n")
+        assert captured.err.count("\n") == 1 and len(line.encode()) < 512, line[:600]
+        assert line.startswith(f"error: {where}: cannot make the output directory "), line
+        assert os.listdir() == ["config.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["suite", "--config", "x" * N],
+        ["solve", "--oracle", "oracle.json", "--formula", "1", "--corpus", "x" * N],
+        ["gen-corpus", "--k-min", "3", "--k-max", "3", "--per-k", "1", "--out", "x" * N],
+        ["lambda", "--instances", "x" * N],
+    ], ids=["suite-config", "solve-corpus", "gen-corpus-out", "lambda-instances"])
+    def test_a_huge_path_gives_one_short_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        line = captured.err.rstrip("\n")
+        assert captured.err.count("\n") == 1 and len(line.encode()) < 512, line[:600]
+        assert line.startswith("error: [Errno ") and f"{'x' * 40}'... (" in line, line
+        assert os.listdir() == []
+
 
 class TestCorpusSize:
     """A corpus past MAX_CORPUS_CLAUSES random clauses is refused before any

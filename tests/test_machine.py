@@ -1,5 +1,3 @@
-import dataclasses
-import inspect
 import random
 
 import pytest
@@ -27,9 +25,9 @@ from relativize import (
     solve_with_C,
 )
 from relativize.harness import craft_all_true, craft_unsat
-from relativize.machine import RunResult
+from relativize.machine import BlockScan, RunResult, ScanTranscript
 
-from reference import PlainRunResult, ref_solve_with_A
+from reference import ref_solve_with_A
 
 ABC = ("a", "b", "c")
 WIDE = Formula(1, ABC, (((0, True), (1, True), (2, True)),))
@@ -103,7 +101,8 @@ class TestNdSolve:
             assert nd_solve(f).accepted == brute_force_sat(f).satisfiable
 
 
-FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
+FIELDS = ("oracle", "formula_id", "k", "accepted", "steps", "queries", "transcript",
+          "ground_truth", "correct", "simulated_work")
 maybe_bool = st.none() | st.booleans()
 run_fields = st.tuples(
     st.sampled_from(["A", "B", "C", "ND", "F[np]"]), st.integers(0, 50), st.integers(0, 20),
@@ -113,42 +112,58 @@ run_fields = st.tuples(
 
 
 class TestRunResult:
-    """RunResult's own __init__ builds what a plain frozen dataclass's would."""
+    """A run is a NamedTuple: its fields in order, fixed once built, and
+    equal to, and hashed as, the plain tuple of its fields."""
 
-    def test_signature_is_the_fields(self):
-        params = list(inspect.signature(RunResult).parameters.values())
-        fields = dataclasses.fields(RunResult)
-        assert [p.name for p in params] == [f.name for f in fields]
-        assert [p.default for p in params] == [
-            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
-            for f in fields]
-        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
-        assert FIELDS == tuple(f.name for f in dataclasses.fields(PlainRunResult))
+    def test_fields_in_order(self):
+        assert RunResult._fields == FIELDS
+        assert RunResult._field_defaults == dict.fromkeys(FIELDS[7:])
 
-    @given(run_fields, run_fields, st.integers(7, 10))
+    @given(run_fields, st.integers(7, 10))
     @settings(max_examples=150, deadline=None)
-    def test_builds_as_the_plain_twin(self, values, others, n):
+    def test_is_the_plain_tuple_of_its_fields(self, values, n):
         # the last 10 - n fields are left to their defaults, all None
         values = values[:n] + (None,) * (10 - n)
-        r, twin = RunResult(*values[:n]), PlainRunResult(*values[:n])
+        r = RunResult(*values[:n])
+        assert r == values and values == r and hash(r) == hash(values)
         assert r == RunResult(**dict(zip(FIELDS, values)))
-        assert r == dataclasses.replace(RunResult(*others), **dict(zip(FIELDS, values)))
         assert tuple(getattr(r, name) for name in FIELDS) == values
-        assert vars(r) == vars(twin)
-        assert hash(r) == hash(twin)
-        assert "Plain" + repr(r) == repr(twin)
-        other = RunResult(*others)
-        assert (r == other) == (twin == PlainRunResult(*others))
-        assert (r != other) == (twin != PlainRunResult(*others))
+        assert r.verdict == ("accept" if r.accepted else "reject")
 
-    def test_fields_stay_frozen(self):
+    def test_a_scan_run_is_the_plain_tuple_with_its_transcript_as_a_tuple(self):
+        corpus = small_corpus(count=4, k=4)
+        a, c = build_A(corpus), build_C(corpus)
+        runs = [solve(f, oracle, ground_truth=truth) for f in corpus for truth in (True, False)
+                for solve, oracle in ((solve_with_A, a), (solve_with_C, c),
+                                      (solve_with_C, frozenset()))]
+        assert {type(r.transcript) for r in runs} == {BlockScan, ScanTranscript}
+        for r in runs:
+            plain = (*r[:6], tuple(r.transcript), *r[7:])
+            assert r == plain and plain == r and hash(r) == hash(plain)
+            assert r._replace(transcript=tuple(r.transcript)) == r
+
+    def test_a_run_cannot_be_changed(self):
         r = RunResult("A", 1, 3, True, 2, 1, ((7, True),), True, True)
-        for name in FIELDS:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+        for name in (*FIELDS, "verdict"):
+            with pytest.raises(AttributeError):
                 setattr(r, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 delattr(r, name)
+        with pytest.raises(AttributeError):
+            r.extra = None  # no instance dict to add to
         assert r == RunResult("A", 1, 3, True, 2, 1, ((7, True),), True, True)
+
+    def test_each_run_is_graded_against_its_ground_truth(self):
+        corpus = small_corpus(count=6, k=4)
+        a, b, c, c_bar = build_A(corpus), build_B(corpus), build_C(corpus), build_C_bar(corpus)
+        for f in corpus:
+            for truth in (True, False, None):
+                runs = [nd_solve(f, truth), solve_with_A(f, a, truth),
+                        solve_with_B(f, b, corpus.budget_for(f.id), truth),
+                        solve_with_C(f, c, truth), solve_conp_with_C_bar(f, c_bar, truth)]
+                for r in runs:
+                    assert r.ground_truth is truth
+                    assert r.correct is (None if truth is None else r.accepted == truth)
 
 
 class TestSolveWithA:

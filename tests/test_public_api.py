@@ -55,7 +55,6 @@ def test_no_public_callable_takes_a_cap():
 # its generated methods), a NamedTuple a third of that or less; so a record
 # is a dataclass only when something needs what a tuple lacks.
 DATACLASSES = {
-    "RunResult": "tests pin fields(), replace() and FrozenInstanceError",
     "OracleSet": "tests pin fields(), and replace() makes a planted set",
     "SetSumProblem": "tests pin fields(), replace() and FrozenInstanceError",
     "Formula": "replace() copies it, and canonical_key caches in __dict__",
@@ -65,6 +64,7 @@ DATACLASSES = {
     "SetSumInstance": "__post_init__ refuses a value that is not an int",
 }
 NAMED_TUPLES = {
+    "RunResult": "one per graded verdict, built by position and read by field",
     "SatVerdict": "built once per verdict and read by field",
     "SideView": "built per side and asked only through its own __contains__",
     "QuestionRow": "one row of the battery's report, built and read",

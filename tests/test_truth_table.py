@@ -553,7 +553,7 @@ class TestScanTranscript:
         results += runner.results
         # a hand-made run with a plain tuple of input codes takes the generic way
         scan = results[0]
-        results.append(dataclasses.replace(scan, transcript=tuple(scan.transcript)))
+        results.append(scan._replace(transcript=tuple(scan.transcript)))
         assert {r.oracle for r in results} >= {"C", "C_bar", "D", "D_bar", "E"}
         assert sum(isinstance(r.transcript, ScanTranscript) for r in results) > 9 * 6
         write_results_jsonl(results, tmp_path / "got.jsonl")
