@@ -9,9 +9,10 @@ copy and must pass, so a mutant counts as killed only by a test that
 passes without it. Then each mutant replaces its exact old text, which must
 occur once in its file, runs `pytest -x -q` on its test node ids, and puts
 the file back. Exits 1 if an entry's old text is missing (a refactor moved
-the code, so the table must follow it) or if a mutant survives. Standard
-library only; run from the root of a checkout with pytest and hypothesis
-installed.
+the code, so the table must follow it), if a mutated file does not compile
+(its tests would fail on the import, not on the change), or if a mutant
+survives. Standard library only; run from the root of a checkout with pytest
+and hypothesis installed.
 """
 
 import os
@@ -32,6 +33,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+ANALOG = "src/relativize/analog.py"
 ENCODING = "src/relativize/encoding.py"
 FORMULA = "src/relativize/formula.py"
 HARNESS = "src/relativize/harness.py"
@@ -171,14 +173,30 @@ MUTANTS = (
            "MappingProxyType(dict(self.budgets))", "dict(self.budgets)",
            (CACHED + "test_budgets_are_frozen_at_construction",)),
     Mutant("the cached corpus digest", ORACLES,
-           'digest = cache.get("_digest")', "digest = None",
+           "@cached_property\n    def digest(self)", "@property\n    def digest(self)",
            (CACHED + "test_each_corpus_is_hashed_once",)),
+    Mutant("Formula's canonical key memo dropped", FORMULA,
+           "@cached_property\n    def canonical_key(self)",
+           "@property\n    def canonical_key(self)",
+           (CACHED + "test_canonical_key_is_cached_per_instance",)),
+    Mutant("SetSumProblem's canonical key memo dropped", ANALOG,
+           "@cached_property\n    def canonical_key(self)",
+           "@property\n    def canonical_key(self)",
+           (CACHED + "test_set_sum_canonical_key_is_cached_per_instance",)),
+    Mutant("SetSumProblem's k memo dropped", ANALOG,
+           "@cached_property\n    def k(self)", "@property\n    def k(self)",
+           ("tests/test_analog.py::TestProblemAdapter::"
+            "test_k_is_read_once_and_stays_out_of_the_fields",)),
+    Mutant("the first-hit index memo dropped", ORACLES,
+           "@cached_property\n    def first_hits(self)", "@property\n    def first_hits(self)",
+           (MEMBER_SCAN + "test_a_set_is_decoded_once_for_every_cap",)),
     Mutant("the first-hit index keeping the largest e", ORACLES,
            "self.provenance)), reverse=True)", "self.provenance)))",
            (MEMBER_SCAN + "test_a_set_is_decoded_once_for_every_cap",)),
     Mutant("the first-hit index read by owner alone", ORACLES,
-           "hits = {(i, k): e for i, k, e in decoded}",
-           "hits = {(i, k): min(e for j, _, e in decoded if j == i) for i, k, _ in decoded}",
+           "return {(i, k): e for i, k, e in decoded}",
+           "return {(i, k): min(e for j, _, e in decoded if j == i)"
+           " for i, k, _ in decoded}",
            (MEMBER_SCAN + "test_a_set_is_decoded_once_for_every_cap",)),
     Mutant("the corpus's A set built again for F", ORACLES,
            'built = cache.get("_A")', "built = None",
@@ -230,13 +248,19 @@ def pytest(copy: Path, tests) -> bool:
 
 def main() -> int:
     start = time.perf_counter()
-    missing = []
+    refused = []
     for m in MUTANTS:
-        count = Path(m.file).read_text(encoding="utf-8").count(m.old)
+        text = Path(m.file).read_text(encoding="utf-8")
+        count = text.count(m.old)
         if count != 1:
-            missing.append(f"{m.name}: {m.file} holds its old text {count} times, not once")
-    if missing:
-        print("\n".join(missing))
+            refused.append(f"{m.name}: {m.file} holds its old text {count} times, not once")
+            continue
+        try:
+            compile(text.replace(m.old, m.new), m.file, "exec")
+        except SyntaxError as exc:
+            refused.append(f"{m.name}: {m.file} does not compile once mutated ({exc})")
+    if refused:
+        print("\n".join(refused))
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"

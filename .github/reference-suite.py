@@ -5,11 +5,12 @@ report bytes against the pins.
 
 Rebinds `gen_corpus` to its `random.sample` draw and every construction,
 `kappa_ids`, the ground truth and every solver to its per-assignment loop in
-tests/reference.py, through the table
-`SUITE_REFERENCES` of tests/test_golden.py, runs the suite into a temporary
-directory, and prints each report's SHA-256. Exits 1 if the suite fails or a
-digest differs from `test_golden.PINNED`. Run from the root of a checkout
-with pytest installed (test_golden imports it).
+tests/reference.py, through the table `SUITE_REFERENCES` of
+tests/test_golden.py (a renamed name fails the rebinding, never silently),
+runs the suite into a temporary directory, and prints each report's
+SHA-256. Exits 1 if the suite fails or a digest differs from
+`test_golden.PINNED`. Run from the root of a checkout with pytest and
+hypothesis installed (test_golden imports them).
 """
 
 import sys
@@ -19,15 +20,11 @@ from pathlib import Path
 sys.path[:0] = ["src", "tests"]
 
 from relativize import ExperimentConfig  # noqa: E402
-from test_golden import PINNED, SUITE_REFERENCES, digests  # noqa: E402
+from test_golden import PINNED, digests, suite_references  # noqa: E402
 
 
 def main() -> int:
-    for module, references in SUITE_REFERENCES.items():
-        for name, reference in references.items():
-            getattr(module, name)  # a renamed name fails here, not silently
-            setattr(module, name, reference)
-    with tempfile.TemporaryDirectory() as out:
+    with suite_references(), tempfile.TemporaryDirectory() as out:
         try:
             got = digests(Path(out))
         except AssertionError:

@@ -96,7 +96,7 @@ def set_sum_naive(inst: SetSumInstance) -> tuple[bool, int]:
 class SetSumProblem:
     """Set-sum instance adapted to the oracle-construction surface.
 
-    `k`, the instance's r, is read once, at construction, and kept on the
+    `k`, the instance's r, is read once, on first use, and kept on the
     instance beside its fields, not as one: equality, hash, repr and
     `dataclasses.replace` see only `id` and `instance`.
     """
@@ -104,8 +104,9 @@ class SetSumProblem:
     id: int
     instance: SetSumInstance
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.instance.r)
+    @cached_property
+    def k(self) -> int:
+        return self.instance.r
 
     def accepts(self, a: Assignment) -> bool:
         if len(a) != self.k:
@@ -117,15 +118,11 @@ class SetSumProblem:
         """One bit at most: the full subset (index 2^r - 1), set iff the sum hits the target."""
         return 1 << ((1 << self.k) - 1) if set_sum_direct(self.instance) else 0
 
+    @cached_property
     def canonical_key(self) -> str:
-        """Deterministic structural serialization. Cached on the instance."""
-        cache = vars(self)
-        key = cache.get("_canonical_key")
-        if key is None:
-            key = cache["_canonical_key"] = json.dumps(
-                ["setsum", list(self.instance.values), self.instance.target],
-                separators=(",", ":"))
-        return key
+        """Deterministic structural serialization. Computed once per instance."""
+        return json.dumps(["setsum", list(self.instance.values), self.instance.target],
+                          separators=(",", ":"))
 
 
 def _instance_from_entry(entry, where: str) -> SetSumInstance:

@@ -58,7 +58,7 @@ def godel_number(p) -> int:
     starts with a NUL byte. Not cached: the canonical key it reads is, and
     the two block-code caches below read it only when they are made.
     """
-    return int.from_bytes(p.canonical_key().encode("utf-8"), "big")
+    return int.from_bytes(p.canonical_key.encode("utf-8"), "big")
 
 
 def block_codes(f) -> tuple[int, ...]:

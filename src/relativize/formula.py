@@ -188,18 +188,15 @@ class Formula:
             table &= satisfied
         return table
 
+    @cached_property
     def canonical_key(self) -> str:
         """Deterministic structural serialization: sorted clauses, then literal names.
 
         Formulas differing only in clause order share a key; any structural
-        difference (including literal names) changes it. Cached on the instance.
+        difference (including literal names) changes it. Computed once per instance.
         """
-        cache = vars(self)
-        key = cache.get("_canonical_key")
-        if key is None:
-            key = cache["_canonical_key"] = json.dumps(
-                [sorted(map(sorted, self.clauses)), self.literals], separators=(",", ":"))
-        return key
+        return json.dumps([sorted(map(sorted, self.clauses)), self.literals],
+                          separators=(",", ":"))
 
 
 def evaluate(f: Formula, a: Assignment) -> bool:

@@ -604,7 +604,7 @@ class SuiteRunner:
                 "budget": [self.config.budget.coefficient, self.config.budget.exponent],
                 "oracles": list(self.config.oracle_kinds),
             },
-            "corpus": {"formulas": len(self.corpus), "hash": self.corpus.digest()},
+            "corpus": {"formulas": len(self.corpus), "hash": self.corpus.digest},
             **run_report(self.results),
             "conclusions": self._conclusions(),
             "failures": self.failures,

@@ -234,7 +234,7 @@ def solve_with_C(f, oracle, ground_truth: bool | None = None,
     order, accepting on the first yes.
 
     Worst case 2^k queries; that exponential scan is the whole point of the
-    construction it pairs with. An oracle with a `first_hits()` index (a
+    construction it pairs with. An oracle with a `first_hits` index (a
     built set, see `OracleSet.first_hits`) is read through it: the first yes
     is the least e it records for (f.id, k), if that is below the cap, and a
     set indexes its members once, on its first C run, however many runs
@@ -249,8 +249,7 @@ def solve_with_C(f, oracle, ground_truth: bool | None = None,
     _require_covered(f, oracle)
     k = check_enumerable(f.k)
     total = 1 << k if max_queries is None else max(0, min(max_queries, 1 << k))
-    index = getattr(oracle, "first_hits", None)
-    hits = None if index is None else index()
+    hits = getattr(oracle, "first_hits", None)
     if hits is None:
         hit = next(compress(count(), map(oracle.__contains__, input_codes(f.id, k, total))),
                    None)

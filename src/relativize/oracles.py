@@ -26,6 +26,7 @@ import json
 import math
 from collections.abc import Container, KeysView, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -61,7 +62,7 @@ class OracleSet:
     tagged with the construction that produced it and the corpus it was built
     over. The members are the map's keys; `in` and `len` read the map. A
     dict passed in is held as a read-only view of a copy of it, so the set
-    cannot change once made, and `first_hits()`, which C's scan reads, is
+    cannot change once made, and `first_hits`, which C's scan reads, is
     worked out once per set. Two maps are read-only rules instead: a built
     C_bar's RejectedInputs and a built F's TaggedUnion."""
 
@@ -76,21 +77,18 @@ class OracleSet:
         if type(self.provenance) in (dict, MappingProxyType):
             object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
 
+    @cached_property
     def first_hits(self) -> dict[tuple[int, int], int] | None:
         """{(i, k): least e} over the members that `input_index` decodes to
         (i, k, e): where a scan of problem i's k-literal input codes, which
         C's solver makes, first meets one of them. Any other member is
         skipped; sorted in descending order, so the least e is written last.
-        Made on first use and cached on the instance: nothing it reads can
-        change. None for a rule, whose members are asked one by one."""
-        cache = vars(self)
-        if "_first_hits" not in cache:
-            hits = None
-            if type(self.provenance) is MappingProxyType:
-                decoded = sorted(filter(None, map(input_index, self.provenance)), reverse=True)
-                hits = {(i, k): e for i, k, e in decoded}
-            cache["_first_hits"] = hits
-        return cache["_first_hits"]
+        Made once per set, on first use: nothing it reads can change. None
+        for a rule, whose members are asked one by one."""
+        if type(self.provenance) is not MappingProxyType:
+            return None
+        decoded = sorted(filter(None, map(input_index, self.provenance)), reverse=True)
+        return {(i, k): e for i, k, e in decoded}
 
     @property
     def members(self) -> KeysView[int]:
@@ -212,13 +210,15 @@ class Corpus:
     order, with a step budget per problem.
 
     Ids must be dense 1..n in order: constructions and file formats both key
-    on them. Any problem family exposing id, k, accepts, canonical_key and
-    truth_table works, not just CNF formulas.
+    on them. The constructions read a problem through four attributes
+    only: `id`, `k`, `truth_table` and `canonical_key`. Any problem family
+    exposing them works, not just CNF formulas; `accepts` is the tests'
+    per-assignment reference, which nothing here calls.
 
     A corpus does not change once made: the problems are held as a tuple
     and the budgets as a read-only view of a copy of the dict passed in. So
-    `digest()`, which every built set carries, is computed once per corpus,
-    on first use, and cached on the instance.
+    `digest`, which every built set carries, is computed once per corpus,
+    on first use.
 
     The constructions read every exhaustive answer (has a witness, first
     witness, accepting blocks, complement pairs) from each problem's truth
@@ -263,24 +263,17 @@ class Corpus:
     def ids(self) -> frozenset[int]:
         return frozenset(f.id for f in self.formulas)
 
+    @cached_property
     def digest(self) -> str:
-        """Stable hash over problem structure and budgets. Cached on the
-        instance: nothing it hashes can change."""
-        cache = vars(self)
-        digest = cache.get("_digest")
-        if digest is None:
-            doc = [
-                [f.id, f.canonical_key(), self.budgets[f.id].coefficient,
-                 self.budgets[f.id].exponent]
-                for f in self.formulas
-            ]
-            blob = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-            digest = cache["_digest"] = hashlib.sha256(blob).hexdigest()
-        return digest
+        """Stable hash over problem structure and budgets. Computed once per
+        corpus: nothing it hashes can change."""
+        doc = [[f.id, f.canonical_key, self.budgets[f.id].coefficient,
+                self.budgets[f.id].exponent] for f in self.formulas]
+        return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
 def _finish(kind, prov, corpus) -> OracleSet:
-    return OracleSet(kind, prov, corpus.ids(), corpus.digest())
+    return OracleSet(kind, prov, corpus.ids(), corpus.digest)
 
 
 def kappa_ids(corpus: Corpus) -> frozenset[int]:
@@ -307,8 +300,8 @@ def build_A(corpus: Corpus) -> OracleSet:
     be re-derived per block by independent brute force; unsatisfiable problems
     contribute nothing.
 
-    Built once per corpus, on first use, and cached on it as its digest is:
-    the corpus and the set are both read-only, so F's np side and E's base
+    Built once per corpus, on first use, and cached in its `__dict__` under
+    `_A`: the corpus and the set are both read-only, so F's np side and E's base
     read the set A's own runs read.
     """
     cache = vars(corpus)
@@ -483,7 +476,7 @@ def build_E(corpus: Corpus, base: OracleSet) -> OracleSet:
     Only the problems at positions 1..E_STAGE_CAP (3) get a stage, because
     t(E_STAGE_CAP + 2) is not representable; the rest keep the base's codes.
     """
-    if base.corpus_hash != corpus.digest():
+    if base.corpus_hash != corpus.digest:
         raise ConfigurationError("base oracle was built over a different corpus")
     prov: Provenance = dict(base.provenance)
     kappa = kappa_ids(corpus)
@@ -598,6 +591,6 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     kind, corpus_hash = doc["kind"], doc["corpus_hash"]
     if kind not in KINDS:
         raise OracleFileError(f"{path}: unknown oracle kind {quoted(kind)}")
-    if corpus is not None and (corpus.digest(), corpus.ids()) != (corpus_hash, frozenset(ids)):
+    if corpus is not None and (corpus.digest, corpus.ids()) != (corpus_hash, frozenset(ids)):
         raise OracleFileError(f"{path}: oracle was built over a different corpus")
     return OracleSet(kind, prov, frozenset(ids), corpus_hash)

@@ -256,7 +256,7 @@ def ref_finish(kind, members, prov, corpus):
     """The set a construction builds, once its own member set is checked
     against the keys of its provenance map."""
     assert members == prov.keys()
-    return OracleSet(kind, dict(prov), corpus.ids(), corpus.digest())
+    return OracleSet(kind, dict(prov), corpus.ids(), corpus.digest)
 
 
 def ref_build_A(corpus):

@@ -162,7 +162,7 @@ def test_criterion_08_encoding_integrity(corpus):
     block_codes = {}
     for f in corpus:
         for t in range(f.k + 1):
-            block_codes[(t, f.canonical_key())] = partition_code(f, t)
+            block_codes[(t, f.canonical_key)] = partition_code(f, t)
     assert len(set(block_codes.values())) == len(block_codes)
     rng = random.Random(97)
     keys, numbers = set(), set()
@@ -173,7 +173,7 @@ def test_criterion_08_encoding_integrity(corpus):
             idxs = sorted(rng.sample(range(k), min(3, k)))
             clauses.append(tuple((i, rng.random() < 0.5) for i in idxs))
         f = Formula(fid, default_literals(k), tuple(clauses))
-        keys.add(f.canonical_key())
+        keys.add(f.canonical_key)
         numbers.add(godel_number(f))
     assert len(keys) == len(numbers), "structural-number collision"
     print(f"PASS criterion 8: pair/unpair exhaustive below 10^6, "

@@ -94,7 +94,7 @@ class TestProblemAdapter:
     def test_distinct_instances_distinct_keys(self):
         a = SetSumProblem(1, SetSumInstance((1, 2), 3))
         b = SetSumProblem(2, SetSumInstance((1, 2), 4))
-        assert a.canonical_key() != b.canonical_key()
+        assert a.canonical_key != b.canonical_key
 
     def test_k_is_read_once_and_stays_out_of_the_fields(self):
         p = SetSumProblem(1, SetSumInstance((4, 5, 6), 15))

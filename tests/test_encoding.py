@@ -98,7 +98,7 @@ class TestGodelNumbering:
                 idxs = sorted(rng.sample(range(k), min(2, k)))
                 clauses.append(tuple((i, rng.random() < 0.5) for i in idxs))
             f = Formula(fid, default_literals(k), tuple(clauses))
-            keys.add(f.canonical_key())
+            keys.add(f.canonical_key)
             numbers.add(godel_number(f))
         assert len(keys) == len(numbers)
 

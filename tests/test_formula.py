@@ -65,7 +65,7 @@ class TestCanonicalKey:
     @given(named_formulas())
     @settings(max_examples=200, deadline=None)
     def test_is_the_sorted_tuple_key(self, f):
-        assert f.canonical_key() == ref_canonical_key(f)
+        assert f.canonical_key == ref_canonical_key(f)
 
 
 class TestFormulaValidation:
@@ -123,7 +123,7 @@ class TestFormulaValidation:
         assert f == Formula(7, ("a", "b"), (((0, True), (1, False)), ((1, True),)))
         assert type(f.literals) is tuple and type(f.clauses) is tuple
         assert all(type(c) is tuple and all(type(lit) is tuple for lit in c) for c in f.clauses)
-        assert f.canonical_key() == Formula(7, ("a", "b"), f.clauses).canonical_key()
+        assert f.canonical_key == Formula(7, ("a", "b"), f.clauses).canonical_key
 
 
 class TestEvaluate:

@@ -7,14 +7,22 @@ moves a single byte of runs.csv, runs.jsonl or summary.json fails here; a PR
 that changes a format on purpose updates these pins and says so. The pins are
 also met with the corpus drawn through `random.sample` and every
 construction and solver rebound to its per-assignment loop, so they were not
-merely recorded from the code they check.
+merely recorded from the code they check, and small drawn configs write the
+same bytes on both.
 """
 
+import dataclasses
 import hashlib
+import tempfile
+from contextlib import ExitStack, contextmanager
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relativize import ExperimentConfig, analog, harness, lambda_report, run_suite
+from relativize import Budget, ExperimentConfig, analog, harness, lambda_report, run_suite
 
 from reference import (
     gen_instances,
@@ -94,7 +102,17 @@ BATTERY_REFERENCES = {"build_B": ref_build_B, "build_C": ref_build_C,
                       "build_F": ref_build_F, "set_sum_naive": ref_set_sum_naive}
 
 
-def test_the_references_give_the_same_reports(tmp_path, monkeypatch):
+@contextmanager
+def suite_references():
+    """Every name of SUITE_REFERENCES rebound to its loop inside the block; a
+    hypothesis test cannot take the function-scoped monkeypatch."""
+    with ExitStack() as stack:
+        for module, references in SUITE_REFERENCES.items():
+            stack.enter_context(mock.patch.multiple(module, **references))
+        yield
+
+
+def test_the_references_give_the_same_reports(tmp_path):
     """The suite and the battery, rerun with the seeded corpus drawn through
     `random.sample` and every construction, kappa_ids, the ground truth and
     every solver rebound to its per-assignment loop, give the same bytes and
@@ -110,12 +128,40 @@ def test_the_references_give_the_same_reports(tmp_path, monkeypatch):
               "oracle_kinds": ExperimentConfig().oracle_kinds[::-1]}
     fast = digests(tmp_path / "fast", **seed_7)
     battery = lambda_report(gen_instances(3, 12))
-    for module, references in SUITE_REFERENCES.items():
-        for name, reference in references.items():
-            monkeypatch.setattr(module, name, reference)
     fields, pinned = GATES["seed-0-k-3-8"]
-    assert digests(tmp_path / "seed-0", **fields) == pinned
-    assert digests(tmp_path / "seed-7", **seed_7) == fast
-    for name, reference in BATTERY_REFERENCES.items():
-        monkeypatch.setattr(analog, name, reference)
-    assert lambda_report(gen_instances(3, 12)) == battery
+    with suite_references():
+        assert digests(tmp_path / "seed-0", **fields) == pinned
+        assert digests(tmp_path / "seed-7", **seed_7) == fast
+        with mock.patch.multiple(analog, **BATTERY_REFERENCES):
+            assert lambda_report(gen_instances(3, 12)) == battery
+
+
+def reports(config: ExperimentConfig) -> tuple[int, dict]:
+    """The suite's exit status and the bytes of its pinned reports, run in a
+    fresh directory."""
+    with tempfile.TemporaryDirectory() as out:
+        status = run_suite(dataclasses.replace(config, out_dir=out))
+        return status, {name: (Path(out) / name).read_bytes() for name in PINNED}
+
+
+@st.composite
+def small_configs(draw) -> ExperimentConfig:
+    lo = draw(st.integers(1, 8))
+    return ExperimentConfig(
+        seed=draw(st.integers(0, 2**32)),
+        k_range=(lo, draw(st.integers(lo, 8))),
+        formulas_per_k=draw(st.integers(0, 3)),
+        clause_density=draw(st.floats(0, 6)),
+        budget=Budget(draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+        oracle_kinds=tuple(draw(st.lists(st.sampled_from(ExperimentConfig().oracle_kinds),
+                                         unique=True))))
+
+
+@given(small_configs())
+@settings(max_examples=50, deadline=None)
+def test_small_configs_give_the_same_reports_on_the_references(config):
+    """Drawn small configs, run on the fast paths and again with
+    SUITE_REFERENCES rebound, exit alike and write the same bytes."""
+    fast = reports(config)
+    with suite_references():
+        assert reports(config) == fast

@@ -73,11 +73,11 @@ def no_huge_power(monkeypatch):
 
 class TestGenCorpus:
     def test_deterministic_under_seed(self):
-        assert gen_corpus(SMALL).digest() == gen_corpus(SMALL).digest()
+        assert gen_corpus(SMALL).digest == gen_corpus(SMALL).digest
 
     def test_seed_changes_corpus(self):
         other = ExperimentConfig(seed=8, k_range=(6, 8), formulas_per_k=3)
-        assert gen_corpus(SMALL).digest() != gen_corpus(other).digest()
+        assert gen_corpus(SMALL).digest != gen_corpus(other).digest
 
     def test_entry_count(self):
         corpus = gen_corpus(ExperimentConfig(k_range=(6, 12), formulas_per_k=10))
@@ -150,7 +150,7 @@ class TestCorpusFiles:
         save_corpus(corpus, path)
         loaded = load_corpus(path)
         assert loaded.formulas == corpus.formulas
-        assert loaded.digest() == corpus.digest()
+        assert loaded.digest == corpus.digest
 
     def test_stored_budgets_survive_a_round_trip(self, tmp_path):
         corpus = craft_e_corpus()
@@ -160,7 +160,7 @@ class TestCorpusFiles:
         assert [entry["budget"] for entry in json.loads(path.read_text(encoding="utf-8"))] == [
             [2, 0], [1, 1], [1, 1]]
         loaded = load_corpus(path)
-        assert loaded.budgets == corpus.budgets and loaded.digest() == corpus.digest()
+        assert loaded.budgets == corpus.budgets and loaded.digest == corpus.digest
         # a preferred budget still re-derives every one of them
         assert load_corpus(path, Budget(1, 2)).budgets == {
             f.id: clamped_budget(f.k, Budget(1, 2)) for f in corpus}

@@ -57,10 +57,10 @@ def test_no_public_callable_takes_a_cap():
 DATACLASSES = {
     "OracleSet": "tests pin fields(), and replace() makes a planted set",
     "SetSumProblem": "tests pin fields(), replace() and FrozenInstanceError",
-    "Formula": "replace() copies it, and canonical_key caches in __dict__",
+    "Formula": "its cached properties need an instance __dict__",
     "ExperimentConfig": "replace() sets out_dir, and __post_init__ validates",
     "Budget": "__post_init__ refuses a negative coefficient or exponent",
-    "Corpus": "__post_init__ validates ids, and digest() caches in __dict__",
+    "Corpus": "its cached properties need an instance __dict__",
     "SetSumInstance": "__post_init__ refuses a value that is not an int",
 }
 NAMED_TUPLES = {

@@ -299,7 +299,7 @@ class TestReaders:
         # an oracle that holds the probed code, so both answers are exercised
         probe = input_code(p.id, assignment(min(budget.steps(p.k), (1 << p.k) - 1), p.k))
         yes = OracleSet("B", {**oracle.provenance, probe: (p.id, "probe")},
-                        corpus.ids(), corpus.digest())
+                        corpus.ids(), corpus.digest)
         for o in (oracle, yes):
             assert solve_with_B(p, o, budget, ground_truth=truth) == ref_solve_with_B(
                 p, o, budget, ground_truth=truth)
@@ -415,7 +415,7 @@ class TestInputCodes:
     @given(problems())
     @settings(max_examples=60, deadline=None)
     def test_godel_number_is_the_canonical_key_as_a_natural(self, p):
-        fresh = int.from_bytes(p.canonical_key().encode("utf-8"), "big")
+        fresh = int.from_bytes(p.canonical_key.encode("utf-8"), "big")
         assert godel_number(p) == fresh
         assert godel_number(p) == fresh
         twin = dataclasses.replace(p)  # a fresh instance, nothing cached on it
@@ -631,6 +631,9 @@ class TestMemberScan:
                 got = solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
                 assert got == ref_solve_with_C(p, oracle, ground_truth=truth, max_queries=cap)
         assert sorted(decoded) == sorted(members)
+        assert oracle.first_hits is oracle.first_hits is vars(oracle)["first_hits"]
+        twin = dataclasses.replace(oracle)
+        assert "first_hits" not in vars(twin) and twin.first_hits == oracle.first_hits
 
     @pytest.mark.parametrize("container", ["set", "live", "two-sided"])
     def test_only_a_built_set_skips_the_probe(self, container, monkeypatch):
@@ -863,6 +866,7 @@ class TestCachedCodes:
     def test_block_code_text_is_str_of_the_pairing(self, p):
         limit = sys.get_int_max_str_digits()
         g = godel_number(p)
+        p.k  # a SetSumProblem keeps its k on first read, before any block text
         cached = dict(vars(p))
         with code_digit_limit():
             want = [str(pair(t, g)) for t in range(p.k + 1)]
@@ -1003,47 +1007,49 @@ class TestCachedCodes:
     @settings(max_examples=100, deadline=None)
     def test_canonical_key_is_cached_per_instance(self, f):
         key = fresh_canonical_key(f)
-        assert f.canonical_key() == key
-        assert f.canonical_key() is f.canonical_key()
+        assert f.canonical_key == key
+        assert f.canonical_key is f.canonical_key is vars(f)["canonical_key"]
         twin = dataclasses.replace(f)
-        assert "_canonical_key" not in vars(twin) and twin.canonical_key() == key
+        assert "canonical_key" not in vars(twin) and twin.canonical_key == key
 
     @given(set_sum_problems())
     @settings(max_examples=100, deadline=None)
     def test_set_sum_canonical_key_is_cached_per_instance(self, p):
         key = fresh_canonical_key(p)
-        assert p.canonical_key() == key
-        assert p.canonical_key() is p.canonical_key()
+        assert p.canonical_key == key
+        assert p.canonical_key is p.canonical_key is vars(p)["canonical_key"]
         twin = dataclasses.replace(p)
-        assert "_canonical_key" not in vars(twin) and twin.canonical_key() == key
+        assert "canonical_key" not in vars(twin) and twin.canonical_key == key
 
     @given(corpora())
     @settings(max_examples=60, deadline=None)
     def test_corpus_digest_unchanged(self, corpus):
-        assert corpus.digest() == ref_digest(corpus)
-        assert corpus.digest() == ref_digest(corpus)
-        assert corpus.digest() is corpus.digest()
+        assert corpus.digest == ref_digest(corpus)
+        assert corpus.digest == ref_digest(corpus)
+        assert corpus.digest is corpus.digest is vars(corpus)["digest"]
+        twin = dataclasses.replace(corpus)
+        assert "digest" not in vars(twin) and twin.digest == corpus.digest
 
     def test_corpus_digest_survives_a_file_round_trip(self, tmp_path):
         corpus = gen_corpus(ExperimentConfig(seed=3, k_range=(6, 8), formulas_per_k=2))
-        digest = corpus.digest()
+        digest = corpus.digest
         save_corpus(corpus, tmp_path / "corpus.json")
         loaded = load_corpus(tmp_path / "corpus.json")
-        assert "_digest" not in vars(loaded)
-        assert loaded.digest() == loaded.digest() == digest == ref_digest(loaded)
+        assert "digest" not in vars(loaded)
+        assert loaded.digest == loaded.digest == digest == ref_digest(loaded)
 
     def test_budgets_are_frozen_at_construction(self):
         formulas = (craft_unsat(1, 3), craft_all_true(2, 4))
         budgets = {1: Budget(1, 1), 2: Budget(2, 0)}
         corpus = Corpus(formulas, budgets)
-        digest = corpus.digest()
+        digest = corpus.digest
         with pytest.raises(TypeError):
             corpus.budgets[1] = Budget(3, 3)
         budgets[1] = Budget(3, 3)
         del budgets[2]
         assert corpus.budgets == {1: Budget(1, 1), 2: Budget(2, 0)}
         assert {**corpus.budgets} == corpus.budgets
-        assert corpus.digest() == digest == ref_digest(Corpus(formulas, corpus.budgets))
+        assert corpus.digest == digest == ref_digest(Corpus(formulas, corpus.budgets))
         assert ref_digest(Corpus(formulas, {1: Budget(3, 3), 2: Budget(2, 0)})) != digest
 
     def test_each_corpus_is_hashed_once(self, tmp_path, monkeypatch):
