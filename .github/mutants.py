@@ -100,12 +100,16 @@ MUTANTS = (
             CAP + "test_cli_stops_at_a_low_cap")),
     Mutant("the corpus-size check dropped", HARNESS,
            "    check_corpus_size(config)\n    rng = ", "    rng = ",
-           (CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[suite-density]",
-            CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[gen-corpus-per-k]")),
+           (CORPUS_SIZE + "test_gen_corpus_refuses_a_huge_corpus_before_drawing_it",)),
     Mutant("the config reader's corpus check dropped", HARNESS,
            "        check_corpus_size(config)\n", "",
            (CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[suite-density]",
-            CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[suite-per-k]")),
+            CORPUS_SIZE + "test_cli_refuses_a_huge_corpus_before_making_it[gen-corpus-per-k]")),
+    Mutant("gen-corpus ignores its config", HARNESS,
+           "return config_from_json(args.config) if args.config else ExperimentConfig()",
+           "return ExperimentConfig()",
+           ("tests/test_harness.py::TestCli::"
+            "test_gen_corpus_writes_the_corpus_the_suite_runs_on",)),
     Mutant("Formula's literal type check dropped", FORMULA,
            "if len(lit) != 2 or type(lit[0]) is not int or type(lit[1]) is not bool:",
            "if len(lit) != 2:",
@@ -179,6 +183,9 @@ MUTANTS = (
            "@cached_property\n    def canonical_key(self)",
            "@property\n    def canonical_key(self)",
            (CACHED + "test_canonical_key_is_cached_per_instance",)),
+    Mutant("Formula's k memo dropped", FORMULA,
+           "@cached_property\n    def k(self)", "@property\n    def k(self)",
+           ("tests/test_formula.py::TestK::test_k_is_read_once_and_stays_out_of_the_fields",)),
     Mutant("SetSumProblem's canonical key memo dropped", ANALOG,
            "@cached_property\n    def canonical_key(self)",
            "@property\n    def canonical_key(self)",

@@ -167,7 +167,7 @@ class Formula:
             if len(set(clause)) != len(clause):
                 raise ValueError(f"duplicate (index, polarity) pair in clause {quoted(clause)}")
 
-    @property
+    @cached_property
     def k(self) -> int:
         return len(self.literals)
 

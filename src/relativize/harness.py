@@ -155,7 +155,7 @@ def gen_corpus(config: ExperimentConfig) -> Corpus:
 # The most random clauses a seeded corpus may draw. The largest config the
 # tests, README and benchmark run, k 6..20 at 10 per k and density 3, draws
 # 5,850; 100,000 take gen_corpus about 0.4 s and 26 MB (Python 3.11), so a
-# slip such as `--density 1e9` is refused at once instead of filling memory.
+# slip such as a density of 1e9 is refused at once instead of filling memory.
 MAX_CORPUS_CLAUSES = 100_000
 
 
@@ -225,10 +225,9 @@ def _formula_from_entry(entry, where: str) -> Formula:
         raise ConfigurationError(f"{where}: malformed formula ({exc})") from exc
 
 
-def load_corpus(path, budget: Budget | None = None) -> Corpus:
-    """Read a corpus file. Each problem keeps the budget its entry stores; a
-    preferred `budget` instead re-derives every budget from it, clamped per
-    formula, as the default one does for an entry without a budget. A
+def load_corpus(path) -> Corpus:
+    """Read a corpus file. Each problem keeps the budget its entry stores, or
+    gets the default one, clamped below 2^k, if its entry stores none. A
     malformed file raises ConfigurationError."""
     doc = read_json(path)
     if not isinstance(doc, list):
@@ -242,14 +241,13 @@ def load_corpus(path, budget: Budget | None = None) -> Corpus:
                 f"{where}: 'id' is {quoted(f.id)}, not {n + 1}; "
                 "corpus ids must be dense 1..n in order")
         formulas.append(f)
-        stored = entry.get("budget", [])
-        if "budget" in entry and not _is_budget(stored):
+        if "budget" not in entry:
+            budgets[f.id] = clamped_budget(f.k)
+        elif _is_budget(entry["budget"]):
+            budgets[f.id] = Budget(*entry["budget"])
+        else:
             raise ConfigurationError(
                 f"{where}: 'budget' must be a list of two non-negative integers")
-        if budget is None and stored:
-            budgets[f.id] = Budget(*stored)
-        else:
-            budgets[f.id] = clamped_budget(f.k, budget or DEFAULT_BUDGET)
     return Corpus(tuple(formulas), budgets)
 
 
@@ -627,28 +625,20 @@ def run_suite(config: ExperimentConfig) -> int:
 
 # ---------------------------------------------------------------- CLI
 
+def _config_arg(args) -> ExperimentConfig:
+    """The --config file's config, or the defaults when none is given."""
+    return config_from_json(args.config) if args.config else ExperimentConfig()
+
+
 def _cmd_gen_corpus(args) -> int:
-    config = ExperimentConfig(
-        seed=args.seed,
-        k_range=(args.k_min, args.k_max),
-        formulas_per_k=args.per_k,
-        clause_density=args.density,
-    )
-    corpus = gen_corpus(config)
+    corpus = gen_corpus(_config_arg(args))
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} formulas to {args.out}")
     return 0
 
 
-def _load_corpus_arg(args) -> Corpus:
-    """The --corpus file, every budget re-derived from --budget if given."""
-    if args.budget is not None and not _is_budget(args.budget):
-        raise ConfigurationError(f"--budget must be two non-negative integers, got {args.budget}")
-    return load_corpus(args.corpus, args.budget and Budget(*args.budget))
-
-
 def _cmd_build_oracle(args) -> int:
-    corpus = _load_corpus_arg(args)
+    corpus = load_corpus(args.corpus)
     try:  # a corpus the construction cannot be built on
         built = CONSTRUCTIONS[COVERED_BY.get(args.kind, args.kind)].build(corpus)
     except ConfigurationError as exc:
@@ -660,7 +650,7 @@ def _cmd_build_oracle(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    corpus = _load_corpus_arg(args)
+    corpus = load_corpus(args.corpus)
     oracle = load_oracle(args.oracle, corpus)
     f = corpus.by_id(args.formula)
     truth = brute_force_sat(f).satisfiable
@@ -672,7 +662,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    config = config_from_json(args.config) if args.config else ExperimentConfig()
+    config = _config_arg(args)
     if args.out_dir:
         config = replace(config, out_dir=args.out_dir)
     check_corpus_size(config)  # a refused corpus makes no directory
@@ -697,9 +687,6 @@ def _cmd_lambda(args) -> int:
     return 0 if report.all_demonstrated() else 1
 
 
-BUDGET_HELP = "re-derive every budget as C*n^D, clamped below 2^k (default: the file's)"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="relativize",
@@ -707,13 +694,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    defaults = ExperimentConfig()
-    p = sub.add_parser("gen-corpus", help="generate a seeded formula corpus")
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--k-min", type=int, default=defaults.k_range[0])
-    p.add_argument("--k-max", type=int, default=defaults.k_range[1])
-    p.add_argument("--per-k", type=int, default=defaults.formulas_per_k)
-    p.add_argument("--density", type=float, default=defaults.clause_density)
+    p = sub.add_parser("gen-corpus", help="generate the seeded corpus a suite config runs on")
+    p.add_argument("--config", help="JSON config file (defaults used when omitted)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_corpus)
 
@@ -721,14 +703,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--kind", required=True, choices=list(KINDS))
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--budget", type=int, nargs=2, metavar=("C", "D"), help=BUDGET_HELP)
     p.set_defaults(func=_cmd_build_oracle)
 
     p = sub.add_parser("solve", help="run the matching solver for one formula")
     p.add_argument("--oracle", required=True)
     p.add_argument("--formula", type=int, required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--budget", type=int, nargs=2, metavar=("C", "D"), help=BUDGET_HELP)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("suite", help="run the full experiment suite")

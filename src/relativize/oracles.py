@@ -554,7 +554,7 @@ def _is_note(entry) -> bool:
             and isinstance(entry[1], str))
 
 
-def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
+def load_oracle(path, corpus: Corpus) -> OracleSet:
     """Read an oracle set back; the set is constructed only after the whole
     document validates, so a corrupted file never yields a partial set.
 
@@ -563,8 +563,8 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     must be the provenance keys: a member without provenance, or provenance
     without a member, is refused. So no two spellings of one code can merge.
     Corpus ids must be distinct integers and provenance entries [integer,
-    string] pairs; nothing is coerced. With a corpus given, a hash or id set
-    other than the corpus's is rejected as well.
+    string] pairs; nothing is coerced. A hash or id set other than `corpus`'s
+    is rejected as well.
     """
     doc = read_json(path, OracleFileError)  # at the default digit limit: no int in it is a code
     check_keys(doc, str(path), ORACLE_FILE_KEYS, error=OracleFileError)
@@ -591,6 +591,6 @@ def load_oracle(path, corpus: Corpus | None = None) -> OracleSet:
     kind, corpus_hash = doc["kind"], doc["corpus_hash"]
     if kind not in KINDS:
         raise OracleFileError(f"{path}: unknown oracle kind {quoted(kind)}")
-    if corpus is not None and (corpus.digest, corpus.ids()) != (corpus_hash, frozenset(ids)):
+    if (corpus.digest, corpus.ids()) != (corpus_hash, frozenset(ids)):
         raise OracleFileError(f"{path}: oracle was built over a different corpus")
     return OracleSet(kind, prov, frozenset(ids), corpus_hash)

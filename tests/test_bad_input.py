@@ -1,7 +1,7 @@
 """Every input the CLI reads ends in bounded time with exit 0, 1 or 2.
 
-One hypothesis test per input: the config, corpus, oracle and instance
-files, and RELATIVIZE_CAP. Each example starts from a valid document and
+One hypothesis test per input: the config (read by `suite` and by
+`gen-corpus`), corpus, oracle and instance files, and RELATIVIZE_CAP. Each example starts from a valid document and
 applies one mutation at one place in it: a key or element dropped or
 repeated; a value retyped to a bool, float, string, null or nested list; an
 integer of 10^6 digits or of 10^11 (a budget exponent, say); a list of 10^5
@@ -23,6 +23,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -162,12 +163,15 @@ CONFIG = {"seed": 3, "k_range": [3, 4], "formulas_per_k": 1, "clause_density": 2
           "out_dir": "out"}
 INSTANCES = [{"S": [1, 2, 3], "M": 6}, {"S": [4, 5], "M": 1}, {"S": [7], "M": 7}]
 ORACLE_KINDS = ("A", "B", "C", "C_bar", "E", "F")
+CONFIG_COMMANDS = {"suite": ["suite", "--config", "config.json"],
+                   "gen-corpus": ["gen-corpus", "--config", "config.json", "--out", "corpus.json"]}
+# the corpus the corpus and oracle tests start from
+CORPUS_CONFIG = ("config.json", encode({"seed": 3, "k_range": [3, 4], "formulas_per_k": 1}))
 
 
 @cache
 def corpus_text() -> bytes:
-    return valid_file(["gen-corpus", "--seed", "3", "--k-min", "3", "--k-max", "4",
-                       "--per-k", "1", "--out", "corpus.json"], "corpus.json")
+    return valid_file(CONFIG_COMMANDS["gen-corpus"], "corpus.json", CORPUS_CONFIG)
 
 
 @cache
@@ -202,14 +206,15 @@ def test_every_valid_document_runs(tmp_path_factory):
                [("instances.json", encode(INSTANCES))]) == (0, "")
 
 
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
 @given(mutations(CONFIG))
 @settings(max_examples=40, deadline=None)
 @example(("10^11", ("formulas_per_k",)))
 @example(("10^11", ("k_range", 1)))
 @example(("repeat", ("oracles", 0)))
 @example(("NaN", ("clause_density",)))
-def test_config_file(tmp_path_factory, mutation):
-    status, err = run(tmp_path_factory, ["suite", "--config", "config.json"],
+def test_config_file(tmp_path_factory, command, mutation):
+    status, err = run(tmp_path_factory, CONFIG_COMMANDS[command],
                       [("config.json", mutate(CONFIG, *mutation))])
     assert_clean_exit(status, err, "config.json")
 
@@ -265,8 +270,7 @@ CAP_VALUES = {
     "deep nesting": DEEP.decode(),
 }
 CAP_COMMANDS = {
-    "gen-corpus": ["gen-corpus", "--k-min", "3", "--k-max", "4", "--per-k", "1",
-                   "--out", "corpus.json"],
+    "gen-corpus": CONFIG_COMMANDS["gen-corpus"],
     "build-oracle": ["build-oracle", "--kind", "C", "--corpus", "corpus.json",
                      "--out", "oracle.json"],
     "lambda": ["lambda", "--instances", "instances.json"],
@@ -278,7 +282,7 @@ CAP_COMMANDS = {
 @example("10^6 digits", "gen-corpus")
 @example("deep nesting", "lambda")
 def test_cap(tmp_path_factory, kind, command):
-    files = [("corpus.json", corpus_text()), ("instances.json", encode(INSTANCES))]
+    files = [CORPUS_CONFIG, ("corpus.json", corpus_text()), ("instances.json", encode(INSTANCES))]
     status, err = run(tmp_path_factory, CAP_COMMANDS[command], files, CAP_VALUES[kind])
     assert status in (0, 1, 2)
     if status == 2:
@@ -287,5 +291,6 @@ def test_cap(tmp_path_factory, kind, command):
 
 
 def test_a_zero_padded_cap_is_read(tmp_path_factory):
-    status, err = run(tmp_path_factory, CAP_COMMANDS["gen-corpus"], (), "0" * 10**6 + "3")
+    status, err = run(tmp_path_factory, CAP_COMMANDS["gen-corpus"], [CORPUS_CONFIG],
+                      "0" * 10**6 + "3")
     assert status == 2 and err.startswith("error: k=4 exceeds the enumeration cap of 3")

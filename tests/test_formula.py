@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -124,6 +125,21 @@ class TestFormulaValidation:
         assert type(f.literals) is tuple and type(f.clauses) is tuple
         assert all(type(c) is tuple and all(type(lit) is tuple for lit in c) for c in f.clauses)
         assert f.canonical_key == Formula(7, ("a", "b"), f.clauses).canonical_key
+
+
+class TestK:
+    def test_k_is_read_once_and_stays_out_of_the_fields(self):
+        f = Formula(1, ("a", "b", "c"), (((0, True), (2, False)),))
+        assert "k" not in vars(f)
+        assert f.k == 3 and vars(f)["k"] == 3
+        assert [field.name for field in dataclasses.fields(f)] == ["id", "literals", "clauses"]
+        assert repr(f) == ("Formula(id=1, literals=('a', 'b', 'c'), "
+                           "clauses=(((0, True), (2, False)),))")
+        twin = Formula(1, ("a", "b", "c"), (((0, True), (2, False)),))
+        assert twin == f and hash(twin) == hash(f)
+        assert dataclasses.replace(f, literals=("a",), clauses=()).k == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.k = 4
 
 
 class TestEvaluate:

@@ -36,6 +36,7 @@ from relativize import (
     gen_corpus,
     lambda_report,
     load_corpus,
+    load_oracle,
     run_suite,
     save_corpus,
     save_oracle,
@@ -56,6 +57,22 @@ from reference import corrupted, gen_instances, ref_gen_corpus, save_instances
 SMALL = ExperimentConfig(seed=7, k_range=(6, 8), formulas_per_k=3, out_dir="unused")
 
 HUGE = 10**11  # 6**HUGE is 2.6 * 10^11 bits, about 32 GB
+
+
+def save_small_corpus(path, seed=42, per_k=1) -> None:
+    """Write the corpus of a k 6..6 config, as `gen-corpus --config` writes it."""
+    save_corpus(gen_corpus(ExperimentConfig(seed=seed, k_range=(6, 6), formulas_per_k=per_k)),
+                path)
+
+
+CONFIG_COMMANDS = ("suite", "gen-corpus")  # the two commands that read a config file
+
+
+def config_argv(command: str, config_path, out) -> list[str]:
+    """`command --config config_path`; gen-corpus writes its corpus to `out`,
+    the suite its reports to the config's out_dir."""
+    argv = [command, "--config", str(config_path)]
+    return [*argv, "--out", str(out)] if command == "gen-corpus" else argv
 
 
 @pytest.fixture
@@ -161,9 +178,6 @@ class TestCorpusFiles:
             [2, 0], [1, 1], [1, 1]]
         loaded = load_corpus(path)
         assert loaded.budgets == corpus.budgets and loaded.digest == corpus.digest
-        # a preferred budget still re-derives every one of them
-        assert load_corpus(path, Budget(1, 2)).budgets == {
-            f.id: clamped_budget(f.k, Budget(1, 2)) for f in corpus}
 
     def test_file_without_budgets_loads_as_before(self, tmp_path):
         corpus = gen_corpus(ExperimentConfig(seed=7, k_range=(2, 8), formulas_per_k=1,
@@ -174,11 +188,9 @@ class TestCorpusFiles:
         for entry in doc:
             del entry["budget"]
         path.write_text(json.dumps(doc), encoding="utf-8")
-        for preferred in (None, Budget(1, 2)):
-            loaded = load_corpus(path, preferred)
-            assert loaded.formulas == corpus.formulas
-            assert loaded.budgets == {
-                f.id: clamped_budget(f.k, preferred or Budget(2, 2)) for f in corpus}
+        loaded = load_corpus(path)
+        assert loaded.formulas == corpus.formulas
+        assert loaded.budgets == {f.id: clamped_budget(f.k, Budget(2, 2)) for f in corpus}
 
     def test_config_from_json(self, tmp_path):
         path = tmp_path / "config.json"
@@ -450,8 +462,7 @@ class TestSolverNamesInAnalog:
 
     def test_solve_runs_through_analog(self, tmp_path, monkeypatch, capsys):
         corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "f.json"
-        assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
-                     "--per-k", "1", "--out", str(corpus_path)]) == 0
+        save_small_corpus(corpus_path, seed=3)
         assert main(["build-oracle", "--kind", "F", "--corpus", str(corpus_path),
                      "--out", str(oracle_path)]) == 0
         calls = self._record(monkeypatch)
@@ -503,8 +514,7 @@ class TestCap:
                                        pytest.param("9" * 5000, id="5000-digits")])
     def test_env_must_be_a_non_negative_integer(self, tmp_path, monkeypatch, capsys, value):
         corpus_path = tmp_path / "corpus.json"
-        assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
-                     "--per-k", "1", "--out", str(corpus_path)]) == 0
+        save_small_corpus(corpus_path, seed=3)
         monkeypatch.setenv("RELATIVIZE_CAP", value)
         with pytest.raises(ConfigurationError, match="RELATIVIZE_CAP"):
             enumeration_cap()
@@ -535,7 +545,7 @@ class TestCap:
     def test_env_too_long_names_the_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RELATIVIZE_CAP", "0" * 100 + "9" * 5000)
         monkeypatch.chdir(tmp_path)
-        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--out", "c.json"]) == 2
+        assert main(["gen-corpus", "--out", "c.json"]) == 2
         captured = capsys.readouterr()
         assert captured.err == ("error: RELATIVIZE_CAP must be a non-negative integer of at "
                                 "most 4300 significant digits\n")
@@ -557,12 +567,9 @@ class TestCap:
         assert captured.err.startswith("error:") and "RELATIVIZE_CAP" in captured.err
         assert captured.out == "" and not (tmp_path / out).exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["suite", "--config", "config.json"],
-        ["gen-corpus", "--k-min", "6", "--k-max", "3000", "--out", "out"],
-    ], ids=["suite", "gen-corpus"])
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_cli_checks_the_cap_before_making_its_corpus(self, tmp_path, monkeypatch, capsys,
-                                                         argv):
+                                                         command):
         # a corpus up to k = 3000 would take far longer to make than to refuse
         def no_draw(*args):
             raise AssertionError("a clause was drawn past the cap")
@@ -572,7 +579,7 @@ class TestCap:
         monkeypatch.chdir(tmp_path)
         Path("config.json").write_text(json.dumps({"k_range": [6, 3000], "out_dir": "out"}),
                                        encoding="utf-8")
-        assert main(argv) == 2
+        assert main(config_argv(command, "config.json", "out")) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "k=3000 exceeds the enumeration cap" in captured.err
@@ -630,8 +637,8 @@ class TestBoundedQuotes:
         monkeypatch.chdir(tmp_path)
         kind = case.split("-")[0]
         if kind == "oracle":
-            assert main(["gen-corpus", "--k-min", "3", "--k-max", "3", "--per-k", "1",
-                         "--out", "corpus.json"]) == 0
+            save_corpus(gen_corpus(ExperimentConfig(k_range=(3, 3), formulas_per_k=1)),
+                        "corpus.json")
             assert main(["build-oracle", "--kind", "A", "--corpus", "corpus.json",
                          "--out", "oracle.json"]) == 0
             doc = {**json.loads(Path("oracle.json").read_text()), "kind": "Z" * N}
@@ -675,7 +682,7 @@ class TestBoundedQuotes:
     @pytest.mark.parametrize("argv", [
         ["suite", "--config", "x" * N],
         ["solve", "--oracle", "oracle.json", "--formula", "1", "--corpus", "x" * N],
-        ["gen-corpus", "--k-min", "3", "--k-max", "3", "--per-k", "1", "--out", "x" * N],
+        ["gen-corpus", "--out", "x" * N],
         ["lambda", "--instances", "x" * N],
     ], ids=["suite-config", "solve-corpus", "gen-corpus-out", "lambda-instances"])
     def test_a_huge_path_gives_one_short_line(self, tmp_path, monkeypatch, capsys, argv):
@@ -693,28 +700,33 @@ class TestCorpusSize:
     """A corpus past MAX_CORPUS_CLAUSES random clauses is refused before any
     of it is drawn."""
 
-    @pytest.mark.parametrize("argv, config, named", [
-        (["suite", "--config", "config.json"], {"clause_density": 1e9}, "config.json: "),
-        (["suite", "--config", "config.json"], {"formulas_per_k": 10**9}, "config.json: "),
-        (["gen-corpus", "--density", "1e9", "--out", "out"], {}, ""),
-        (["gen-corpus", "--per-k", str(10**9), "--out", "out"], {}, ""),
-    ], ids=["suite-density", "suite-per-k", "gen-corpus-density", "gen-corpus-per-k"])
+    @pytest.mark.parametrize("config", [{"clause_density": 1e9}, {"formulas_per_k": 10**9}],
+                             ids=["density", "per-k"])
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_cli_refuses_a_huge_corpus_before_making_it(self, tmp_path, monkeypatch, capsys,
-                                                       argv, config, named):
-        def no_draw(*args):
-            raise AssertionError("a clause was drawn past the size ceiling")
-
-        monkeypatch.setattr(harness, "_draw_indices", no_draw)
+                                                       command, config):
+        monkeypatch.setattr(harness, "_draw_indices", self.no_draw)
         monkeypatch.chdir(tmp_path)
         Path("config.json").write_text(json.dumps({**config, "out_dir": "out"}),
                                        encoding="utf-8")
-        assert main(argv) == 2
+        assert main(config_argv(command, "config.json", "out")) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {named}the corpus would draw ")
+        assert captured.err.startswith("error: config.json: the corpus would draw ")
         assert captured.err.count("\n") == 1
         assert f"past the ceiling of {MAX_CORPUS_CLAUSES}" in captured.err
         assert not Path("out").exists()
+
+    def test_gen_corpus_refuses_a_huge_corpus_before_drawing_it(self, monkeypatch):
+        # run_suite and any other caller of gen_corpus come without a file
+        monkeypatch.setattr(harness, "_draw_indices", self.no_draw)
+        with pytest.raises(ConfigurationError, match="the corpus would draw 3000000000 "):
+            gen_corpus(ExperimentConfig(k_range=(1, 1), formulas_per_k=3 * 10**9,
+                                        clause_density=1))
+
+    @staticmethod
+    def no_draw(*args):
+        raise AssertionError("a clause was drawn past the size ceiling")
 
     def test_ceiling_is_inclusive(self):
         # k 1 at density 1 draws one clause per formula
@@ -734,36 +746,27 @@ class TestHugeBudget:
     """A budget with exponent 10^11 is clamped, or compared with its bound,
     without building p(k)."""
 
-    def test_config_budget_clamps(self, tmp_path, no_huge_power):
-        reports = []
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_config_budget_clamps(self, tmp_path, no_huge_power, command):
+        outputs = []
         for exponent in (HUGE, 2):
             out, path = tmp_path / f"out-{exponent}", tmp_path / f"config-{exponent}.json"
             path.write_text(json.dumps({"k_range": [6, 6], "formulas_per_k": 1,
                                         "budget": [1, exponent], "out_dir": str(out)}),
                             encoding="utf-8")
-            status = main(["suite", "--config", str(path)])
-            reports.append((status, (out / "runs.jsonl").read_bytes(),
-                            (out / "runs.csv").read_bytes()))
+            status = main(config_argv(command, path, out))
+            # gen-corpus's file holds the budgets it stored
+            written = [out] if command == "gen-corpus" else [out / "runs.jsonl", out / "runs.csv"]
+            outputs.append((status, [f.read_bytes() for f in written]))
         # at k = 6, 1*k^HUGE clamps to the first fallback, 1*k^2
-        assert reports[0] == reports[1]
-
-    def test_budget_option_clamps(self, tmp_path, no_huge_power):
-        corpus = tmp_path / "corpus.json"
-        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
-                     "--out", str(corpus)]) == 0
-        for exponent in (HUGE, 2):
-            assert main(["build-oracle", "--kind", "B", "--corpus", str(corpus),
-                         "--budget", "1", str(exponent),
-                         "--out", str(tmp_path / f"b-{exponent}.json")]) == 0
-        assert (tmp_path / f"b-{HUGE}.json").read_bytes() == (tmp_path / "b-2.json").read_bytes()
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("kind", ["B", "D", "E"])
     def test_stored_budget_is_kept(self, tmp_path, no_huge_power, kind):
         # a stored p(k) past 2^k is kept: B's search covers the space, and
         # D's and E's gates stay shut, as they do for p(k) = 6^6
         path = tmp_path / "corpus.json"
-        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
-                     "--out", str(path)]) == 0
+        save_small_corpus(path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         built = []
         for exponent in (HUGE, 6):
@@ -779,10 +782,11 @@ class TestHugeBudget:
 
 class TestCli:
     def test_gen_corpus_and_build_and_solve(self, tmp_path, capsys):
-        corpus_path = tmp_path / "corpus.json"
+        config_path, corpus_path = tmp_path / "config.json", tmp_path / "corpus.json"
         oracle_path = tmp_path / "a.json"
-        assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
-                     "--per-k", "2", "--out", str(corpus_path)]) == 0
+        config_path.write_text(json.dumps({"seed": 3, "k_range": [6, 6], "formulas_per_k": 2}),
+                               encoding="utf-8")
+        assert main(["gen-corpus", "--config", str(config_path), "--out", str(corpus_path)]) == 0
         assert main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
                      "--out", str(oracle_path)]) == 0
         assert main(["solve", "--oracle", str(oracle_path), "--formula", "1",
@@ -791,11 +795,34 @@ class TestCli:
         run = json.loads(out.strip().splitlines()[-1])
         assert run["oracle"] == "A" and run["correct"] is True
 
+    def test_gen_corpus_writes_the_corpus_the_suite_runs_on(self, tmp_path, capsys):
+        # one config file describes the corpus, budgets included, for both
+        config = ExperimentConfig(seed=5, k_range=(6, 8), formulas_per_k=2, budget=Budget(1, 1),
+                                  oracle_kinds=("B",), out_dir=str(tmp_path / "out"))
+        config_path, corpus_path = tmp_path / "config.json", tmp_path / "corpus.json"
+        config_path.write_text(json.dumps({
+            "seed": 5, "k_range": [6, 8], "formulas_per_k": 2, "budget": [1, 1],
+            "oracles": ["B"], "out_dir": config.out_dir}), encoding="utf-8")
+        assert config_from_json(config_path) == config
+        assert main(["gen-corpus", "--config", str(config_path), "--out", str(corpus_path)]) == 0
+        assert main(["suite", "--config", str(config_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        corpus = load_corpus(corpus_path)
+        assert corpus.digest == summary["corpus"]["hash"] == gen_corpus(config).digest
+        assert set(corpus.budgets.values()) == {Budget(1, 1)}
+        assert corpus.digest != gen_corpus(dataclasses.replace(config, budget=Budget(2, 2))).digest
+        # build-oracle and solve read the stored budgets: no flag restates them
+        oracle_path = tmp_path / "b.json"
+        assert main(["build-oracle", "--kind", "B", "--corpus", str(corpus_path),
+                     "--out", str(oracle_path)]) == 0
+        assert load_oracle(oracle_path, corpus) == build_B(gen_corpus(config))
+        assert main(["solve", "--oracle", str(oracle_path), "--formula", "1",
+                     "--corpus", str(corpus_path)]) == 0
+
     def test_solve_both_f_sides(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"
         oracle_path = tmp_path / "f.json"
-        main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
-              "--per-k", "1", "--out", str(corpus_path)])
+        save_small_corpus(corpus_path, seed=3)
         main(["build-oracle", "--kind", "F", "--corpus", str(corpus_path),
               "--out", str(oracle_path)])
         assert main(["solve", "--oracle", str(oracle_path), "--formula", "2",
@@ -806,8 +833,7 @@ class TestCli:
 
     # Each kind's set built directly, and the solver runs `solve` must print
     # for it: the np and co sides for F, the complement question for the
-    # barred sets. D and D_bar need even k at even positions, and budget
-    # (1, 1) gives the crafted corpus's budgets back on load.
+    # barred sets. D and D_bar need even k at even positions.
     ROUND_TRIP = {
         "A": (build_A, lambda f, o, c, sat: [solve_with_A(f, o, ground_truth=sat)]),
         "B": (build_B, lambda f, o, c, sat: [
@@ -831,23 +857,21 @@ class TestCli:
         corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "oracle.json"
         if kind in ("D", "D_bar"):
             save_corpus(craft_d_corpus(), corpus_path)
-            budget = ["1", "1"]
         else:
             save_corpus(gen_corpus(ExperimentConfig(seed=5, k_range=(5, 7), formulas_per_k=2)),
                         corpus_path)
-            budget = ["2", "2"]
-        corpus = load_corpus(corpus_path, Budget(*map(int, budget)))
+        corpus = load_corpus(corpus_path)
         build, solve = self.ROUND_TRIP[kind]
         oracle = build(corpus)
         assert oracle.kind == kind and len(oracle) > 0
         assert main(["build-oracle", "--kind", kind, "--corpus", str(corpus_path),
-                     "--out", str(oracle_path), "--budget", *budget]) == 0
+                     "--out", str(oracle_path)]) == 0
         save_oracle(oracle, tmp_path / "direct.json")
         assert oracle_path.read_bytes() == (tmp_path / "direct.json").read_bytes()
         for f in corpus:
             capsys.readouterr()
             assert main(["solve", "--oracle", str(oracle_path), "--formula", str(f.id),
-                         "--corpus", str(corpus_path), "--budget", *budget]) == 0
+                         "--corpus", str(corpus_path)]) == 0
             with code_digit_limit():
                 want = [json.dumps(run_result_to_json(r))
                         for r in solve(f, oracle, corpus, brute_force_sat(f).satisfiable)]
@@ -863,10 +887,6 @@ class TestCli:
                      "--out", str(oracle_path)]) == 0
         assert "with 9 members" in capsys.readouterr().out
         assert oracle_path.read_bytes() == (tmp_path / "direct.json").read_bytes()
-        # --budget re-derives them: formula 3 loses its Budget(1, 1)
-        assert main(["build-oracle", "--kind", "D_bar", "--corpus", str(corpus_path),
-                     "--out", str(oracle_path), "--budget", "2", "2"]) == 0
-        assert "with 0 members" in capsys.readouterr().out
 
     def test_suite_command(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -902,8 +922,7 @@ class TestCli:
         (["suite", "--config", "empty-out-dir.json"],
          "empty-out-dir.json: out_dir must not be empty"),
         (["lambda", "--instances", "instances.json", "--out", ""], "--out must not be empty"),
-        (["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1", "--out", ""],
-         "--out must not be empty"),
+        (["gen-corpus", "--config", "small.json", "--out", ""], "--out must not be empty"),
         (["build-oracle", "--kind", "A", "--corpus", "corpus.json", "--out", ""],
          "--out must not be empty"),
         (["suite", "--config", ""], "--config must not be empty"),
@@ -927,8 +946,7 @@ class TestCli:
         Path("empty-out-dir.json").write_text(json.dumps({**small, "out_dir": ""}),
                                               encoding="utf-8")
         save_instances(gen_instances(seed=4, count=2, r_min=3, r_max=4), "instances.json")
-        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
-                     "--out", "corpus.json"]) == 0
+        save_small_corpus("corpus.json")
         before = sorted(os.listdir())
         capsys.readouterr()
         assert main(argv) == 2
@@ -936,30 +954,35 @@ class TestCli:
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert sorted(os.listdir()) == before
 
-    def _suite_exit(self, tmp_path, doc):
+    @staticmethod
+    def _config_exit(tmp_path, command, doc):
+        """`command` on a config file holding `doc`; it must then have
+        written neither the suite's reports nor gen-corpus's file."""
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({**doc, "out_dir": str(tmp_path / "out")}),
+        config_path.write_text(json.dumps({"out_dir": str(tmp_path / "out"), **doc}),
                                encoding="utf-8")
-        return main(["suite", "--config", str(config_path)])
+        status = main(config_argv(command, config_path, tmp_path / "corpus.json"))
+        assert not (tmp_path / "out").exists() and not (tmp_path / "corpus.json").exists()
+        return status
 
-    def test_suite_rejects_d_bar(self, tmp_path, capsys):
-        assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1,
-                                           "oracles": ["D_bar"]}) == 2
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_suite_rejects_d_bar(self, tmp_path, capsys, command):
+        assert self._config_exit(tmp_path, command, {"k_range": [6, 6], "formulas_per_k": 1,
+                                                     "oracles": ["D_bar"]}) == 2
         assert "D's run covers D_bar" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
-    def test_suite_rejects_a_kind_listed_twice(self, tmp_path, capsys):
-        assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1,
-                                           "oracles": ["A", "C", "A"]}) == 2
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_suite_rejects_a_kind_listed_twice(self, tmp_path, capsys, command):
+        assert self._config_exit(tmp_path, command, {"k_range": [6, 6], "formulas_per_k": 1,
+                                                     "oracles": ["A", "C", "A"]}) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "oracle kinds ['A'] are listed more than once" in err
-        assert not (tmp_path / "out").exists()
 
-    def test_suite_rejects_unknown_config_key(self, tmp_path, capsys):
-        assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1,
-                                           "oracle": ["A"]}) == 2
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_suite_rejects_unknown_config_key(self, tmp_path, capsys, command):
+        assert self._config_exit(tmp_path, command, {"k_range": [6, 6], "formulas_per_k": 1,
+                                                     "oracle": ["A"]}) == 2
         assert "unknown config keys ['oracle']" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad, message", [
         ({"seed": "42"}, "'seed' must be an integer"),
@@ -970,14 +993,13 @@ class TestCli:
         ({"out_dir": 5}, "'out_dir' must be a string"),
         ({"budget": [-1, 2]}, "'budget' must be a list of two non-negative integers"),
     ])
-    def test_suite_rejects_config_value_of_wrong_type(self, tmp_path, capsys, bad, message):
-        config_path = tmp_path / "config.json"
-        doc = {"k_range": [6, 6], "formulas_per_k": 1, "out_dir": str(tmp_path / "out"), **bad}
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["suite", "--config", str(config_path)]) == 2
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_suite_rejects_config_value_of_wrong_type(self, tmp_path, capsys, command, bad,
+                                                      message):
+        doc = {"k_range": [6, 6], "formulas_per_k": 1, **bad}
+        assert self._config_exit(tmp_path, command, doc) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{config_path}: {message}" in err
-        assert not (tmp_path / "out").exists()
+        assert err.startswith(f"error: {tmp_path / 'config.json'}: {message}")
 
     DENSITY = "clause_density must be non-negative with a finite clause_density * k"
     PER_K = "formulas_per_k must be non-negative"
@@ -989,26 +1011,13 @@ class TestCli:
         ({"clause_density": 1e308}, DENSITY),
         ({"formulas_per_k": -1}, PER_K),
     ])
-    def test_suite_rejects_config_value_out_of_range(self, tmp_path, capsys, bad, message):
-        assert self._suite_exit(tmp_path, {"k_range": [6, 6], "formulas_per_k": 1, **bad}) == 2
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_suite_rejects_config_value_out_of_range(self, tmp_path, capsys, command, bad,
+                                                     message):
+        doc = {"k_range": [6, 6], "formulas_per_k": 1, **bad}
+        assert self._config_exit(tmp_path, command, doc) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--density", "inf", DENSITY),
-        ("--density", "nan", DENSITY),
-        ("--density", "-1", DENSITY),
-        ("--density", "1e308", DENSITY),
-        ("--per-k", "-1", PER_K),
-    ])
-    def test_gen_corpus_rejects_value_out_of_range(self, tmp_path, capsys, flag, value, message):
-        out = tmp_path / "corpus.json"
-        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", flag, value,
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
-        assert not out.exists()
+        assert err.startswith(f"error: {tmp_path / 'config.json'}: ") and message in err
 
     def test_defaults_are_the_configs(self, tmp_path, capsys):
         config_path, corpus_path = tmp_path / "config.json", tmp_path / "corpus.json"
@@ -1016,6 +1025,9 @@ class TestCli:
         assert config_from_json(config_path) == ExperimentConfig()
         assert main(["gen-corpus", "--out", str(corpus_path)]) == 0
         assert load_corpus(corpus_path) == gen_corpus(ExperimentConfig())
+        written = corpus_path.read_bytes()
+        assert main(["gen-corpus", "--config", str(config_path), "--out", str(corpus_path)]) == 0
+        assert corpus_path.read_bytes() == written
 
     @pytest.mark.parametrize("doc, message", [
         ([{"M": 3}], "instance entry 0: missing keys ['S']"),
@@ -1040,17 +1052,18 @@ class TestCli:
                                          b"[" * 100_000 + b"]" * 100_000],
                              ids=["not-json", "not-utf-8", "int-past-digit-limit",
                                   "nested-too-deep"])
-    @pytest.mark.parametrize("option", ["suite --config", "build-oracle --corpus",
-                                        "lambda --instances", "solve --oracle"],
-                             ids=["suite-config", "build-oracle-corpus", "lambda-instances",
-                                  "solve-oracle"])
+    @pytest.mark.parametrize("option", ["suite --config", "gen-corpus --config",
+                                        "build-oracle --corpus", "lambda --instances",
+                                        "solve --oracle"],
+                             ids=["suite-config", "gen-corpus-config", "build-oracle-corpus",
+                                  "lambda-instances", "solve-oracle"])
     def test_unreadable_input_file_is_named(self, tmp_path, capsys, option, content):
         corpus_path, bad, out = tmp_path / "corpus.json", tmp_path / "bad.json", tmp_path / "out"
-        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
-                     "--out", str(corpus_path)]) == 0
+        save_small_corpus(corpus_path)
         bad.write_bytes(content)
         argv = {
             "suite --config": ["suite", "--config", str(bad), "--out-dir", str(out)],
+            "gen-corpus --config": ["gen-corpus", "--config", str(bad), "--out", str(out)],
             "build-oracle --corpus": ["build-oracle", "--kind", "A", "--corpus", str(bad),
                                       "--out", str(out)],
             "lambda --instances": ["lambda", "--instances", str(bad), "--out", str(out)],
@@ -1066,18 +1079,20 @@ class TestCli:
 
     @pytest.mark.parametrize("option, content, key", [
         ("suite --config", '{"seed": 1, "seed": 2}', "seed"),
+        ("gen-corpus --config", '{"seed": 1, "seed": 2}', "seed"),
         ("build-oracle --corpus", '[{"id": 1, "literals": ["a"], "clauses": [], "id": 1}]', "id"),
         ("lambda --instances", '[{"S": [1], "M": 1, "M": 2}]', "M"),
         ("solve --oracle", '{"kind": "A", "provenance": {"7": [1, "a"], "7": [2, "b"]}}', "7"),
-    ], ids=["suite-config", "build-oracle-corpus", "lambda-instances", "solve-oracle"])
+    ], ids=["suite-config", "gen-corpus-config", "build-oracle-corpus", "lambda-instances",
+            "solve-oracle"])
     def test_repeated_key_is_refused(self, tmp_path, capsys, option, content, key):
         # the parser alone would keep the last value: seed 2, target 2, ...
         corpus_path, bad, out = tmp_path / "corpus.json", tmp_path / "bad.json", tmp_path / "out"
-        assert main(["gen-corpus", "--k-min", "6", "--k-max", "6", "--per-k", "1",
-                     "--out", str(corpus_path)]) == 0
+        save_small_corpus(corpus_path)
         bad.write_text(content, encoding="utf-8")
         argv = {
             "suite --config": ["suite", "--config", str(bad), "--out-dir", str(out)],
+            "gen-corpus --config": ["gen-corpus", "--config", str(bad), "--out", str(out)],
             "build-oracle --corpus": ["build-oracle", "--kind", "A", "--corpus", str(bad),
                                       "--out", str(out)],
             "lambda --instances": ["lambda", "--instances", str(bad), "--out", str(out)],
@@ -1088,23 +1103,6 @@ class TestCli:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {bad}: repeated key {key!r} in a JSON object\n"
-        assert captured.out == "" and not out.exists()
-
-    @pytest.mark.parametrize("command", ["build-oracle", "solve"])
-    @pytest.mark.parametrize("budget", [["-1", "2"], ["2", "-1"]])
-    def test_budget_option_must_be_naturals(self, tmp_path, capsys, command, budget):
-        corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "a.json"
-        assert main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
-                     "--per-k", "1", "--out", str(corpus_path)]) == 0
-        assert main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
-                     "--out", str(oracle_path)]) == 0
-        out = tmp_path / "b.json"
-        argv = {"build-oracle": ["build-oracle", "--kind", "A", "--out", str(out)],
-                "solve": ["solve", "--oracle", str(oracle_path), "--formula", "1"]}[command]
-        capsys.readouterr()
-        assert main([*argv, "--corpus", str(corpus_path), "--budget", *budget]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: --budget must be two non-negative integers")
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("doc, message", [
@@ -1127,8 +1125,7 @@ class TestCli:
     def test_solve_rejects_formula_id_outside_corpus(self, tmp_path, capsys, fid):
         corpus_path = tmp_path / "corpus.json"
         oracle_path = tmp_path / "a.json"
-        main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
-              "--per-k", "5", "--out", str(corpus_path)])
+        save_small_corpus(corpus_path, seed=3, per_k=5)
         main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
               "--out", str(oracle_path)])
         capsys.readouterr()
@@ -1188,8 +1185,7 @@ class TestCli:
 
     def test_solve_refuses_coerced_oracle_file_values(self, tmp_path, capsys):
         corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "a.json"
-        main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
-              "--per-k", "1", "--out", str(corpus_path)])
+        save_small_corpus(corpus_path, seed=3)
         main(["build-oracle", "--kind", "A", "--corpus", str(corpus_path),
               "--out", str(oracle_path)])
         doc = json.loads(oracle_path.read_text(encoding="utf-8"))
@@ -1204,8 +1200,7 @@ class TestCli:
 
     def test_bad_oracle_file_is_reported(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.json"
-        main(["gen-corpus", "--seed", "3", "--k-min", "6", "--k-max", "6",
-              "--per-k", "1", "--out", str(corpus_path)])
+        save_small_corpus(corpus_path, seed=3)
         bad = tmp_path / "bad.json"
         bad.write_text("not json", encoding="utf-8")
         assert main(["solve", "--oracle", str(bad), "--formula", "1",

@@ -419,17 +419,19 @@ class TestDeterminismAndFiles:
         assert sys.get_int_max_str_digits() == limit
 
     def test_empty_set_round_trips(self, tmp_path):
-        oracle = build_A(Corpus((), {}))
+        corpus = Corpus((), {})
+        oracle = build_A(corpus)
         save_oracle(oracle, tmp_path / "empty.json")
-        assert load_oracle(tmp_path / "empty.json") == oracle
+        assert load_oracle(tmp_path / "empty.json", corpus) == oracle
 
     def test_set_is_its_provenance_map(self, tmp_path):
-        oracle = OracleSet("A", {1: (1, "step 3")}, frozenset({1}), "x")
+        corpus = Corpus((Formula(1, ("a",), ()),), {1: Budget(1, 1)})
+        oracle = OracleSet("A", {1: (1, "step 3")}, frozenset({1}), corpus.digest)
         assert oracle.members == {1}
         assert 1 in oracle and 2 not in oracle
         assert len(oracle) == 1
         save_oracle(oracle, tmp_path / "a.json")
-        assert load_oracle(tmp_path / "a.json") == oracle
+        assert load_oracle(tmp_path / "a.json", corpus) == oracle
 
     def test_members_are_held_once(self, tmp_path):
         assert [f.name for f in dataclasses.fields(OracleSet)] == [
@@ -474,17 +476,19 @@ class TestDeterminismAndFiles:
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "A", "members": [', encoding="utf-8")
         with pytest.raises(OracleFileError):
-            load_oracle(path)
+            load_oracle(path, Corpus((), {}))
 
     def test_unknown_kind(self, tmp_path):
+        # the file matches its corpus: only the kind is wrong
+        corpus = Corpus((), {})
         path = tmp_path / "odd.json"
         path.write_text(
-            json.dumps({"kind": "Z", "members": [], "corpus_hash": "x",
+            json.dumps({"kind": "Z", "members": [], "corpus_hash": corpus.digest,
                         "corpus_ids": [], "provenance": {}}),
             encoding="utf-8",
         )
-        with pytest.raises(OracleFileError):
-            load_oracle(path)
+        with pytest.raises(OracleFileError, match="unknown oracle kind 'Z'"):
+            load_oracle(path, corpus)
 
     def test_corpus_mismatch(self, tmp_path):
         corpus = seeded_corpus(seed=81)

@@ -866,7 +866,7 @@ class TestCachedCodes:
     def test_block_code_text_is_str_of_the_pairing(self, p):
         limit = sys.get_int_max_str_digits()
         g = godel_number(p)
-        p.k  # a SetSumProblem keeps its k on first read, before any block text
+        p.k  # a problem keeps its k on first read, before any block text
         cached = dict(vars(p))
         with code_digit_limit():
             want = [str(pair(t, g)) for t in range(p.k + 1)]
@@ -1236,11 +1236,11 @@ class TestTwoSidedF:
 
     def test_oracle_file_then_solve_reports_both_sides_correct(self, tmp_path, capsys):
         corpus_path, oracle_path = tmp_path / "corpus.json", tmp_path / "f.json"
-        assert main(["gen-corpus", "--seed", "9", "--k-min", "6", "--k-max", "7",
-                     "--per-k", "2", "--out", str(corpus_path)]) == 0
+        save_corpus(gen_corpus(ExperimentConfig(seed=9, k_range=(6, 7), formulas_per_k=2)),
+                    corpus_path)
         assert main(["build-oracle", "--kind", "F", "--corpus", str(corpus_path),
                      "--out", str(oracle_path)]) == 0
-        corpus = load_corpus(corpus_path, Budget(2, 2))
+        corpus = load_corpus(corpus_path)
         save_oracle(ref_build_F(corpus), tmp_path / "ref.json")
         assert oracle_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
         for p in corpus:
